@@ -91,6 +91,21 @@ class _Emitter:
             print(text, file=sys.stderr)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="efflam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,7 +120,7 @@ def _build_parser() -> _Parser:
                 choices=("leftmostOutermost", "randomSeeded", "exhaustiveCheck"),
                 default="leftmostOutermost",
             )
-            p.add_argument("--fuel", type=int, default=100_000)
+            p.add_argument("--fuel", type=_int_at_least(0), default=100_000)
             p.add_argument("--seed", type=int, default=0)
 
     check = sub.add_parser("check", help="type-check a declaration file")
@@ -132,7 +147,7 @@ def _build_parser() -> _Parser:
             "monadLaws",
         ),
     )
-    verify.add_argument("--size", type=int)
+    verify.add_argument("--size", type=_int_at_least(1))
     verify.add_argument("--seed", type=int)
     common(verify)
 

@@ -10,6 +10,16 @@ Type ascriptions never block a rule: matching looks through them, and a
 contraction keeps the ascription of the position it rewrites, so traces
 of annotated terms stay checkable step by step.  Positions are child
 index paths that skip ascription nodes.
+
+A leftmost-outermost step costs work near the redex, not work in the
+size of the whole term: contraction rebuilds only the nodes on the
+redex's path (substitution shares every subterm it leaves unchanged),
+and the search for the next redex resumes where the last one was
+contracted.  It relies on one invariant: everything to the left of the
+contracted path is unchanged by the step and was already found free of
+redexes.  So only the ancestors on the path, the new subterm at it, and
+the subterms to its right are visited; the next step costs the path
+length plus the part of the term searched before its redex is found.
 """
 
 from __future__ import annotations
@@ -167,14 +177,6 @@ def subterm_at(t: Term, path: Path) -> Term:
     return t
 
 
-def _replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    tys, s = _peel(t)
-    child = _children(s)[path[0]]
-    return _rewrap(tys, _with_child(s, path[0], _replace_at(child, path[1:], new)))
-
-
 # ---------------------------------------------------------------------------
 # Redex recognition and contraction
 
@@ -312,23 +314,64 @@ def candidates(t: Term) -> list[tuple[Rule, Path]]:
     return found
 
 
-def _first_candidate(t: Term, path: Path = ()) -> tuple[Rule, Path] | None:
+def _next_redex(t: Term, path: Path) -> tuple[Rule, Path] | None:
+    """The leftmost-outermost redex of `t`, resuming after a step at `path`.
+
+    Assumes every node before `path` in leftmost-outermost order (its
+    ancestors and everything to its left) was no redex before that step.
+    The nodes to the left are unchanged by it, so they are not visited
+    again.  The ancestors are re-checked, root first, since the new
+    subterm can make one of them a redex; then the subterm at `path` is
+    searched, then the right siblings of each ancestor, deepest first.
+    With `path == ()` this is a search of the whole term.
+    """
+    # subterms still to search, the next one on top; the right siblings
+    # of each ancestor go below those of its descendants
+    stack: list[tuple[Term, Path]] = []
     s = _strip(t)
-    rule = _rule_at(s)
-    if rule is not None:
-        return (rule, path)
-    for i, child in enumerate(_children(s)):
-        hit = _first_candidate(child, path + (i,))
-        if hit is not None:
-            return hit
+    for depth, i in enumerate(path):
+        rule = _rule_at(s)
+        if rule is not None:
+            return rule, path[:depth]
+        kids = _children(s)
+        for j in range(len(kids) - 1, i, -1):
+            stack.append((kids[j], path[:depth] + (j,)))
+        s = _strip(kids[i])
+    stack.append((s, path))
+    # the hot loop of normalization, hence the bound methods and the
+    # inlined `_strip`
+    pop, push = stack.pop, stack.append
+    while stack:
+        s, at = pop()
+        while isinstance(s, Ann):
+            s = s.term
+        rule = _rule_at(s)
+        if rule is not None:
+            return rule, at
+        kids = _children(s)
+        i = len(kids)
+        while i:
+            i -= 1
+            push((kids[i], at + (i,)))
     return None
 
 
 def contract_at(t: Term, path: Path, rule: Rule) -> Term:
-    """One step: contract the redex at `path`, keeping its ascriptions."""
-    sub = subterm_at(t, path)
-    tys, s = _peel(sub)
-    return _replace_at(t, path, _rewrap(tys, _contract(s, rule)))
+    """One step: contract the redex at `path`, keeping its ascriptions.
+
+    Only the nodes on `path` are rebuilt; every other subterm is shared
+    with `t`.
+    """
+    spine = []
+    for i in path:
+        tys, s = _peel(t)
+        spine.append((tys, s, i))
+        t = _children(s)[i]
+    tys, s = _peel(t)
+    t = _rewrap(tys, _contract(s, rule))
+    for tys, s, i in reversed(spine):
+        t = _rewrap(tys, _with_child(s, i, t))
+    return t
 
 
 def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
@@ -394,9 +437,10 @@ def normalize(
 
     steps: list[Step] = []
     current = t
+    path: Path = ()
     for _ in range(fuel):
         if rng is None:
-            hit = _first_candidate(current)
+            hit = _next_redex(current, path)
         else:
             cands = candidates(current)
             hit = rng.choice(cands) if cands else None

@@ -271,10 +271,44 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def subst(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of `repl` for free `name` in `t`."""
-    if name not in free_vars(t):
-        return t
-    repl_fv = free_vars(repl)
+    """Capture-avoiding substitution of `repl` for free `name` in `t`.
+
+    Identity is preserved: a subterm in which `name` does not occur free
+    comes back as the very same object, and a node is rebuilt only when
+    one of its children changed.  So `subst(t, name, repl) is t` when
+    `name` is not free in `t`, and a result shares every untouched
+    subterm with `t`.  The walk itself finds the occurrences; free
+    variables are computed only for `repl` (once, when an occurrence is
+    found under a binder) and for the body of a binder that `repl`
+    mentions, to decide whether that binder must be renamed.
+    """
+    repl_fv: frozenset[str] | None = None
+
+    def under(binder: str, body: Term) -> tuple[str, Term]:
+        # the binder and body after substituting in the body; the same
+        # objects when `name` is not free there
+        nonlocal repl_fv
+        if binder == name:
+            return binder, body
+        if repl_fv is None:
+            # `repl`'s free variables are needed only once an occurrence
+            # is found under a binder: substitute first, and redo the body
+            # renamed if `binder` would capture; a binder is redone at
+            # most once, since later ones know `repl_fv` up front
+            body2 = go(body)
+            if body2 is body:
+                return binder, body
+            if repl_fv is None:
+                repl_fv = free_vars(repl)
+            if binder not in repl_fv:
+                return binder, body2
+        elif binder not in repl_fv:
+            return binder, go(body)
+        body_fv = free_vars(body)
+        if name not in body_fv:
+            return binder, body
+        renamed = fresh_name(binder, repl_fv | body_fv | {name})
+        return renamed, go(subst(body, binder, Var(renamed)))
 
     def go(t: Term) -> Term:
         match t:
@@ -283,38 +317,39 @@ def subst(t: Term, name: str, repl: Term) -> Term:
             case Const(_):
                 return t
             case Abs(binder, body):
-                if binder == name or name not in free_vars(body):
-                    return t
-                if binder in repl_fv:
-                    binder2 = fresh_name(binder, repl_fv | free_vars(body) | {name})
-                    body = subst(body, binder, Var(binder2))
-                    binder = binder2
-                return Abs(binder, go(body))
+                binder2, body2 = under(binder, body)
+                return t if body2 is body else Abs(binder2, body2)
             case App(fn, arg):
-                return App(go(fn), go(arg))
+                fn2, arg2 = go(fn), go(arg)
+                return t if fn2 is fn and arg2 is arg else App(fn2, arg2)
             case Eta(value):
-                return Eta(go(value))
+                value2 = go(value)
+                return t if value2 is value else Eta(value2)
             case Op(op, param, binder, cont):
-                new_param = go(param)
-                if binder == name or name not in free_vars(cont):
-                    return Op(op, new_param, binder, cont)
-                if binder in repl_fv:
-                    binder2 = fresh_name(binder, repl_fv | free_vars(cont) | {name})
-                    cont = subst(cont, binder, Var(binder2))
-                    binder = binder2
-                return Op(op, new_param, binder, go(cont))
+                param2 = go(param)
+                binder2, cont2 = under(binder, cont)
+                if param2 is param and cont2 is cont:
+                    return t
+                return Op(op, param2, binder2, cont2)
             case Handler(clauses, eta_clause, scrutinee):
-                return Handler(
-                    tuple((n, go(c)) for n, c in clauses),
-                    go(eta_clause),
-                    go(scrutinee),
-                )
+                clauses2 = tuple((n, go(c)) for n, c in clauses)
+                eta2, scrutinee2 = go(eta_clause), go(scrutinee)
+                if (
+                    eta2 is eta_clause
+                    and scrutinee2 is scrutinee
+                    and all(c2 is c for (_, c), (_, c2) in zip(clauses, clauses2))
+                ):
+                    return t
+                return Handler(clauses2, eta2, scrutinee2)
             case Cherry(comp):
-                return Cherry(go(comp))
+                comp2 = go(comp)
+                return t if comp2 is comp else Cherry(comp2)
             case Exchange(fn):
-                return Exchange(go(fn))
+                fn2 = go(fn)
+                return t if fn2 is fn else Exchange(fn2)
             case Ann(term, ty):
-                return Ann(go(term), ty)
+                term2 = go(term)
+                return t if term2 is term else Ann(term2, ty)
         raise TypeError(f"not a term: {t!r}")
 
     return go(t)

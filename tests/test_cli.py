@@ -1,9 +1,14 @@
 """Exit-code contract, output formats, and subcommand behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efflam
 from efflam import cli
 from efflam.cli import main
 from efflam.fragment import GoldenEntry, example
@@ -85,6 +90,27 @@ def test_status_usage(capsys):
     assert main(["fragment", "--example", "12"]) == 64
     assert main(["verify", "--suite", "nonsense"]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "-e", "eta j", "--fuel", "-1"],
+        ["trace", "-e", "eta j", "--fuel", "many"],
+        ["verify", "--suite", "termination", "--size", "-3"],
+        ["verify", "--suite", "confluence", "--size", "0"],
+    ],
+)
+def test_status_usage_for_out_of_range_numbers(argv, capsys):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+def test_zero_fuel_is_a_budget_not_a_usage_error(capsys):
+    assert main(["normalize", "-e", "(\\x. x) j", "--fuel", "0"]) == 3
+    assert "fuel" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +283,16 @@ def test_shipped_fragment_file_checks_and_normalizes(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_runs_as_a_module():
+    src = str(Path(efflam.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "efflam", "fragment", "--example", "1"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "eta (love j m)\n", "")

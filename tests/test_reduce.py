@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from efflam.fragment import GOLDENS, Branch, Word, denote, with_speaker
 from efflam.prelude import eta_identity
 from efflam.reduce import (
     FuelExhausted,
@@ -22,6 +25,7 @@ from efflam.syntax import (
     Abs,
     Ann,
     App,
+    Comp,
     Const,
     Eta,
     Handler,
@@ -31,6 +35,7 @@ from efflam.syntax import (
     erase,
 )
 from efflam.typecheck import check_against, synthesize
+from efflam.verify import _ROWS, _sample_type, sample_typed
 from .conftest import terms
 
 DECLS = """
@@ -278,3 +283,70 @@ def test_reducts_match_candidates(tm):
     for (rule, path), (rule2, path2, reduced) in zip(cands, everything):
         assert rule is rule2 and path == path2
         assert alpha_eq(reduced, contract_at(tm, path, rule))
+
+
+# ---------------------------------------------------------------------------
+# The resumed redex search agrees with a full rescan from the root
+
+
+def _normalize_by_rescan(term, fuel):
+    """Reference LO normalizer: finds each redex by searching the whole term."""
+    steps, current = [], term
+    for _ in range(fuel):
+        found = candidates(current)
+        if not found:
+            break
+        rule, path = found[0]
+        current = contract_at(current, path, rule)
+        steps.append((rule, path, current))
+    return steps, current
+
+
+def _assert_agrees_with_rescan(term, fuel=100_000):
+    trace = normalize(term, fuel=fuel)
+    steps, final = _normalize_by_rescan(term, fuel)
+    assert [(s.rule, s.path, s.term) for s in trace.steps] == steps
+    assert trace.final == final
+    return trace
+
+
+def _ladder(depth: int):
+    """The sentence "every woman loves me" under `depth` indirect reports."""
+    tree = Branch(Branch(Word("loves"), Word("me")), Branch(Word("every"), Word("woman")))
+    for i in range(depth):
+        tree = Branch(Branch(Word("said-is"), tree), Word(("john", "mary")[i % 2]))
+    return with_speaker(Const("s"), denote(tree))
+
+
+def test_resumed_search_on_the_golden_corpus():
+    for entry in GOLDENS:
+        trace = _assert_agrees_with_rescan(entry.term(Const("s")))
+        assert isinstance(trace.outcome, NormalForm)
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_resumed_search_on_the_deep_ladder(depth):
+    trace = _assert_agrees_with_rescan(_ladder(depth))
+    assert isinstance(trace.outcome, NormalForm)
+
+
+def test_resumed_search_on_sampled_typed_terms():
+    rng = random.Random(11)
+    for _ in range(300):
+        ty = Comp(rng.choice(_ROWS), _sample_type(rng, 2))
+        _assert_agrees_with_rescan(sample_typed(rng, ty, 7), fuel=2_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms)
+def test_resumed_search_on_untyped_terms(tm):
+    _assert_agrees_with_rescan(tm, fuel=60)
+
+
+def test_a_step_can_make_an_ancestor_a_redex():
+    # \x. ((\y. love) x) x: the root is no eta redex while x is free in
+    # the function; the beta step two levels down erases that occurrence
+    term = Abs("x", App(App(Abs("y", Const("love")), Var("x")), Var("x")))
+    trace = _assert_agrees_with_rescan(term)
+    assert [(s.rule, s.path) for s in trace.steps] == [(Rule.beta, (0, 0)), (Rule.eta, ())]
+    assert trace.final == Const("love")

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from efflam.syntax import (
     Abs,
     Ann,
     App,
     Atom,
+    Cherry,
     Comp,
     Const,
     EMPTY_ROW,
     Eta,
+    Exchange,
     Handler,
     Op,
     RowError,
@@ -68,6 +70,10 @@ def test_subst_avoids_capture_by_priming():
     t = Abs("y", Var("x"))
     got = subst(t, "x", Var("y"))
     assert got == Abs("y'", Var("y"))
+    # both binders capture; the inner one sees the outer one's renaming
+    t = Abs("y", Abs("z", App(Var("x"), Var("y"))))
+    got = subst(t, "x", App(Var("y"), Var("z")))
+    assert got == Abs("y'", Abs("z'", App(App(Var("y"), Var("z")), Var("y'"))))
 
 
 def test_subst_shadowed_binder_untouched():
@@ -93,6 +99,28 @@ def test_subst_deterministic():
     once = subst(t, "x", Var("y"))
     twice = subst(t, "x", Var("y"))
     assert once == twice
+
+
+def test_subst_returns_the_term_itself_when_the_name_is_not_free():
+    t = handler(
+        {"opa": Abs("x", Var("x"))},
+        Op("opb", Var("y"), "x", Ann(Var("x"), A)),
+        App(Abs("y", Var("y")), Var("z")),
+    )
+    assert subst(t, "x", Const("c0")) is t
+    assert subst(t, "u", Var("x")) is t
+
+
+def test_subst_keeps_untouched_siblings():
+    left = Abs("y", App(Var("y"), Const("c0")))
+    right = Eta(Var("z"))
+    clause = Abs("k", Var("k"))
+    got = subst(App(App(left, Var("x")), right), "x", Const("c1"))
+    assert got == App(App(left, Const("c1")), right)
+    assert got.fn.fn is left and got.arg is right
+    h = handler({"opa": clause}, Var("x"), right)
+    got = subst(h, "x", Const("c1"))
+    assert got.clauses[0][1] is clause and got.scrutinee is right
 
 
 # --- alpha-equivalence ------------------------------------------------------
@@ -153,6 +181,66 @@ def test_subst_free_vars(t, x, r):
 def test_subst_gone_after(t, x, r):
     if x not in free_vars(r):
         assert x not in free_vars(subst(t, x, r))
+
+
+def _subst_by_rescan(t, name, repl):
+    """Reference substitution: recomputes free variables at every binder."""
+    if name not in free_vars(t):
+        return t
+    repl_fv = free_vars(repl)
+
+    def go(t):
+        match t:
+            case Var(n):
+                return repl if n == name else t
+            case Const(_):
+                return t
+            case Abs(binder, body):
+                if binder == name or name not in free_vars(body):
+                    return t
+                if binder in repl_fv:
+                    binder2 = fresh_name(binder, repl_fv | free_vars(body) | {name})
+                    body = _subst_by_rescan(body, binder, Var(binder2))
+                    binder = binder2
+                return Abs(binder, go(body))
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Eta(value):
+                return Eta(go(value))
+            case Op(op, param, binder, cont):
+                new_param = go(param)
+                if binder == name or name not in free_vars(cont):
+                    return Op(op, new_param, binder, cont)
+                if binder in repl_fv:
+                    binder2 = fresh_name(binder, repl_fv | free_vars(cont) | {name})
+                    cont = _subst_by_rescan(cont, binder, Var(binder2))
+                    binder = binder2
+                return Op(op, new_param, binder, go(cont))
+            case Handler(clauses, eta_clause, scrutinee):
+                return Handler(
+                    tuple((n, go(c)) for n, c in clauses), go(eta_clause), go(scrutinee)
+                )
+            case Cherry(comp):
+                return Cherry(go(comp))
+            case Exchange(fn):
+                return Exchange(go(fn))
+            case Ann(term, ty):
+                return Ann(go(term), ty)
+        raise TypeError(t)
+
+    return go(t)
+
+
+@settings(max_examples=400)
+@given(terms, st.sampled_from(NAMES), terms)
+def test_subst_agrees_with_the_rescanning_reference(t, x, r):
+    # `terms` draws binders and free variables from the same four names,
+    # so capture, shadowing and renaming under renaming all come up
+    got = subst(t, x, r)
+    want = _subst_by_rescan(t, x, r)
+    assert alpha_eq(got, want)
+    assert got == want  # the same fresh names, too
+    assert (got is t) == (x not in free_vars(t))
 
 
 @given(terms, st.sampled_from(NAMES))
