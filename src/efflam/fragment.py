@@ -1,12 +1,16 @@
 """A small natural-language fragment compiled to effectful terms.
 
-The signature declares individuals and truth values, logical constants,
-and three operations: consulting the utterance context for the speaker,
-emitting a side commitment, and taking quantifier scope.  Lexical items
-denote closed, type-ascribed terms; phrases denote applications of the
-function word to its arguments.  Sentence meanings are computations
-whose pending operations record what the sentence still needs from, or
-contributes to, its context.
+The fragment is the shipped declaration file `fragment.lam`: its
+signature declares individuals and truth values, logical constants, and
+three operations (consulting the utterance context for the speaker,
+emitting a side commitment, and taking quantifier scope), and each of
+its definitions is one lexical item, a closed, type-ascribed term.
+`LEXICON` is loaded from that file: the word is the definition's name
+without its trailing prime, and the category is read back from the
+definition's type.  Phrases denote applications of the function word to
+its arguments.  Sentence meanings are computations whose pending
+operations record what the sentence still needs from, or contributes
+to, its context.
 
 Three handler builders close off those operations.  Each one inspects
 the term it will handle and ascribes its clauses at the concrete result
@@ -19,11 +23,11 @@ forms; `examples` rebuilds a wrapped entry for any chosen speaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .prelude import apply_left, bind, eta_identity, lift_binary
-from .surface import Env, parse_file, parse_term
+from .prelude import bind, eta_identity
+from .surface import DeclFile, Env, parse_file, parse_term
 from .syntax import (
     Abs,
     Ann,
@@ -32,10 +36,8 @@ from .syntax import (
     Comp,
     Const,
     Eta,
-    Exchange,
     Fun,
     Handler,
-    Op,
     Signature,
     Term,
     Type,
@@ -46,47 +48,29 @@ from .syntax import (
 )
 from .typecheck import Context, TypeCheckError, check_against, synthesize
 
-SIGNATURE_SOURCE = """
-# individuals and truth values
-atom iota.
-atom o.
 
-# individual constants; s is the default utterance speaker
-const j : iota.
-const m : iota.
-const s : iota.
+def shipped_source() -> str:
+    """The whole fragment as a surface-syntax declaration file."""
+    from importlib import resources
 
-# predicates and logical vocabulary
-const love : iota -> iota -> o.
-const say : iota -> o -> o.
-const best-friend : iota -> iota.
-const man : iota -> o.
-const woman : iota -> o.
-const and : o -> o -> o.
-const imp : o -> o -> o.
-const eq : iota -> iota -> o.
-const forall : (iota -> o) -> o.
-const exists : (iota -> o) -> o.
+    return (
+        resources.files(__package__)
+        .joinpath("fragment.lam")
+        .read_text(encoding="utf-8")
+    )
 
-# context effects
-operation speaker : 1 ~> iota.
-operation implicate : o ~> 1.
-operation scope : (iota -> F{implicate, speaker}(o)) -> F{implicate, speaker}(o) ~> iota.
-"""
 
-FILE = parse_file(SIGNATURE_SOURCE)
-ENV: Env = FILE.env()
+FILE: DeclFile = parse_file(shipped_source())
+# the signature only: inline terms and expected forms never see the defs
+ENV: Env = replace(FILE.env(), defs={})
 CONTEXT: Context = FILE.context()
 
 IOTA = Atom("iota")
 O = Atom("o")
 
-CONTEXT_ROW: Signature = Signature.of(
-    {"implicate": (O, UNIT), "speaker": (UNIT, IOTA)}
-)
-FULL_ROW: Signature = CONTEXT_ROW.union(
-    Signature.of({"scope": CONTEXT.operations.get("scope")})
-)
+# every operation of the fragment, and those a scope resumption may use
+FULL_ROW: Signature = FILE.operations
+CONTEXT_ROW: Signature = FULL_ROW.without({"scope"})
 
 NOUN = Comp(CONTEXT_ROW, Fun(IOTA, O))
 NOMINAL = Comp(FULL_ROW, IOTA)
@@ -164,116 +148,6 @@ def accommodate(m: Term, ctx: Context = CONTEXT) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Lexicon
-
-
-def _pointwise(connective: str, quantifier: str) -> Term:
-    """A determiner: restrict with `connective`, close with `quantifier`.
-
-    The noun restricts a fresh individual; the resumption is commuted
-    under the binder so the quantifier can see an individual-to-truth
-    function.
-    """
-    lifted = Ann(
-        Abs(
-            "y",
-            apply_left(
-                App(Const(connective), App(Var("f"), Var("y"))),
-                App(Var("k"), Var("y")),
-            ),
-        ),
-        Fun(IOTA, Comp(CONTEXT_ROW, O)),
-    )
-    param = Abs(
-        "k",
-        bind(
-            Var("n"),
-            Abs(
-                "f",
-                bind(Exchange(lifted), Abs("h", Eta(App(Const(quantifier), Var("h"))))),
-            ),
-        ),
-    )
-    return Ann(
-        Abs("n", Op("scope", param, "x", Eta(Var("x")))),
-        Fun(NOUN, NOMINAL),
-    )
-
-
-def _transitive() -> Term:
-    body = scope_island(
-        bind(
-            Var("subj"),
-            Abs(
-                "x",
-                bind(
-                    Var("obj"),
-                    Abs("y", Eta(App(App(Const("love"), Var("x")), Var("y")))),
-                ),
-            ),
-        ),
-        CONTEXT.bind("obj", NOMINAL).bind("subj", NOMINAL),
-    )
-    return Ann(Abs("obj", Abs("subj", body)), Fun(NOMINAL, Fun(NOMINAL, SENTENCE)))
-
-
-def _report_indirect() -> Term:
-    body = scope_island(
-        bind(
-            Var("subj"),
-            Abs(
-                "x",
-                bind(Var("emb"), Abs("p", Eta(App(App(Const("say"), Var("x")), Var("p"))))),
-            ),
-        ),
-        CONTEXT.bind("emb", SENTENCE).bind("subj", NOMINAL),
-    )
-    return Ann(Abs("emb", Abs("subj", body)), Fun(SENTENCE, Fun(NOMINAL, SENTENCE)))
-
-
-def _report_direct() -> Term:
-    """Quotation: the reported clause is evaluated with the reporter as
-    its speaker, and its side commitments become part of what was said."""
-    inner_ctx = CONTEXT.bind("emb", SENTENCE).bind("subj", NOMINAL).bind("x", IOTA)
-    quoted = with_speaker(Var("x"), accommodate(Var("emb"), inner_ctx), inner_ctx)
-    body = scope_island(
-        bind(
-            Var("subj"),
-            Abs("x", apply_left(App(Const("say"), Var("x")), quoted)),
-        ),
-        CONTEXT.bind("emb", SENTENCE).bind("subj", NOMINAL),
-    )
-    return Ann(Abs("emb", Abs("subj", body)), Fun(SENTENCE, Fun(NOMINAL, SENTENCE)))
-
-
-def _apposition() -> Term:
-    """The head referent is asserted equal to the appositive's referent
-    as a side commitment.  The equality is computed inside its own scope
-    island, so a quantifier within the appositive cannot outscope the
-    matrix clause."""
-    inner_ctx = CONTEXT.bind("np1", NOMINAL).bind("np2", NOMINAL).bind("x", IOTA)
-    island = scope_island(
-        lift_binary("eq", Eta(Var("x")), Var("np2")),
-        inner_ctx,
-    )
-    commit = bind(island, Abs("i", Op("implicate", Var("i"), "u", Eta(Var("x")))))
-    body = bind(Var("np1"), Abs("x", commit))
-    return Ann(
-        Abs("np1", Abs("np2", body)), Fun(NOMINAL, Fun(NOMINAL, NOMINAL))
-    )
-
-
-def _everyone() -> Term:
-    lifted = Ann(
-        Abs("y", App(Var("k"), Var("y"))), Fun(IOTA, Comp(CONTEXT_ROW, O))
-    )
-    param = Abs(
-        "k", bind(Exchange(lifted), Abs("h", Eta(App(Const("forall"), Var("h")))))
-    )
-    return Op("scope", param, "x", Eta(Var("x")))
-
-
-# ---------------------------------------------------------------------------
 # Categories and trees
 
 
@@ -314,27 +188,32 @@ class LexEntry:
     term: Term
 
 
-LEXICON: dict[str, LexEntry] = {
-    "john": LexEntry(NP, Eta(Const("j"))),
-    "mary": LexEntry(NP, Eta(Const("m"))),
-    "me": LexEntry(NP, Op("speaker", Const("*"), "x", Eta(Var("x")))),
-    "best-friend": LexEntry(
-        Into(NP, NP),
-        Ann(
-            Abs("X", apply_left(Const("best-friend"), Var("X"))),
-            Fun(NOMINAL, NOMINAL),
-        ),
-    ),
-    "everyone": LexEntry(NP, _everyone()),
-    "man": LexEntry(N, Eta(Const("man"))),
-    "woman": LexEntry(N, Eta(Const("woman"))),
-    "loves": LexEntry(Into(NP, Into(NP, S)), _transitive()),
-    "said-is": LexEntry(Into(S, Into(NP, S)), _report_indirect()),
-    "said-ds": LexEntry(Into(S, Into(NP, S)), _report_direct()),
-    "every": LexEntry(Into(N, NP), _pointwise("imp", "forall")),
-    "a": LexEntry(Into(N, NP), _pointwise("and", "exists")),
-    "appos": LexEntry(Into(NP, Into(NP, NP)), _apposition()),
-}
+def _category(ty: Type) -> Cat:
+    """The category whose type is `ty`: `category_type` inverted."""
+    if isinstance(ty, Fun):
+        return Into(_category(ty.dom), _category(ty.cod))
+    for cat in (NP, S, N):
+        if category_type(cat) == ty:
+            return cat
+    raise ValueError(f"no category has type {ty}")
+
+
+def _lexicon(decl: DeclFile) -> dict[str, LexEntry]:
+    """One entry per definition of `decl`, all of which must be typed.
+
+    A definition's term is stored without the outer ascription that
+    `def name : type` adds, since the entry's category already carries
+    that type; ascriptions written inside the term are kept.
+    """
+    lexicon = {}
+    for name, ty, term in decl.defs:
+        if ty is None:
+            raise ValueError(f"lexical item {name} has no type")
+        lexicon[name.removesuffix("'")] = LexEntry(_category(ty), term.term)
+    return lexicon
+
+
+LEXICON: dict[str, LexEntry] = _lexicon(FILE)
 
 
 @dataclass(frozen=True)
@@ -513,14 +392,3 @@ def example(number: int) -> GoldenEntry:
         if entry.number == number:
             return entry
     raise KeyError(f"no example {number}")
-
-
-def shipped_source() -> str:
-    """The whole fragment as a surface-syntax declaration file."""
-    from importlib import resources
-
-    return (
-        resources.files(__package__)
-        .joinpath("fragment.lam")
-        .read_text(encoding="utf-8")
-    )

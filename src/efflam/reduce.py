@@ -25,8 +25,10 @@ length plus the part of the term searched before its redex is found.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .syntax import (
     Abs,
@@ -41,10 +43,11 @@ from .syntax import (
     Op,
     Term,
     Var,
-    alpha_eq,
     canonical_key,
+    children,
     free_vars,
     fresh_name,
+    rebuild,
     subst,
 )
 
@@ -121,59 +124,9 @@ def _rewrap(tys: list, t: Term) -> Term:
     return t
 
 
-def _children(s: Term) -> list[Term]:
-    """Children of an ascription-free node, in position order."""
-    match s:
-        case Abs(_, body):
-            return [body]
-        case App(fn, arg):
-            return [fn, arg]
-        case Eta(value):
-            return [value]
-        case Op(_, param, _, cont):
-            return [param, cont]
-        case Handler(clauses, eta_clause, scrutinee):
-            return [c for _, c in clauses] + [eta_clause, scrutinee]
-        case Cherry(comp):
-            return [comp]
-        case Exchange(fn):
-            return [fn]
-        case _:
-            return []
-
-
-def _with_child(s: Term, i: int, new: Term) -> Term:
-    match s:
-        case Abs(binder, _) if i == 0:
-            return Abs(binder, new)
-        case App(fn, arg):
-            return App(new, arg) if i == 0 else App(fn, new)
-        case Eta(_) if i == 0:
-            return Eta(new)
-        case Op(op, param, binder, cont):
-            if i == 0:
-                return Op(op, new, binder, cont)
-            return Op(op, param, binder, new)
-        case Handler(clauses, eta_clause, scrutinee):
-            n = len(clauses)
-            if i < n:
-                updated = tuple(
-                    (name, new if j == i else c) for j, (name, c) in enumerate(clauses)
-                )
-                return Handler(updated, eta_clause, scrutinee)
-            if i == n:
-                return Handler(clauses, new, scrutinee)
-            return Handler(clauses, eta_clause, new)
-        case Cherry(_) if i == 0:
-            return Cherry(new)
-        case Exchange(_) if i == 0:
-            return Exchange(new)
-    raise IndexError(f"no child {i} at {s!r}")
-
-
 def subterm_at(t: Term, path: Path) -> Term:
     for i in path:
-        t = _children(_strip(t))[i]
+        t = children(_strip(t))[i]
     return t
 
 
@@ -298,19 +251,26 @@ def _contract(s: Term, rule: Rule) -> Term:
     raise AssertionError(f"unhandled rule {rule}")
 
 
+def _positions(t: Term) -> Iterator[tuple[Term, Path]]:
+    """Every ascription-free node of `t` with its position, in
+    leftmost-outermost order (pre-order, children left to right)."""
+    stack: list[tuple[Term, Path]] = [(t, ())]
+    while stack:
+        t, path = stack.pop()
+        s = _strip(t)
+        yield s, path
+        kids = children(s)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], path + (i,)))
+
+
 def candidates(t: Term) -> list[tuple[Rule, Path]]:
     """Every redex of `t` as (rule, position), leftmost-outermost first."""
     found: list[tuple[Rule, Path]] = []
-
-    def walk(t: Term, path: Path) -> None:
-        s = _strip(t)
+    for s, path in _positions(t):
         rule = _rule_at(s)
         if rule is not None:
             found.append((rule, path))
-        for i, child in enumerate(_children(s)):
-            walk(child, path + (i,))
-
-    walk(t, ())
     return found
 
 
@@ -333,7 +293,7 @@ def _next_redex(t: Term, path: Path) -> tuple[Rule, Path] | None:
         rule = _rule_at(s)
         if rule is not None:
             return rule, path[:depth]
-        kids = _children(s)
+        kids = children(s)
         for j in range(len(kids) - 1, i, -1):
             stack.append((kids[j], path[:depth] + (j,)))
         s = _strip(kids[i])
@@ -348,7 +308,7 @@ def _next_redex(t: Term, path: Path) -> tuple[Rule, Path] | None:
         rule = _rule_at(s)
         if rule is not None:
             return rule, at
-        kids = _children(s)
+        kids = children(s)
         i = len(kids)
         while i:
             i -= 1
@@ -365,12 +325,13 @@ def contract_at(t: Term, path: Path, rule: Rule) -> Term:
     spine = []
     for i in path:
         tys, s = _peel(t)
-        spine.append((tys, s, i))
-        t = _children(s)[i]
+        kids = children(s)
+        spine.append((tys, s, kids, i))
+        t = kids[i]
     tys, s = _peel(t)
     t = _rewrap(tys, _contract(s, rule))
-    for tys, s, i in reversed(spine):
-        t = _rewrap(tys, _with_child(s, i, t))
+    for tys, s, kids, i in reversed(spine):
+        t = _rewrap(tys, rebuild(s, (*kids[:i], t, *kids[i + 1 :])))
     return t
 
 
@@ -379,36 +340,79 @@ def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
     return [(rule, path, contract_at(t, path, rule)) for rule, path in candidates(t)]
 
 
+def _blocked(s: Term) -> str | None:
+    """Why the ascription-free node `s` is a stuck extraction or commute."""
+    match s:
+        case Exchange(fn):
+            match _strip(fn):
+                case Abs(binder, body):
+                    match _strip(body):
+                        case Op(op, param, _, _) if binder in free_vars(param):
+                            return (
+                                f"commute is stuck: the parameter of operation "
+                                f"{op} mentions the commuted variable {binder}"
+                            )
+        case Cherry(comp):
+            match _strip(comp):
+                case Op(op, _, _, _):
+                    return f"extract is stuck: the computation performs operation {op}"
+    return None
+
+
 def blocked_at(t: Term) -> tuple[Path, str] | None:
     """First blocked extraction or commute in `t`, if any."""
+    for s, path in _positions(t):
+        reason = _blocked(s)
+        if reason is not None:
+            return path, reason
+    return None
 
-    def walk(t: Term, path: Path) -> tuple[Path, str] | None:
-        s = _strip(t)
-        match s:
-            case Exchange(fn):
-                match _strip(fn):
-                    case Abs(binder, body):
-                        match _strip(body):
-                            case Op(op, param, _, _) if binder in free_vars(param):
-                                return (
-                                    path,
-                                    f"commute is stuck: the parameter of operation "
-                                    f"{op} mentions the commuted variable {binder}",
-                                )
-            case Cherry(comp):
-                match _strip(comp):
-                    case Op(op, _, _, _):
-                        return (
-                            path,
-                            f"extract is stuck: the computation performs operation {op}",
-                        )
-        for i, child in enumerate(_children(s)):
-            hit = walk(child, path + (i,))
-            if hit is not None:
-                return hit
-        return None
 
-    return walk(t, ())
+# ---------------------------------------------------------------------------
+# Reduction graphs
+
+
+@dataclass
+class ReductionGraph:
+    """Every term reachable from `root`, one node per alpha-equivalence
+    class (keyed by `canonical_key`), so `normal_forms` holds one term
+    per distinct normal form."""
+
+    root: Term
+    nodes: dict[str, Term]
+    edges: list[tuple[str, Rule, Path, str]]
+    normal_forms: list[Term]
+    complete: bool
+
+
+def reduction_graph(term: Term, budget: int = 2000) -> ReductionGraph:
+    """Breadth-first exploration of every reduction order from `term`.
+
+    At most `budget` nodes are kept; a reduct that would be one more
+    marks the graph incomplete and is not explored.
+    """
+    nodes = {canonical_key(term): term}
+    edges: list[tuple[str, Rule, Path, str]] = []
+    normal_forms: list[Term] = []
+    queue = deque([term])
+    complete = True
+    while queue:
+        current = queue.popleft()
+        current_key = canonical_key(current)
+        nexts = reducts(current)
+        if not nexts:
+            normal_forms.append(current)
+            continue
+        for rule, path, reduced in nexts:
+            key = canonical_key(reduced)
+            edges.append((current_key, rule, path, key))
+            if key not in nodes:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                nodes[key] = reduced
+                queue.append(reduced)
+    return ReductionGraph(term, nodes, edges, normal_forms, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +430,20 @@ def normalize(
 
     Strategies: leftmostOutermost (deterministic default), randomSeeded
     (uniform redex choice from `seed`), exhaustiveCheck (explores every
-    reduction order within the fuel budget and insists on one normal
-    form, raising ConfluenceError otherwise).
+    reduction order, up to `fuel` distinct terms, and insists on one
+    normal form, raising ConfluenceError otherwise; an exploration cut
+    short by the fuel reports FuelExhausted at the initial term).
+
+    `fuel` bounds the number of steps: a term whose normal form is
+    `fuel` steps away reaches it.
     """
     if strategy == "exhaustiveCheck":
-        return _exhaustive_check(t, fuel)
+        graph = reduction_graph(t, fuel)
+        if not graph.complete:
+            return ReductionTrace(t, [], FuelExhausted(), t)
+        if len(graph.normal_forms) > 1:
+            raise ConfluenceError(f"{len(graph.normal_forms)} distinct normal forms reached")
+        strategy = "leftmostOutermost"
     if strategy not in ("leftmostOutermost", "randomSeeded"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == "randomSeeded" else None
@@ -438,7 +451,9 @@ def normalize(
     steps: list[Step] = []
     current = t
     path: Path = ()
-    for _ in range(fuel):
+    # one search more than there are steps: after the last step the
+    # term may already be normal
+    for spent in range(fuel + 1):
         if rng is None:
             hit = _next_redex(current, path)
         else:
@@ -448,31 +463,10 @@ def normalize(
             stuck = blocked_at(current)
             outcome = Stuck(*stuck) if stuck else NormalForm()
             return ReductionTrace(t, steps, outcome, current)
+        if spent == fuel:
+            break
         rule, path = hit
         current = contract_at(current, path, rule)
         if record_steps:
             steps.append(Step(rule, path, current))
     return ReductionTrace(t, steps, FuelExhausted(), current)
-
-
-def _exhaustive_check(t: Term, fuel: int) -> ReductionTrace:
-    seen = {canonical_key(t): t}
-    frontier = [t]
-    normals: list[Term] = []
-    while frontier:
-        current = frontier.pop()
-        nexts = reducts(current)
-        if not nexts:
-            if not any(alpha_eq(current, n) for n in normals):
-                normals.append(current)
-            continue
-        for _, _, reduced in nexts:
-            key = canonical_key(reduced)
-            if key not in seen:
-                if len(seen) >= fuel:
-                    return ReductionTrace(t, [], FuelExhausted(), current)
-                seen[key] = reduced
-                frontier.append(reduced)
-    if len(normals) > 1:
-        raise ConfluenceError(f"{len(normals)} distinct normal forms reached")
-    return normalize(t, "leftmostOutermost", fuel)

@@ -13,7 +13,9 @@ are infix spellings of the declared constants `and`, `imp`, `eq`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
 from .syntax import (
@@ -78,6 +80,18 @@ _SYMBOLS = [
     "*",
 ]
 
+# what the lexer reads at each step: a line break, a run of blanks, a
+# comment, a word (letters, digits, `_` and `'`, and `-` when a letter
+# or digit follows it; `\w` is exactly `str.isalnum` plus `_`, and the
+# lexer checks that the first character passes `str.isalpha`), the unit
+# type, a symbol (the first in the order above that matches), or any
+# other character, which is an error
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<word>[^\W\d_](?:[\w']|-[^\W_])*)|(?P<one>1)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)"
+)
+
 
 class ParseError(Exception):
     def __init__(self, line: int, col: int, message: str):
@@ -89,8 +103,7 @@ class ParseError(Exception):
         return f"parse error at line {self.line}, column {self.col}: {self.args[0]}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | kw | sym | one | eof
     text: str
     line: int
@@ -99,47 +112,21 @@ class Token:
 
 def _lex(src: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "comment":  # leaves the column as it was
             continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha():
-            start = i
-            i += 1
-            while i < n:
-                if src[i].isalnum() or src[i] in "_'":
-                    i += 1
-                elif src[i] == "-" and i + 1 < n and src[i + 1].isalnum():
-                    i += 2
-                else:
-                    break
-            text = src[start:i]
+        if kind == "bad" or kind == "word" and not text[0].isalpha():
+            raise ParseError(line, col, f"unexpected character {text[0]!r}")
+        if kind == "word":
             kind = "kw" if text in KEYWORDS else "ident"
+        if kind != "blank":
             tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        if c == "1":
-            tokens.append(Token("one", "1", line, col))
-            i, col = i + 1, col + 1
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {c!r}")
+        col += len(text)
     tokens.append(Token("eof", "", line, col))
     return tokens
 

@@ -9,7 +9,7 @@ term identity everywhere; structural equality (`==`) is only incidental.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,87 @@ Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
 
 
 # ---------------------------------------------------------------------------
+# Term shape: the one place that lists each constructor's subterms
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    """The direct subterms of `t`, in position order.
+
+    A handler's clauses come first (in clause order), then its eta
+    clause, then its scrutinee; an ascription's only child is the term
+    it ascribes; variables and constants have none.  Binders are not
+    reported: walkers that need them match `Abs` and `Op` themselves.
+    """
+    # the normalizer's hot path: dispatch on the exact class, most
+    # frequent first, rather than through class patterns
+    cls = type(t)
+    if cls is App:
+        return (t.fn, t.arg)
+    if cls is Abs:
+        return (t.body,)
+    if cls is Handler:
+        return (*[c for _, c in t.clauses], t.eta_clause, t.scrutinee)
+    if cls is Eta:
+        return (t.value,)
+    if cls is Op:
+        return (t.param, t.cont)
+    if cls is Var or cls is Const:
+        return ()
+    if cls is Ann:
+        return (t.term,)
+    if cls is Cherry:
+        return (t.comp,)
+    if cls is Exchange:
+        return (t.fn,)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def rebuild(t: Term, kids: Sequence[Term]) -> Term:
+    """`t` with its children, in `children` order, replaced by `kids`.
+
+    Returns `t` itself when every new child is the old one, so walkers
+    built on the pair preserve identity wherever nothing changed.
+    """
+    cls = type(t)
+    if cls is App:
+        fn, arg = kids
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if cls is Abs:
+        (body,) = kids
+        return t if body is t.body else Abs(t.binder, body)
+    if cls is Handler:
+        *clauses, eta_clause, scrutinee = kids
+        if (
+            eta_clause is t.eta_clause
+            and scrutinee is t.scrutinee
+            and all(new is old for new, (_, old) in zip(clauses, t.clauses))
+        ):
+            return t
+        named = tuple((name, new) for (name, _), new in zip(t.clauses, clauses))
+        return Handler(named, eta_clause, scrutinee)
+    if cls is Eta:
+        (value,) = kids
+        return t if value is t.value else Eta(value)
+    if cls is Op:
+        param, cont = kids
+        if param is t.param and cont is t.cont:
+            return t
+        return Op(t.op, param, t.binder, cont)
+    if cls is Var or cls is Const:
+        return t
+    if cls is Ann:
+        (term,) = kids
+        return t if term is t.term else Ann(term, t.ty)
+    if cls is Cherry:
+        (comp,) = kids
+        return t if comp is t.comp else Cherry(comp)
+    if cls is Exchange:
+        (fn,) = kids
+        return t if fn is t.fn else Exchange(fn)
+    raise TypeError(f"not a term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
 # Free variables, substitution, alpha-equivalence
 
 
@@ -235,28 +316,11 @@ def free_vars(t: Term) -> frozenset[str]:
     match t:
         case Var(name):
             return frozenset((name,))
-        case Const(_):
-            return frozenset()
         case Abs(binder, body):
             return free_vars(body) - {binder}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Eta(value):
-            return free_vars(value)
         case Op(_, param, binder, cont):
             return free_vars(param) | (free_vars(cont) - {binder})
-        case Handler(clauses, eta_clause, scrutinee):
-            acc = free_vars(eta_clause) | free_vars(scrutinee)
-            for _, clause in clauses:
-                acc |= free_vars(clause)
-            return acc
-        case Cherry(comp):
-            return free_vars(comp)
-        case Exchange(fn):
-            return free_vars(fn)
-        case Ann(term, _):
-            return free_vars(term)
-    raise TypeError(f"not a term: {t!r}")
+    return frozenset().union(*map(free_vars, children(t)))
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -314,129 +378,45 @@ def subst(t: Term, name: str, repl: Term) -> Term:
         match t:
             case Var(n):
                 return repl if n == name else t
-            case Const(_):
-                return t
             case Abs(binder, body):
                 binder2, body2 = under(binder, body)
                 return t if body2 is body else Abs(binder2, body2)
-            case App(fn, arg):
-                fn2, arg2 = go(fn), go(arg)
-                return t if fn2 is fn and arg2 is arg else App(fn2, arg2)
-            case Eta(value):
-                value2 = go(value)
-                return t if value2 is value else Eta(value2)
             case Op(op, param, binder, cont):
                 param2 = go(param)
                 binder2, cont2 = under(binder, cont)
                 if param2 is param and cont2 is cont:
                     return t
                 return Op(op, param2, binder2, cont2)
-            case Handler(clauses, eta_clause, scrutinee):
-                clauses2 = tuple((n, go(c)) for n, c in clauses)
-                eta2, scrutinee2 = go(eta_clause), go(scrutinee)
-                if (
-                    eta2 is eta_clause
-                    and scrutinee2 is scrutinee
-                    and all(c2 is c for (_, c), (_, c2) in zip(clauses, clauses2))
-                ):
-                    return t
-                return Handler(clauses2, eta2, scrutinee2)
-            case Cherry(comp):
-                comp2 = go(comp)
-                return t if comp2 is comp else Cherry(comp2)
-            case Exchange(fn):
-                fn2 = go(fn)
-                return t if fn2 is fn else Exchange(fn2)
-            case Ann(term, ty):
-                term2 = go(term)
-                return t if term2 is term else Ann(term2, ty)
-        raise TypeError(f"not a term: {t!r}")
+        return rebuild(t, tuple(map(go, children(t))))
 
     return go(t)
 
 
 def erase(t: Term) -> Term:
     """Strip every type ascription."""
-    match t:
-        case Var(_) | Const(_):
-            return t
-        case Abs(binder, body):
-            return Abs(binder, erase(body))
-        case App(fn, arg):
-            return App(erase(fn), erase(arg))
-        case Eta(value):
-            return Eta(erase(value))
-        case Op(op, param, binder, cont):
-            return Op(op, erase(param), binder, erase(cont))
-        case Handler(clauses, eta_clause, scrutinee):
-            return Handler(
-                tuple((n, erase(c)) for n, c in clauses),
-                erase(eta_clause),
-                erase(scrutinee),
-            )
-        case Cherry(comp):
-            return Cherry(erase(comp))
-        case Exchange(fn):
-            return Exchange(erase(fn))
-        case Ann(term, _):
-            return erase(term)
-    raise TypeError(f"not a term: {t!r}")
+    while isinstance(t, Ann):
+        t = t.term
+    return rebuild(t, tuple(map(erase, children(t))))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
     """Alpha-equivalence; type ascriptions are ignored on both sides."""
-
-    def go(s: Term, t: Term, senv: dict[str, int], tenv: dict[str, int], depth: int) -> bool:
-        while isinstance(s, Ann):
-            s = s.term
-        while isinstance(t, Ann):
-            t = t.term
-        match s, t:
-            case (Var(a), Var(b)):
-                if a in senv or b in tenv:
-                    return senv.get(a) == tenv.get(b)
-                return a == b
-            case (Const(a), Const(b)):
-                return a == b
-            case (Abs(xa, ba), Abs(xb, bb)):
-                return go(ba, bb, {**senv, xa: depth}, {**tenv, xb: depth}, depth + 1)
-            case (App(fa, aa), App(fb, ab)):
-                return go(fa, fb, senv, tenv, depth) and go(aa, ab, senv, tenv, depth)
-            case (Eta(a), Eta(b)):
-                return go(a, b, senv, tenv, depth)
-            case (Op(opa, pa, xa, ca), Op(opb, pb, xb, cb)):
-                return (
-                    opa == opb
-                    and go(pa, pb, senv, tenv, depth)
-                    and go(ca, cb, {**senv, xa: depth}, {**tenv, xb: depth}, depth + 1)
-                )
-            case (Handler(ca, ea, na), Handler(cb, eb, nb)):
-                if tuple(n for n, _ in ca) != tuple(n for n, _ in cb):
-                    return False
-                return (
-                    all(go(x, y, senv, tenv, depth) for (_, x), (_, y) in zip(ca, cb))
-                    and go(ea, eb, senv, tenv, depth)
-                    and go(na, nb, senv, tenv, depth)
-                )
-            case (Cherry(a), Cherry(b)):
-                return go(a, b, senv, tenv, depth)
-            case (Exchange(a), Exchange(b)):
-                return go(a, b, senv, tenv, depth)
-        return False
-
-    return go(s, t, {}, {}, 0)
+    return canonical_key(s) == canonical_key(t)
 
 
 def canonical_key(t: Term) -> str:
     """Serialization invariant under alpha-renaming; ascriptions ignored.
 
     Bound variables appear as binder-depth indices, so two terms have
-    the same key exactly when alpha_eq holds.  Used to deduplicate.
+    the same key exactly when they are alpha-equivalent.  Used to
+    deduplicate, and to decide alpha-equivalence.
     """
 
     parts: list[str] = []
 
     def go(t: Term, env: dict[str, int], depth: int) -> None:
+        while isinstance(t, Ann):
+            t = t.term
         match t:
             case Var(name):
                 if name in env:
@@ -449,44 +429,21 @@ def canonical_key(t: Term) -> str:
                 parts.append("(\\")
                 go(body, {**env, binder: depth}, depth + 1)
                 parts.append(")")
-            case App(fn, arg):
-                parts.append("(@")
-                go(fn, env, depth)
-                parts.append(" ")
-                go(arg, env, depth)
-                parts.append(")")
-            case Eta(value):
-                parts.append("(eta ")
-                go(value, env, depth)
-                parts.append(")")
             case Op(op, param, binder, cont):
                 parts.append(f"(do {op} ")
                 go(param, env, depth)
                 parts.append(" .")
                 go(cont, {**env, binder: depth}, depth + 1)
                 parts.append(")")
-            case Handler(clauses, eta_clause, scrutinee):
-                parts.append("(handle")
-                for name, clause in clauses:
-                    parts.append(f" {name}=")
-                    go(clause, env, depth)
-                parts.append(" eta=")
-                go(eta_clause, env, depth)
-                parts.append(" in ")
-                go(scrutinee, env, depth)
-                parts.append(")")
-            case Cherry(comp):
-                parts.append("(extract ")
-                go(comp, env, depth)
-                parts.append(")")
-            case Exchange(fn):
-                parts.append("(commute ")
-                go(fn, env, depth)
-                parts.append(")")
-            case Ann(term, _):
-                go(term, env, depth)
             case _:
-                raise TypeError(f"not a term: {t!r}")
+                # a handler's clause names are part of its shape
+                parts.append(f"({type(t).__name__}")
+                if isinstance(t, Handler):
+                    parts.append("".join(f" {name}=" for name, _ in t.clauses))
+                for child in children(t):
+                    parts.append(" ")
+                    go(child, env, depth)
+                parts.append(")")
 
     go(t, {}, 0)
     return "".join(parts)
@@ -494,23 +451,6 @@ def canonical_key(t: Term) -> str:
 
 def size(t: Term) -> int:
     """Node count; ascriptions are transparent."""
-    match t:
-        case Var(_) | Const(_):
-            return 1
-        case Abs(_, body):
-            return 1 + size(body)
-        case App(fn, arg):
-            return 1 + size(fn) + size(arg)
-        case Eta(value):
-            return 1 + size(value)
-        case Op(_, param, _, cont):
-            return 1 + size(param) + size(cont)
-        case Handler(clauses, eta_clause, scrutinee):
-            return 1 + sum(size(c) for _, c in clauses) + size(eta_clause) + size(scrutinee)
-        case Cherry(comp):
-            return 1 + size(comp)
-        case Exchange(fn):
-            return 1 + size(fn)
-        case Ann(term, _):
-            return size(term)
-    raise TypeError(f"not a term: {t!r}")
+    while isinstance(t, Ann):
+        t = t.term
+    return 1 + sum(map(size, children(t)))

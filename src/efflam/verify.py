@@ -29,8 +29,9 @@ from .prelude import bind, eta_identity
 from .reduce import (
     FuelExhausted,
     NormalForm,
-    Rule,
+    ReductionGraph,  # re-exported with reduction_graph, which live in reduce
     normalize,
+    reduction_graph,
     reducts,
 )
 from .surface import print_term, print_type
@@ -54,7 +55,6 @@ from .syntax import (
     UNIT,
     Var,
     alpha_eq,
-    canonical_key,
     erase,
 )
 from .typecheck import Context, TypeCheckError, check_against, subtype, synthesize
@@ -328,46 +328,6 @@ def sample_typed(rng: random.Random, ty: Type, depth: int, ctx: Context = CONTEX
 
 
 # ---------------------------------------------------------------------------
-# Reduction graphs
-
-
-@dataclass
-class ReductionGraph:
-    root: Term
-    nodes: dict[str, Term]
-    edges: list[tuple[str, Rule, tuple[int, ...], str]]
-    normal_forms: list[Term]
-    complete: bool
-
-
-def reduction_graph(term: Term, budget: int = 2000) -> ReductionGraph:
-    """Breadth-first exploration of every reduction order from `term`."""
-    root_key = canonical_key(term)
-    nodes = {root_key: term}
-    edges: list[tuple[str, Rule, tuple[int, ...], str]] = []
-    normal_forms: list[Term] = []
-    queue = [term]
-    complete = True
-    while queue:
-        current = queue.pop(0)
-        current_key = canonical_key(current)
-        nexts = reducts(current)
-        if not nexts:
-            normal_forms.append(current)
-            continue
-        for rule, path, reduced in nexts:
-            key = canonical_key(reduced)
-            edges.append((current_key, rule, path, key))
-            if key not in nodes:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
-                nodes[key] = reduced
-                queue.append(reduced)
-    return ReductionGraph(term, nodes, edges, normal_forms, complete)
-
-
-# ---------------------------------------------------------------------------
 # Suites
 
 
@@ -422,10 +382,7 @@ def confluence(max_size: int = 5, budget: int = 2000, ctx: Context = CONTEXT) ->
         if not graph.complete:
             failures.append(f"{print_term(term)}: graph budget exceeded")
             continue
-        distinct: list[Term] = []
-        for nf in graph.normal_forms:
-            if not any(alpha_eq(nf, seen) for seen in distinct):
-                distinct.append(nf)
+        distinct = graph.normal_forms
         if len(distinct) > 1:
             shown = ", ".join(print_term(d) for d in distinct)
             failures.append(f"{print_term(term)}: {len(distinct)} normal forms: {shown}")

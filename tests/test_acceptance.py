@@ -9,7 +9,7 @@ import time
 from efflam.cli import main
 from efflam.fragment import GOLDENS, example
 from efflam.reduce import NormalForm, normalize
-from efflam.syntax import Abs, App, Const, Eta, Op, Term, alpha_eq, erase
+from efflam.syntax import Abs, App, Const, Eta, Op, Term, alpha_eq, children, erase
 from efflam.verify import (
     confluence,
     handler_identity,
@@ -131,25 +131,14 @@ def _has_op(t: Term) -> bool:
     match t:
         case Op():
             return True
-    return any(_has_op(c) for c in _direct_children(t))
-
-
-def _direct_children(t: Term) -> list[Term]:
-    out = []
-    for field in getattr(t, "__dataclass_fields__", {}):
-        v = getattr(t, field)
-        if isinstance(v, Term):
-            out.append(v)
-        elif isinstance(v, tuple):
-            out.extend(x for pair in v for x in (pair if isinstance(pair, tuple) else (pair,)) if isinstance(x, Term))
-    return out
+    return any(_has_op(c) for c in children(t))
 
 
 def _mentions(t: Term, name: str) -> bool:
     match t:
         case Const(n) if n == name:
             return True
-    return any(_mentions(c, name) for c in _direct_children(t))
+    return any(_mentions(c, name) for c in children(t))
 
 
 def test_criterion_8_insulation_and_projection():

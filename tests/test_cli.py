@@ -113,6 +113,15 @@ def test_zero_fuel_is_a_budget_not_a_usage_error(capsys):
     assert "fuel" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "expr, fuel, shown",
+    [("eta j", "0", "eta j\n"), ("(\\x. eta x) j", "1", "eta j\n")],
+)
+def test_a_normal_form_exactly_fuel_steps_away_is_reached(expr, fuel, shown, capsys):
+    assert main(["normalize", "-e", expr, "--fuel", fuel]) == 0
+    assert capsys.readouterr().out == shown
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -12,8 +12,11 @@ from efflam.fragment import (
     ENV,
     GOLDENS,
     LEXICON,
-    NOMINAL,
+    N,
+    NP,
+    S,
     SENTENCE,
+    Into,
     Word,
     accommodate,
     category,
@@ -25,7 +28,7 @@ from efflam.fragment import (
 )
 from efflam.reduce import NormalForm, normalize
 from efflam.surface import parse_term, print_term
-from efflam.syntax import Const, alpha_eq, erase
+from efflam.syntax import Ann, Const, alpha_eq, erase
 from efflam.typecheck import TypeCheckError, check_against, subtype, synthesize
 
 
@@ -201,17 +204,66 @@ def test_corpus_terms_are_sentence_typed():
 
 
 # ---------------------------------------------------------------------------
-# the shipped declaration file stays in lockstep with the built-in catalog
+# the lexicon is loaded from the shipped declaration file
+
+WORD_CATEGORIES = {
+    "john": NP,
+    "mary": NP,
+    "me": NP,
+    "best-friend": Into(NP, NP),
+    "everyone": NP,
+    "man": N,
+    "woman": N,
+    "loves": Into(NP, Into(NP, S)),
+    "said-is": Into(S, Into(NP, S)),
+    "said-ds": Into(S, Into(NP, S)),
+    "every": Into(N, NP),
+    "a": Into(N, NP),
+    "appos": Into(NP, Into(NP, NP)),
+}
+
+
+def test_lexicon_has_every_word_at_its_category():
+    assert {word: entry.cat for word, entry in LEXICON.items()} == WORD_CATEGORIES
+    for word, entry in LEXICON.items():
+        want = category_type(entry.cat)
+        assert synthesize(CONTEXT, Ann(entry.term, want)) == want, word
+        assert subtype(synthesize(CONTEXT, entry.term), want), word
+
+
+# the signature the fragment is written against, kept apart from the
+# shipped file so that an edit to one without the other shows
+REFERENCE_SIGNATURE = """
+atom iota.
+atom o.
+const j : iota.
+const m : iota.
+const s : iota.
+const love : iota -> iota -> o.
+const say : iota -> o -> o.
+const best-friend : iota -> iota.
+const man : iota -> o.
+const woman : iota -> o.
+const and : o -> o -> o.
+const imp : o -> o -> o.
+const eq : iota -> iota -> o.
+const forall : (iota -> o) -> o.
+const exists : (iota -> o) -> o.
+operation speaker : 1 ~> iota.
+operation implicate : o ~> 1.
+operation scope : (iota -> F{implicate, speaker}(o)) -> F{implicate, speaker}(o) ~> iota.
+"""
 
 
 def test_shipped_file_declares_the_same_signature():
     from efflam.fragment import shipped_source
     from efflam.surface import parse_file
 
-    decl = parse_file(shipped_source())
-    assert decl.env().atoms == ENV.atoms
-    assert decl.env().constants == ENV.constants
-    assert decl.env().operations == ENV.operations
+    want = parse_file(REFERENCE_SIGNATURE).env()
+    for got in (parse_file(shipped_source()).env(), ENV):
+        assert got.atoms == want.atoms
+        assert got.constants == want.constants
+        assert got.operations == want.operations
 
 
 def test_shipped_file_defines_the_whole_lexicon():
@@ -221,11 +273,11 @@ def test_shipped_file_defines_the_whole_lexicon():
     decl = parse_file(shipped_source())
     defs = {name: term for name, _, term in decl.defs}
     renamed = {"man": "man'", "woman": "woman'", "best-friend": "best-friend'"}
-    for name, entry in LEXICON.items():
-        parsed = defs[renamed.get(name, name)]
-        assert alpha_eq(erase(parsed), erase(entry.term)), name
-        ty = synthesize(CONTEXT, parsed)
-        assert ty == category_type(entry.cat), name
+    assert set(defs) == {renamed.get(word, word) for word in WORD_CATEGORIES}
+    for word, cat in WORD_CATEGORIES.items():
+        parsed = defs[renamed.get(word, word)]
+        assert alpha_eq(erase(parsed), erase(LEXICON[word].term)), word
+        assert synthesize(CONTEXT, parsed) == category_type(cat), word
 
 
 def test_shipped_file_directives_normalize_to_corpus_forms():

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from efflam.fragment import GOLDENS, Branch, Word, denote, with_speaker
 from efflam.prelude import eta_identity
 from efflam.reduce import (
+    ConfluenceError,
     FuelExhausted,
     NormalForm,
     Rule,
     Stuck,
+    blocked_at,
     candidates,
     contract_at,
     normalize,
@@ -25,6 +27,7 @@ from efflam.syntax import (
     Abs,
     Ann,
     App,
+    Cherry,
     Comp,
     Const,
     Eta,
@@ -203,6 +206,38 @@ def test_fuel_exhaustion_reports():
     assert len(trace.steps) == 25
 
 
+@pytest.mark.parametrize("strategy", ["leftmostOutermost", "randomSeeded"])
+def test_fuel_counts_steps_not_searches(strategy):
+    # the normal form is one step away: one unit of fuel reaches it
+    trace = normalize(t("(\\x. eta x) j"), strategy, fuel=1)
+    assert isinstance(trace.outcome, NormalForm) and len(trace.steps) == 1
+    trace = normalize(t("eta j"), strategy, fuel=0)
+    assert isinstance(trace.outcome, NormalForm)
+    trace = normalize(t("(\\x. eta x) j"), strategy, fuel=0)
+    assert isinstance(trace.outcome, FuelExhausted)
+
+
+def _nest(depth, inner):
+    for _ in range(depth):
+        inner = Eta(inner)
+    return inner
+
+
+def test_deep_terms_normalize_without_recursion():
+    # the redex search, the stuck check and the full candidate list walk
+    # with explicit stacks, so depth is not bounded by the interpreter's
+    # recursion limit
+    trace = normalize(_nest(3000, Const("j")))
+    assert isinstance(trace.outcome, NormalForm) and trace.steps == []
+    deep = _nest(3000, App(Abs("x", Var("x")), Const("j")))
+    assert candidates(deep) == [(Rule.beta, (0,) * 3000)]
+    assert isinstance(normalize(deep).outcome, NormalForm)
+    assert blocked_at(_nest(3000, Cherry(Op("speaker", Const("*"), "x", Eta(Var("x")))))) == (
+        (0,) * 3000,
+        "extract is stuck: the computation performs operation speaker",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Ascriptions survive reduction and keep traces checkable
 
@@ -246,6 +281,25 @@ def test_strategies_reach_the_same_normal_form():
         assert alpha_eq(erase(got.final), want)
     exhaustive = normalize(term, "exhaustiveCheck")
     assert alpha_eq(erase(exhaustive.final), want)
+
+
+def test_exhaustive_check_out_of_fuel_stops_at_the_initial_term():
+    growing = Abs("x", App(App(Var("x"), Var("x")), Var("x")))
+    term = App(growing, growing)
+    trace = normalize(term, "exhaustiveCheck", fuel=5)
+    assert isinstance(trace.outcome, FuelExhausted)
+    assert trace.final is term and trace.steps == []
+
+
+def test_exhaustive_check_rejects_two_normal_forms(monkeypatch):
+    import efflam.reduce as reduce_module
+
+    term = t("(\\x. eta x) j")
+    graph = reduce_module.reduction_graph(term)
+    graph.normal_forms.append(t("eta m"))
+    monkeypatch.setattr(reduce_module, "reduction_graph", lambda _t, _budget: graph)
+    with pytest.raises(ConfluenceError):
+        normalize(term, "exhaustiveCheck")
 
 
 def test_random_strategy_is_reproducible():

@@ -8,8 +8,11 @@ import hypothesis.strategies as st
 
 from efflam.prelude import apply_both, apply_left, apply_right, bind, lift_binary
 from efflam.surface import (
+    KEYWORDS,
     Env,
     ParseError,
+    _SYMBOLS,
+    _lex,
     parse_file,
     parse_term,
     parse_type,
@@ -277,3 +280,77 @@ def test_parser_never_crashes(src):
         parse_term(src, GEN_ENV)
     except ParseError:
         pass
+
+
+def _lex_by_characters(src):
+    """Reference lexer: one character at a time, as (kind, text, line,
+    column) tuples, or the error message."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha():
+            start = i
+            i += 1
+            while i < n:
+                if src[i].isalnum() or src[i] in "_'":
+                    i += 1
+                elif src[i] == "-" and i + 1 < n and src[i + 1].isalnum():
+                    i += 2
+                else:
+                    break
+            text = src[start:i]
+            tokens.append(("kw" if text in KEYWORDS else "ident", text, line, col))
+            col += i - start
+            continue
+        if c == "1":
+            tokens.append(("one", "1", line, col))
+            i, col = i + 1, col + 1
+            continue
+        for sym in _SYMBOLS:
+            if src.startswith(sym, i):
+                tokens.append(("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            return str(ParseError(line, col, f"unexpected character {c!r}"))
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _lexed(src):
+    try:
+        return [tuple(tok) for tok in _lex(src)]
+    except ParseError as err:
+        return str(err)
+
+
+# single characters of every class the lexer tells apart, and the
+# pieces where identifiers end or continue
+_LEXER_PIECES = list("ab1_'- \t\r\n#<>.=~/\\(){},:*F$") + [
+    "é", "²", "½", "٣", "Ⅻ", "a-", "-_", "-1", "-é", "-²", "x'", "--",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=25).map("".join))
+def test_lexer_agrees_with_the_character_by_character_reference(src):
+    assert _lexed(src) == _lex_by_characters(src)
+
+
+def test_lexer_agrees_with_the_reference_on_the_shipped_file():
+    from efflam.fragment import shipped_source
+
+    assert _lexed(shipped_source()) == _lex_by_characters(shipped_source())

@@ -24,10 +24,12 @@ from efflam.syntax import (
     Var,
     alpha_eq,
     canonical_key,
+    children,
     erase,
     free_vars,
     fresh_name,
     handler,
+    rebuild,
     size,
     subst,
 )
@@ -255,15 +257,115 @@ def test_alpha_eq_reflexive(t):
     assert alpha_eq(t, t)
 
 
+def _alpha_eq_by_environments(s, t):
+    """Reference alpha-equivalence: walks both terms in lockstep, mapping
+    each bound name to the depth of its binder; ascriptions ignored."""
+
+    def go(s, t, senv, tenv, depth):
+        while isinstance(s, Ann):
+            s = s.term
+        while isinstance(t, Ann):
+            t = t.term
+        match s, t:
+            case (Var(a), Var(b)):
+                if a in senv or b in tenv:
+                    return senv.get(a) == tenv.get(b)
+                return a == b
+            case (Const(a), Const(b)):
+                return a == b
+            case (Abs(xa, ba), Abs(xb, bb)):
+                return go(ba, bb, {**senv, xa: depth}, {**tenv, xb: depth}, depth + 1)
+            case (App(fa, aa), App(fb, ab)):
+                return go(fa, fb, senv, tenv, depth) and go(aa, ab, senv, tenv, depth)
+            case (Eta(a), Eta(b)):
+                return go(a, b, senv, tenv, depth)
+            case (Op(opa, pa, xa, ca), Op(opb, pb, xb, cb)):
+                return (
+                    opa == opb
+                    and go(pa, pb, senv, tenv, depth)
+                    and go(ca, cb, {**senv, xa: depth}, {**tenv, xb: depth}, depth + 1)
+                )
+            case (Handler(ca, ea, na), Handler(cb, eb, nb)):
+                if tuple(n for n, _ in ca) != tuple(n for n, _ in cb):
+                    return False
+                return (
+                    all(go(x, y, senv, tenv, depth) for (_, x), (_, y) in zip(ca, cb))
+                    and go(ea, eb, senv, tenv, depth)
+                    and go(na, nb, senv, tenv, depth)
+                )
+            case (Cherry(a), Cherry(b)):
+                return go(a, b, senv, tenv, depth)
+            case (Exchange(a), Exchange(b)):
+                return go(a, b, senv, tenv, depth)
+        return False
+
+    return go(s, t, {}, {}, 0)
+
+
 @given(terms, terms)
 def test_canonical_key_matches_alpha_eq(s, t):
-    assert (canonical_key(s) == canonical_key(t)) == alpha_eq(s, t)
+    # alpha_eq is defined by canonical keys, so compare the keys with an
+    # independent reading of alpha-equivalence
+    assert (canonical_key(s) == canonical_key(t)) == _alpha_eq_by_environments(s, t)
+    assert alpha_eq(s, t) == _alpha_eq_by_environments(s, t)
+
+
+@given(terms, st.sampled_from(NAMES))
+def test_canonical_key_matches_alpha_eq_on_renamed_terms(t, x):
+    fresh = fresh_name(x, free_vars(t) | {x})
+    renamed = Abs(fresh, subst(t, x, Var(fresh)))
+    assert canonical_key(Abs(x, t)) == canonical_key(renamed)
+    assert _alpha_eq_by_environments(Abs(x, t), renamed)
 
 
 @given(terms)
 def test_erase_removes_annotations(t):
     assert erase(Ann(t, A)) == erase(t)
     assert alpha_eq(erase(t), t)
+
+
+# --- term shape: children and rebuild ----------------------------------------
+
+
+def test_children_in_position_order():
+    clauses = {"opa": Var("h"), "opb": Var("g")}
+    assert children(handler(clauses, Var("e"), Var("n"))) == (
+        Var("h"),
+        Var("g"),
+        Var("e"),
+        Var("n"),
+    )
+    assert children(Op("opa", Var("p"), "x", Var("k"))) == (Var("p"), Var("k"))
+    assert children(App(Var("f"), Var("a"))) == (Var("f"), Var("a"))
+    assert children(Ann(Var("x"), A)) == (Var("x"),)
+    assert children(Var("x")) == () and children(Const("c0")) == ()
+    with pytest.raises(TypeError):
+        children(A)
+
+
+def test_rebuild_replaces_children_and_keeps_the_rest():
+    h = handler({"opa": Var("h")}, Var("e"), Var("n"))
+    got = rebuild(h, (Var("h2"), h.eta_clause, Var("n2")))
+    assert got == handler({"opa": Var("h2")}, Var("e"), Var("n2"))
+    assert got.eta_clause is h.eta_clause
+    assert rebuild(Op("opa", Var("p"), "x", Var("k")), (Const("c0"), Var("x"))) == Op(
+        "opa", Const("c0"), "x", Var("x")
+    )
+    assert rebuild(Ann(Var("x"), A), (Var("y"),)) == Ann(Var("y"), A)
+
+
+@given(terms)
+def test_rebuild_with_the_same_children_is_the_term_itself(t):
+    assert rebuild(t, children(t)) is t
+    assert rebuild(t, tuple(children(t))) is t
+
+
+@given(terms)
+def test_rebuild_takes_new_children_in_position_order(t):
+    fresh = tuple(Var(f"k{i}") for i in range(len(children(t))))
+    got = rebuild(t, fresh)
+    assert children(got) == fresh
+    assert type(got) is type(t)
 
 
 # --- signatures -------------------------------------------------------------
