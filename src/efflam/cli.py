@@ -8,8 +8,10 @@ Five subcommands:
   fragment         run the built-in corpus and diff against the expected forms
   verify           run one of the metatheory property suites
 
-Exit status: 0 success; 1 parse or type error; 2 corpus mismatch or
-property failure; 3 stuck term or fuel exhaustion; 64 usage error.
+Exit status: 0 success; 1 parse or type error, or a file that cannot
+be read as UTF-8; 2 corpus mismatch or property failure; 3 stuck term or
+fuel exhaustion; 64 usage error.  When the reader of the output goes
+away (`efflam fragment | head -1`), the command stops quietly with 0.
 Inline expressions (-e) parse in the built-in fragment environment, so
 the corpus signature (speaker, implicate, scope, ...) is available.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -33,6 +36,7 @@ from .reduce import (
     normalize,
 )
 from .surface import (
+    DeclFile,
     ParseError,
     parse_file,
     parse_term,
@@ -145,16 +149,22 @@ def _build_parser() -> _Parser:
 # check
 
 
-def _cmd_check(args, out: _Emitter) -> int:
+def _read_declarations(path: str, out: _Emitter) -> DeclFile | int:
+    """The parsed declaration file, or a status once the failure is reported."""
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            decl = parse_file(handle.read())
-    except OSError as err:
-        out.error(f"cannot read {args.file}: {err}", error="io", message=str(err))
-        return STATUS_BAD_TERM
+        with open(path, encoding="utf-8") as handle:
+            return parse_file(handle.read())
+    except (OSError, UnicodeDecodeError) as err:
+        out.error(f"cannot read {path}: {err}", error="io", message=str(err))
     except ParseError as err:
         out.error(str(err), error="parse", message=str(err))
-        return STATUS_BAD_TERM
+    return STATUS_BAD_TERM
+
+
+def _cmd_check(args, out: _Emitter) -> int:
+    decl = _read_declarations(args.file, out)
+    if isinstance(decl, int):
+        return decl
     ctx = decl.context()
     for name, _, term in decl.defs:
         try:
@@ -165,7 +175,7 @@ def _cmd_check(args, out: _Emitter) -> int:
                 error=err.kind,
                 name=name,
                 path=print_path(err.path),
-                message=err.args[0],
+                message=err.message,
             )
             return STATUS_BAD_TERM
         out.line(f"{name} : {print_type(ty)}", kind="def", name=name, type=print_type(ty))
@@ -179,7 +189,7 @@ def _cmd_check(args, out: _Emitter) -> int:
                 directive=kind,
                 index=index,
                 path=print_path(err.path),
-                message=err.args[0],
+                message=err.message,
             )
             return STATUS_BAD_TERM
         out.line(
@@ -209,15 +219,9 @@ def _gather_terms(args, out: _Emitter) -> list[Term] | int:
         except ParseError as err:
             out.error(str(err), error="parse", message=str(err))
             return STATUS_BAD_TERM
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            decl = parse_file(handle.read())
-    except OSError as err:
-        out.error(f"cannot read {args.file}: {err}", error="io", message=str(err))
-        return STATUS_BAD_TERM
-    except ParseError as err:
-        out.error(str(err), error="parse", message=str(err))
-        return STATUS_BAD_TERM
+    decl = _read_declarations(args.file, out)
+    if isinstance(decl, int):
+        return decl
     return [term for kind, term in decl.directives if kind in ("normalize", "trace")]
 
 
@@ -368,18 +372,26 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else STATUS_USAGE
     out = _Emitter(args.format)
-    match args.command:
-        case "check":
-            return _cmd_check(args, out)
-        case "normalize":
-            return _cmd_normalize(args, out, traced=False)
-        case "trace":
-            return _cmd_normalize(args, out, traced=True)
-        case "fragment":
-            return _cmd_fragment(args, out)
-        case "verify":
-            return _cmd_verify(args, out)
-    raise AssertionError(args.command)
+    try:
+        match args.command:
+            case "check":
+                status = _cmd_check(args, out)
+            case "normalize":
+                status = _cmd_normalize(args, out, traced=False)
+            case "trace":
+                status = _cmd_normalize(args, out, traced=True)
+            case "fragment":
+                status = _cmd_fragment(args, out)
+            case "verify":
+                status = _cmd_verify(args, out)
+            case _:
+                raise AssertionError(args.command)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+    except BrokenPipeError:
+        # nothing more can be shown; let the exit flush write to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STATUS_OK
+    return status
 
 
 if __name__ == "__main__":

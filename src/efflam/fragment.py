@@ -89,7 +89,7 @@ SENTENCE_FINAL = Comp(CONTEXT_ROW, O)
 def _computation_of(m: Term, ctx: Context, what: str) -> Comp:
     ty = synthesize(ctx, m)
     if not isinstance(ty, Comp):
-        raise TypeCheckError("notAComputation", (), f"{what} must be a computation")
+        raise TypeCheckError("notAComputation", (), "%s must be a computation", what)
     return ty
 
 
@@ -103,7 +103,7 @@ def scope_island(m: Term, ctx: Context = CONTEXT) -> Term:
     ty = _computation_of(m, ctx, "a scope island")
     if ty.value != O or not ty.effects.without({"scope"}).subset_of(CONTEXT_ROW):
         raise TypeCheckError(
-            "mismatch", (), f"a scope island needs a sentence computation, got {ty}"
+            "mismatch", (), "a scope island needs a sentence computation, got %s", ty
         )
     result = Comp(CONTEXT_ROW, O)
     clause = Ann(
@@ -133,7 +133,7 @@ def accommodate(m: Term, ctx: Context = CONTEXT) -> Term:
     ty = _computation_of(m, ctx, "an accommodated term")
     if ty.value != O:
         raise TypeCheckError(
-            "mismatch", (), f"accommodation needs a truth-valued computation, got {ty}"
+            "mismatch", (), "accommodation needs a truth-valued computation, got %s", ty
         )
     result = Comp(ty.effects.without({"implicate"}), O)
     resumed = bind(

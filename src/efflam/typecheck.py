@@ -10,10 +10,19 @@ Bare lambdas synthesize no type of their own (`annotationRequired`),
 but they are accepted in every checking position: under an ascription,
 as an argument, as a handler clause, as an operation parameter, and in
 the function slot of an immediately applied redex.
+
+A handler's row is found by guessing and growing: the eta clause and
+the forwarded operations give the first guess; each round then types
+every operation clause once, resuming at the guess, and adds the rows
+they perform (an ascribed clause adds its ascription's row untyped).
+The last round's typings are kept, and a clause is checked against the
+result only when it was not typed or its type does not fit; so nested
+handlers whose rows settle in one round are typed once per level.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from .syntax import (
@@ -29,7 +38,6 @@ from .syntax import (
     Fun,
     Handler,
     Op,
-    RowError,
     Signature,
     Term,
     Type,
@@ -44,22 +52,31 @@ Path = tuple[int, ...]
 class TypeCheckError(Exception):
     """A typing failure, tagged with a kind and the path to the offender.
 
-    Kinds: mismatch, unknownName, rowNotDisjoint, rowNotEmpty,
-    notAFunction, notAComputation, clauseShape, annotationRequired.
+    The message is kept as a %-template and its arguments (types or
+    names) and formatted only when read: most rejections, during term
+    enumeration, are never shown.
+
+    Kinds: mismatch, unknownName, rowNotEmpty, notAFunction,
+    notAComputation, clauseShape, annotationRequired.
     """
 
-    def __init__(self, kind: str, path: Path, message: str):
+    def __init__(self, kind: str, path: Path, template: str, *args: object):
         self.kind = kind
         self.path = path
-        super().__init__(message)
+        self.template = template
+        super().__init__(kind, path, template, *args)
+
+    @property
+    def message(self) -> str:
+        return self.template % self.args[3:]
 
     def __str__(self) -> str:
         at = ".".join(str(i) for i in self.path) if self.path else "root"
-        return f"{self.kind} at {at}: {self.args[0]}"
+        return f"{self.kind} at {at}: {self.message}"
 
 
-def _fail(kind: str, path: Path, message: str) -> "TypeCheckError":
-    raise TypeCheckError(kind, path, message)
+def _fail(kind: str, path: Path, template: str, *args: object) -> "TypeCheckError":
+    raise TypeCheckError(kind, path, template, *args)
 
 
 @dataclass
@@ -88,19 +105,6 @@ class Context:
         return replace(self, vars={**self.vars, name: ty})
 
 
-def disjoint_union(left: Signature, right: Signature, path: Path = ()) -> Signature:
-    """Union of operation rows sharing no names.
-
-    The inference rules themselves can never produce a name collision,
-    because every row entry is drawn from the one declared operation
-    table; this helper guards rows composed programmatically.
-    """
-    try:
-        return left.disjoint_union(right)
-    except RowError as err:
-        _fail("rowNotDisjoint", path, str(err))
-
-
 # ---------------------------------------------------------------------------
 # Subtyping: rows may widen, functions are contravariant in their domain.
 
@@ -121,7 +125,7 @@ def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
     match ty:
         case Atom(name):
             if name not in ctx.atoms:
-                _fail("unknownName", path, f"atom {name} is not declared")
+                _fail("unknownName", path, "atom %s is not declared", name)
         case Fun(dom, cod):
             well_formed(ctx, dom, path)
             well_formed(ctx, cod, path)
@@ -129,12 +133,13 @@ def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
             for name, inp, out in effects:
                 declared = ctx.operations.get(name)
                 if declared is None:
-                    _fail("unknownName", path, f"operation {name} is not declared")
+                    _fail("unknownName", path, "operation %s is not declared", name)
                 if declared != (inp, out):
                     _fail(
                         "mismatch",
                         path,
-                        f"operation {name} used at a type other than its declaration",
+                        "operation %s used at a type other than its declaration",
+                        name,
                     )
             well_formed(ctx, value, path)
 
@@ -147,22 +152,16 @@ def synthesize(ctx: Context, t: Term) -> Type:
     return _synth(ctx, t, ())
 
 
-def _show(ty: Type) -> str:
-    from .surface import print_type
-
-    return print_type(ty)
-
-
 def _synth(ctx: Context, t: Term, path: Path) -> Type:
     match t:
         case Var(name):
             if name in ctx.vars:
                 return ctx.vars[name]
-            _fail("unknownName", path, f"unbound variable {name}")
+            _fail("unknownName", path, "unbound variable %s", name)
         case ConstTerm(name):
             if name in ctx.constants:
                 return ctx.constants[name]
-            _fail("unknownName", path, f"unknown constant {name}")
+            _fail("unknownName", path, "unknown constant %s", name)
         case Ann(inner, ty):
             well_formed(ctx, ty, path)
             _check(ctx, inner, ty, path)
@@ -176,7 +175,7 @@ def _synth(ctx: Context, t: Term, path: Path) -> Type:
                 return _synth(ctx.bind(fn.binder, arg_ty), fn.body, path + (0, 0))
             fn_ty = _synth(ctx, fn, path + (0,))
             if not isinstance(fn_ty, Fun):
-                _fail("notAFunction", path + (0,), f"applied term has type {_show(fn_ty)}")
+                _fail("notAFunction", path + (0,), "applied term has type %s", fn_ty)
             _check(ctx, arg, fn_ty.dom, path + (1,))
             return fn_ty.cod
         case Eta(value):
@@ -184,7 +183,7 @@ def _synth(ctx: Context, t: Term, path: Path) -> Type:
         case Op(op, param, binder, cont):
             entry = ctx.operations.get(op)
             if entry is None:
-                _fail("unknownName", path, f"operation {op} is not declared")
+                _fail("unknownName", path, "operation %s is not declared", op)
             inp, out = entry
             _check(ctx, param, inp, path + (0,))
             cont_ty = _synth(ctx.bind(binder, out), cont, path + (1,))
@@ -192,7 +191,8 @@ def _synth(ctx: Context, t: Term, path: Path) -> Type:
                 _fail(
                     "notAComputation",
                     path + (1,),
-                    f"operation continuation has type {_show(cont_ty)}",
+                    "operation continuation has type %s",
+                    cont_ty,
                 )
             row = cont_ty.effects.union(Signature.of({op: entry}))
             return Comp(row, cont_ty.value)
@@ -201,24 +201,25 @@ def _synth(ctx: Context, t: Term, path: Path) -> Type:
         case Cherry(comp):
             comp_ty = _synth(ctx, comp, path + (0,))
             if not isinstance(comp_ty, Comp):
-                _fail("notAComputation", path + (0,), f"extraction from type {_show(comp_ty)}")
+                _fail("notAComputation", path + (0,), "extraction from type %s", comp_ty)
             if not comp_ty.effects.is_empty():
                 _fail(
                     "rowNotEmpty",
                     path + (0,),
-                    "extraction requires an empty effect row, found "
-                    f"{{{', '.join(comp_ty.effects.names())}}}",
+                    "extraction requires an empty effect row, found {%s}",
+                    ", ".join(comp_ty.effects.names()),
                 )
             return comp_ty.value
         case Exchange(fn):
             fn_ty = _synth(ctx, fn, path + (0,))
             if not isinstance(fn_ty, Fun):
-                _fail("notAFunction", path + (0,), f"commuted term has type {_show(fn_ty)}")
+                _fail("notAFunction", path + (0,), "commuted term has type %s", fn_ty)
             if not isinstance(fn_ty.cod, Comp):
                 _fail(
                     "notAComputation",
                     path + (0,),
-                    f"commuted function returns {_show(fn_ty.cod)}",
+                    "commuted function returns %s",
+                    fn_ty.cod,
                 )
             return Comp(fn_ty.cod.effects, Fun(fn_ty.dom, fn_ty.cod.value))
     raise TypeError(f"not a term: {t!r}")
@@ -232,37 +233,13 @@ def _fun_to_comp(ctx: Context, f: Term, dom: Type, path: Path) -> tuple[Type, Si
         case Abs(binder, body):
             body_ty = _synth(ctx.bind(binder, dom), body, path + (0,))
             if not isinstance(body_ty, Comp):
-                _fail("clauseShape", path, f"clause returns {_show(body_ty)}, not a computation")
+                _fail("clauseShape", path, "clause returns %s, not a computation", body_ty)
             return body_ty.value, body_ty.effects
         case _:
             f_ty = _synth(ctx, f, path)
             if not (isinstance(f_ty, Fun) and isinstance(f_ty.cod, Comp) and subtype(dom, f_ty.dom)):
-                _fail("clauseShape", path, f"clause has type {_show(f_ty)}")
+                _fail("clauseShape", path, "clause has type %s", f_ty)
             return f_ty.cod.value, f_ty.cod.effects
-
-
-def _clause_row_estimate(
-    ctx: Context, clause: Term, inp: Type, resume: Type
-) -> Signature | None:
-    """Row a handler clause introduces, or None when it cannot be read off."""
-    match clause:
-        case Ann(_, Fun(_, Fun(_, Comp(effects, _)))):
-            return effects
-        case Abs(x, Abs(k, body)):
-            try:
-                body_ty = _synth(ctx.bind(x, inp).bind(k, resume), body, ())
-            except TypeCheckError:
-                return None
-            return body_ty.effects if isinstance(body_ty, Comp) else None
-        case _:
-            try:
-                ty = _synth(ctx, clause, ())
-            except TypeCheckError:
-                return None
-            match ty:
-                case Fun(_, Fun(_, Comp(effects, _))):
-                    return effects
-            return None
 
 
 def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
@@ -270,12 +247,12 @@ def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
     scrut_path = path + (n + 1,)
     scrut_ty = _synth(ctx, t.scrutinee, scrut_path)
     if not isinstance(scrut_ty, Comp):
-        _fail("notAComputation", scrut_path, f"handled term has type {_show(scrut_ty)}")
+        _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
     entries: list[tuple[Type, Type]] = []
     for i, (op, _) in enumerate(t.clauses):
         entry = ctx.operations.get(op)
         if entry is None:
-            _fail("unknownName", path + (i,), f"operation {op} is not declared")
+            _fail("unknownName", path + (i,), "operation %s is not declared", op)
         entries.append(entry)
     handled = {op for op, _ in t.clauses}
     residual = scrut_ty.effects.without(handled)
@@ -285,21 +262,41 @@ def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
     delta, row = _fun_to_comp(ctx, t.eta_clause, gamma, path + (n,))
     row = residual.union(row)
 
-    # operation clauses may perform further operations; grow to a fixpoint
+    # operation clauses may perform further operations: each round types
+    # every clause once at the current guess and grows it, to a fixpoint
     while True:
-        grown = row
-        for (op, clause), (inp, out) in zip(t.clauses, entries):
-            est = _clause_row_estimate(ctx, clause, inp, Fun(out, Comp(row, delta)))
-            if est is not None:
-                grown = grown.union(est)
+        grown, typed = row, []
+        for (_, clause), (inp, out) in zip(t.clauses, entries):
+            ty = None
+            with suppress(TypeCheckError):
+                match clause:
+                    case Ann(_, Fun(_, Fun(_, Comp(effects, _)))):
+                        grown = grown.union(effects)  # read off; checked below
+                    case Abs(x, Abs(k, body)):
+                        resume = Fun(out, Comp(row, delta))
+                        body_ty = _synth(ctx.bind(x, inp).bind(k, resume), body, ())
+                        ty = Fun(inp, Fun(resume, body_ty))
+                    case _:
+                        ty = _synth(ctx, clause, ())
+            match ty:
+                case Fun(_, Fun(_, Comp(effects, _))):
+                    grown = grown.union(effects)
+            typed.append(ty)
         if grown == row:
             break
         row = grown
 
+    # If _synth(t) gives T, _check(t, W) succeeds iff subtype(T, W) (by
+    # induction over _check's cases).  The last round resumed at the final
+    # row, so a clause it typed is checked only to raise its error.
     result = Comp(row, delta)
-    for i, ((op, clause), (inp, out)) in enumerate(zip(t.clauses, entries)):
-        _check(ctx, clause, Fun(inp, Fun(Fun(out, result), result)), path + (i,))
-    _check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
+    for i, ((_, clause), (inp, out), ty) in enumerate(zip(t.clauses, entries, typed)):
+        want = Fun(inp, Fun(Fun(out, result), result))
+        if ty is None or not subtype(ty, want):
+            _check(ctx, clause, want, path + (i,))
+    # _fun_to_comp typed any other eta clause, and its type fits result
+    if isinstance(t.eta_clause, Ann):
+        _check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
     return result
 
 
@@ -316,12 +313,12 @@ def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
         case Ann(inner, ty):
             well_formed(ctx, ty, path)
             if not subtype(ty, want):
-                _fail("mismatch", path, f"ascription {_show(ty)} does not fit {_show(want)}")
+                _fail("mismatch", path, "ascription %s does not fit %s", ty, want)
             _check(ctx, inner, ty, path)
             return
         case Abs(binder, body):
             if not isinstance(want, Fun):
-                _fail("mismatch", path, f"lambda checked against {_show(want)}")
+                _fail("mismatch", path, "lambda checked against %s", want)
             _check(ctx.bind(binder, want.dom), body, want.cod, path + (0,))
             return
         case Eta(value) if isinstance(want, Comp):
@@ -330,13 +327,14 @@ def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
         case Op(op, param, binder, cont) if isinstance(want, Comp):
             entry = ctx.operations.get(op)
             if entry is None:
-                _fail("unknownName", path, f"operation {op} is not declared")
+                _fail("unknownName", path, "operation %s is not declared", op)
             if want.effects.get(op) != entry:
                 _fail(
                     "mismatch",
                     path,
-                    f"operation {op} is not available in row "
-                    f"{{{', '.join(want.effects.names())}}}",
+                    "operation %s is not available in row {%s}",
+                    op,
+                    ", ".join(want.effects.names()),
                 )
             _check(ctx, param, entry[0], path + (0,))
             _check(ctx.bind(binder, entry[1]), cont, want, path + (1,))
@@ -351,13 +349,13 @@ def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
                 pass
             else:
                 if not subtype(got, want):
-                    _fail("mismatch", path, f"expected {_show(want)}, found {_show(got)}")
+                    _fail("mismatch", path, "expected %s, found %s", want, got)
                 return
             n = len(clauses)
             scrut_path = path + (n + 1,)
             scrut_ty = _synth(ctx, scrutinee, scrut_path)
             if not isinstance(scrut_ty, Comp):
-                _fail("notAComputation", scrut_path, f"handled term has type {_show(scrut_ty)}")
+                _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
             handled = {op for op, _ in clauses}
             residual = scrut_ty.effects.without(handled)
             if not residual.subset_of(want.effects):
@@ -365,13 +363,14 @@ def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
                 _fail(
                     "mismatch",
                     scrut_path,
-                    f"unhandled operations {{{', '.join(sorted(missing))}}} "
-                    f"do not appear in row {{{', '.join(want.effects.names())}}}",
+                    "unhandled operations {%s} do not appear in row {%s}",
+                    ", ".join(sorted(missing)),
+                    ", ".join(want.effects.names()),
                 )
             for i, (op, clause) in enumerate(clauses):
                 entry = ctx.operations.get(op)
                 if entry is None:
-                    _fail("unknownName", path + (i,), f"operation {op} is not declared")
+                    _fail("unknownName", path + (i,), "operation %s is not declared", op)
                 inp, out = entry
                 _check(ctx, clause, Fun(inp, Fun(Fun(out, want), want)), path + (i,))
             _check(ctx, eta_clause, Fun(scrut_ty.value, want), path + (n,))
@@ -388,4 +387,4 @@ def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
             return
     got = _synth(ctx, t, path)
     if not subtype(got, want):
-        _fail("mismatch", path, f"expected {_show(want)}, found {_show(got)}")
+        _fail("mismatch", path, "expected %s, found %s", want, got)

@@ -159,6 +159,19 @@ def test_check_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_file_that_is_not_utf8_is_an_error(command, tmp_path, capsys):
+    path = tmp_path / "latin1.lam"
+    path.write_bytes("atom a.\nconst caf\u00e9 : a.\n".encode("latin-1"))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert main([command, str(path), "--format", "records"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["kind"], record["error"]) == ("error", "io")
+    assert "can't decode byte 0xe9" in record["message"]
+
+
 # ---------------------------------------------------------------------------
 # normalize and trace
 
@@ -294,14 +307,53 @@ def test_help_exits_cleanly(capsys):
     capsys.readouterr()
 
 
-def test_runs_as_a_module():
+def _module_env(**extra) -> dict[str, str]:
+    """The environment for running `python -m efflam` from this checkout."""
     src = str(Path(efflam.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_runs_as_a_module():
     done = subprocess.run(
         [sys.executable, "-m", "efflam", "fragment", "--example", "1"],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "eta (love j m)\n", "")
+
+
+def test_a_reader_closing_after_one_line_ends_the_command_quietly():
+    # unbuffered, so each record is written while the corpus still runs
+    child = subprocess.Popen(
+        [sys.executable, "-m", "efflam", "fragment", "--format", "records"],
+        env=_module_env(PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert json.loads(child.stdout.readline())["example"] == 1
+    child.stdout.close()
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+def test_a_reader_gone_before_any_output_ends_the_command_quietly():
+    # buffered, so the only write is the flush once the command is done
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "efflam", "fragment", "--format", "records"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")

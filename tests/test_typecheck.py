@@ -2,30 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+from efflam import typecheck, verify
 from efflam.syntax import (
     Abs,
     Ann,
     App,
     Atom,
     Comp,
+    Const,
     EMPTY_ROW,
     Eta,
     Fun,
+    Handler,
+    Op,
     Signature,
+    Term,
     UNIT,
     Var,
+    size,
 )
-from efflam.surface import parse_file, parse_term
+from efflam.surface import parse_file, parse_term, print_term, print_type
 from efflam.typecheck import (
     Context,
     TypeCheckError,
     check_against,
-    disjoint_union,
     subtype,
     synthesize,
     well_formed,
@@ -192,15 +199,6 @@ def test_eta_clause_must_be_function_shaped():
     assert e.kind == "clauseShape"
 
 
-def test_row_composition_rejects_name_collisions():
-    with pytest.raises(TypeCheckError) as exc:
-        disjoint_union(
-            Signature.of({"speaker": (UNIT, IOTA)}),
-            Signature.of({"speaker": (UNIT, IOTA)}),
-        )
-    assert exc.value.kind == "rowNotDisjoint"
-
-
 def test_error_rendering_names_kind_and_path():
     assert str(err("j j")) == "notAFunction at 0: applied term has type iota"
 
@@ -259,3 +257,130 @@ def test_function_domains_are_contravariant():
     takes_pure = Fun(Comp(EMPTY_ROW, Atom("A")), Atom("B"))
     assert subtype(takes_effectful, takes_pure) is True
     assert subtype(takes_pure, takes_effectful) is False
+
+
+# ---------------------------------------------------------------------------
+# Error messages are formatted only when read
+
+
+def test_error_message_is_formatted_when_read(monkeypatch):
+    import efflam.surface
+
+    def refuse(ty):
+        raise AssertionError("a type was printed")
+
+    monkeypatch.setattr(efflam.surface, "print_type", refuse)
+    e = err("love (love j)")
+    assert (e.kind, e.path, e.template) == ("mismatch", (1,), "expected %s, found %s")
+    monkeypatch.undo()
+    assert e.message == "expected iota, found iota -> o"
+    assert str(e) == "mismatch at 1: expected iota, found iota -> o"
+
+
+def test_error_message_quotes_names_and_rows_verbatim():
+    assert err("extract me").message == "extraction requires an empty effect row, found {speaker}"
+    e = TypeCheckError("unknownName", (), "unbound variable %s", "x%sy")
+    assert e.message == "unbound variable x%sy"
+
+
+# ---------------------------------------------------------------------------
+# The handler rule types each clause once per guess of the row
+
+
+def test_ascribed_clause_row_is_read_off_and_its_body_checked():
+    ok = "handle { speaker -> (\\x. \\k. do implicate(love j j, \\z. k j) : " \
+        "1 -> (iota -> F{implicate}(iota)) -> F{implicate}(iota)) } me"
+    assert synthesize(CTX, term(ok)) == ty("F{implicate}(iota)")
+    bad = "handle { speaker -> (\\x. \\k. k x : " \
+        "1 -> (iota -> F{}(iota)) -> F{}(iota)) } me"
+    assert str(err(bad)) == "mismatch at 0.0.0.1: expected iota, found 1"
+
+
+def test_ascribed_eta_clause_is_checked_against_the_result():
+    assert synthesize(CTX, term("handle { eta -> (\\x. eta x : iota -> F{}(iota)) } me")) == ty(
+        "F{speaker}(iota)"
+    )
+    e = err("handle { eta -> (\\x. eta j : iota -> F{}(o)) } me")
+    assert str(e) == "mismatch at 0.0.0: expected o, found iota"
+
+
+def test_the_first_ill_typed_clause_reports_the_error():
+    both = "handle { implicate -> \\x. \\k. k j, speaker -> \\x. \\k. k x } me"
+    assert str(err(both)) == "mismatch at 0.0.0.1: expected 1, found iota"
+    second = "handle { implicate -> \\x. \\k. k *, speaker -> \\x. \\k. k x } me"
+    assert str(err(second)) == "mismatch at 1.0.0.1: expected iota, found 1"
+
+
+def _nested_handler(depth: int) -> Term:
+    """Handlers nested `depth` deep inside handler clauses, as built for
+    the checker's benchmark: each level handles `op1` around one call of
+    it, and its clause body is the next level."""
+    body = Eta(Const("a0"))
+    for _ in range(depth):
+        body = Handler(
+            (("op1", Abs("p", Abs("k", body))),),
+            Abs("x", Eta(Var("x"))),
+            Op("op1", Const("a0"), "y", Eta(Var("y"))),
+        )
+    return body
+
+
+def test_nested_handlers_are_typed_once_per_level(monkeypatch):
+    calls = []
+    rule = typecheck._synth_handler
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(typecheck, "_synth_handler", counted)
+    assert synthesize(verify.CONTEXT, _nested_handler(12)) == Comp(EMPTY_ROW, verify.A)
+    assert len(calls) == 12  # once per level; checking every clause again made it 4,095
+
+
+def test_check_agrees_with_subtyping_on_synthesized_types():
+    """If a term synthesizes T, checking it against W succeeds exactly
+    when T <: W; the handler rule relies on this to skip clause checks."""
+    for t, got in verify.enumerate_typed(6):
+        for want in verify._UNIVERSE:
+            try:
+                check_against(verify.CONTEXT, t, want)
+                checks = True
+            except TypeCheckError:
+                checks = False
+            assert checks == subtype(got, want), (print_term(t), print_type(want))
+
+
+# ---------------------------------------------------------------------------
+# Recorded synthesis results
+
+
+def synthesis_digests(max_size: int) -> str:
+    """One line per size up to `max_size`: the number of closed shapes,
+    how many synthesize a type, and a SHA-256 over the sorted lines
+    `shape<TAB>type` or `shape<TAB>error` (kind, path and message)."""
+    by_size: dict[int, list[str]] = {}
+    for t in verify.closed_shapes(max_size):
+        try:
+            shown = "type " + print_type(synthesize(verify.CONTEXT, t))
+        except TypeCheckError as e:
+            shown = "error " + str(e)
+        by_size.setdefault(size(t), []).append(f"{print_term(t)}\t{shown}\n")
+    out = []
+    for n, lines in sorted(by_size.items()):
+        typed = sum(line.split("\t")[1].startswith("type ") for line in lines)
+        digest = hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+        out.append(f"{n} {len(lines)} {typed} {digest}\n")
+    return "".join(out)
+
+
+def test_synthesis_matches_the_recorded_results():
+    """Every closed shape up to size 6 synthesizes the same type, or fails
+    with the same error, as when recorded.  After an intended change,
+    re-record from the repository root:
+
+        python -c "from tests.test_typecheck import synthesis_digests; \\
+            print(synthesis_digests(6), end='')" > tests/expected/synthesis-size6.txt
+    """
+    recorded = (Path(__file__).parent / "expected" / "synthesis-size6.txt").read_text()
+    assert synthesis_digests(6) == recorded
