@@ -359,6 +359,7 @@ def _cmd_verify(args, out: _Emitter) -> int:
             checked=report.checked,
             failures=list(report.failures),
             ok=report.ok,
+            coverage=report.coverage,
         )
     else:
         for line in report.lines():

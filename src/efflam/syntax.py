@@ -202,6 +202,16 @@ def handler(clauses: dict[str, "Term"], eta_clause: "Term", scrutinee: "Term") -
     return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)
 
 
+def _handler_unchecked(clauses, eta_clause, scrutinee) -> Handler:
+    """A Handler built without `__post_init__`'s clause-order check, for
+    clause names copied from a handler that has passed it."""
+    h = object.__new__(Handler)
+    object.__setattr__(h, "clauses", clauses)
+    object.__setattr__(h, "eta_clause", eta_clause)
+    object.__setattr__(h, "scrutinee", scrutinee)
+    return h
+
+
 @dataclass(frozen=True)
 class Cherry:
     """Extraction of the value of an effect-free computation."""
@@ -285,7 +295,7 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
         ):
             return t
         named = tuple((name, new) for (name, _), new in zip(t.clauses, clauses))
-        return Handler(named, eta_clause, scrutinee)
+        return _handler_unchecked(named, eta_clause, scrutinee)
     if cls is Eta:
         (value,) = kids
         return t if value is t.value else Eta(value)

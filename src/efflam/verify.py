@@ -1,11 +1,12 @@
 """Property suites over enumerated and randomly sampled terms.
 
 The checks run against a tiny fixed signature: two value atoms, one
-constant of each, two operations.  Closed term shapes are enumerated
-exhaustively by size (binders get canonical names, so enumeration never
-produces alpha-duplicates) and filtered through type synthesis; a
-seeded sampler builds well-typed terms directly for the statistical
-suites.
+constant of each, two operations.  The well-typed closed terms are
+enumerated exhaustively by size, directed by the typing rules: only
+terms the checker accepts are built, with no untyped shapes filtered
+out (binders get canonical names, so enumeration never produces
+alpha-duplicates).  A seeded sampler builds well-typed terms directly
+for the statistical suites.
 
 Suites:
   subjectReduction  every one-step reduct of a typed term keeps its type
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 from .prelude import bind, eta_identity
 from .reduce import (
@@ -70,7 +70,7 @@ CONTEXT = Context.initial(
     operations=OPERATIONS,
 )
 
-_CONSTS = (Const("a0"), Const("f0"), Const("*"))
+_CONSTS = ("a0", "f0", "*")
 _OPS = ("op1", "op2")
 
 
@@ -79,74 +79,214 @@ def _binder(depth: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration of closed shapes
+# Exhaustive enumeration of well-typed closed terms
+#
+# Two mutually recursive enumerators follow the checker rule by rule:
+# `synth` lists the terms of one size that synthesize, with their types,
+# and `check` the terms that check against a wanted type.  A scope is the
+# tuple of binder types, the variable bound at depth i being `b{i}`, so
+# no two terms listed are alpha-equivalent.  A bare lambda is built only
+# where `_check` accepts one, or as an applied lambda's head or a
+# handler's clause; subsumption is tried only for variables, constants
+# and applications of a non-lambda.
+#
+# A handler with operation clauses is the one term not typed here: its
+# row is a fixpoint over the clauses.  Each clause is drawn from the
+# terms that check against its clause type at one candidate row, which
+# holds for every clause of a handler that synthesizes that row (when a
+# term synthesizes T, it checks against W iff T <: W), and `synthesize`
+# then confirms the candidate and its row.
 
 
-@lru_cache(maxsize=None)
-def _shapes(size: int, depth: int) -> tuple[Term, ...]:
-    """All closed-under-`depth`-binders term shapes of exactly `size`."""
-    if size <= 0:
-        return ()
-    out: list[Term] = []
-    if size == 1:
-        out.extend(Var(_binder(i)) for i in range(depth))
-        out.extend(_CONSTS)
-        return tuple(out)
-    for body in _shapes(size - 1, depth + 1):
-        out.append(Abs(_binder(depth), body))
-    for child in _shapes(size - 1, depth):
-        out.append(Eta(child))
-        out.append(Cherry(child))
-        out.append(Exchange(child))
-    for left_size in range(1, size - 1):
-        right_size = size - 1 - left_size
-        for fn in _shapes(left_size, depth):
-            for arg in _shapes(right_size, depth):
-                out.append(App(fn, arg))
-        for param in _shapes(left_size, depth):
-            for cont in _shapes(right_size, depth + 1):
-                for op in _OPS:
-                    out.append(Op(op, param, _binder(depth), cont))
-    # handlers: optional clauses, an eta clause, and a scrutinee
-    for names in ((), ("op1",), ("op2",), ("op1", "op2")):
-        remaining = size - 1
-        for clause_sizes in itertools.product(
-            range(1, remaining), repeat=len(names)
+def _splits(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every way to write `total` as a sum of `parts` positive sizes."""
+    return [
+        sizes
+        for sizes in itertools.product(range(1, total + 1), repeat=parts)
+        if sum(sizes) == total
+    ]
+
+
+def _neutral(t: Term) -> bool:
+    """True for the terms `_check` types by synthesis and subsumption."""
+    cls = type(t)
+    return cls is Var or cls is Const or (cls is App and type(t.fn) is not Abs)
+
+
+class _Enumeration:
+    """The typed terms over one context, memoized for one enumeration."""
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self.consts = [(Const(c), ctx.constants[c]) for c in _CONSTS if c in ctx.constants]
+        self.ops = [(op, ctx.operations.get(op)) for op in _OPS if op in ctx.operations]
+        self.clause_sets = [
+            combo for k in range(len(self.ops) + 1) for combo in itertools.combinations(self.ops, k)
+        ]
+        entries = ctx.operations.entries
+        self.rows = [
+            Signature(combo)
+            for k in range(len(entries) + 1)
+            for combo in itertools.combinations(entries, k)
+        ]
+        self.memo: dict[tuple, list] = {}
+
+    def _memo(self, key: tuple, build) -> list:
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = list(build(*key[1:]))
+        return found
+
+    def synth(self, n: int, scope: tuple[Type, ...]) -> list[tuple[Term, Type]]:
+        """The terms of size `n` that synthesize under `scope`, with their types."""
+        return self._memo(("synth", n, scope), self._synth) if n > 0 else []
+
+    def check(self, n: int, scope: tuple[Type, ...], want: Type) -> list[Term]:
+        """The terms of size `n` that check against `want` under `scope`."""
+        return self._memo(("check", n, scope, want), self._check) if n > 0 else []
+
+    def _synth(self, n, scope):
+        if n == 1:
+            yield from ((Var(_binder(i)), ty) for i, ty in enumerate(scope))
+            yield from self.consts
+            return
+        binder = _binder(len(scope))
+        for v, ty in self.synth(n - 1, scope):
+            yield Eta(v), Comp(EMPTY_ROW, ty)
+            if isinstance(ty, Comp) and ty.effects.is_empty():
+                yield Cherry(v), ty.value
+            if isinstance(ty, Fun) and isinstance(ty.cod, Comp):
+                yield Exchange(v), Comp(ty.cod.effects, Fun(ty.dom, ty.cod.value))
+        for left in range(1, n - 1):
+            right = n - 1 - left
+            # an applied lambda: the argument's type binds the body's variable
+            for arg, arg_ty in self.synth(right, scope):
+                for body, ty in self.synth(left - 1, scope + (arg_ty,)):
+                    yield App(Abs(binder, body), arg), ty
+            for fn, fn_ty in self.synth(left, scope):
+                if isinstance(fn_ty, Fun):
+                    for arg in self.check(right, scope, fn_ty.dom):
+                        yield App(fn, arg), fn_ty.cod
+            for op, (inp, out) in self.ops:
+                performed = Signature.of({op: (inp, out)})
+                for param in self.check(left, scope, inp):
+                    for cont, ty in self.synth(right, scope + (out,)):
+                        if isinstance(ty, Comp):
+                            row = ty.effects.union(performed)
+                            yield Op(op, param, binder, cont), Comp(row, ty.value)
+        yield from self._synth_handlers(n, scope)
+
+    def _eta_clauses(self, n, scope, gamma):
+        """(clause, delta, row) for each eta clause typed at `gamma`."""
+        for body, ty in self.synth(n - 1, scope + (gamma,)):
+            if isinstance(ty, Comp):
+                yield Abs(_binder(len(scope)), body), ty.value, ty.effects
+        for f, ty in self.synth(n, scope):
+            if isinstance(ty, Fun) and isinstance(ty.cod, Comp) and subtype(gamma, ty.dom):
+                yield f, ty.cod.value, ty.cod.effects
+
+    def _handler_parts(self, n, scope):
+        """(clause set, clause sizes, eta clause size, scrutinee, its type,
+        the row it leaves unhandled) for the handlers of size `n` whose
+        scrutinee synthesizes a computation type."""
+        for clause_set in self.clause_sets:
+            handled = {op for op, _ in clause_set}
+            for *sizes, eta_size, scrut_size in _splits(n - 1, len(clause_set) + 2):
+                for scrutinee, scrut_ty in self.synth(scrut_size, scope):
+                    if isinstance(scrut_ty, Comp):
+                        residual = scrut_ty.effects.without(handled)
+                        yield clause_set, sizes, eta_size, scrutinee, scrut_ty, residual
+
+    def _synth_handlers(self, n, scope):
+        ctx = replace(self.ctx, vars={_binder(i): ty for i, ty in enumerate(scope)})
+        for clause_set, sizes, eta_size, scrutinee, scrut_ty, residual in self._handler_parts(
+            n, scope
         ):
-            rest = remaining - sum(clause_sizes)
-            if rest < 2:
+            names = tuple(op for op, _ in clause_set)
+            eta_key = ("eta", eta_size, scope, scrut_ty.value)
+            for eta_clause, delta, eta_row in self._memo(eta_key, self._eta_clauses):
+                base = residual.union(eta_row)
+                if not names:
+                    yield Handler((), eta_clause, scrutinee), Comp(base, delta)
+                    continue
+                for row in self.rows:
+                    if not base.subset_of(row):
+                        continue
+                    result = Comp(row, delta)
+                    pools = [
+                        self.check(size, scope, Fun(inp, Fun(Fun(out, result), result)))
+                        for size, (_, (inp, out)) in zip(sizes, clause_set)
+                    ]
+                    for chosen in itertools.product(*pools):
+                        t = Handler(tuple(zip(names, chosen)), eta_clause, scrutinee)
+                        try:
+                            ty = synthesize(ctx, t)
+                        except TypeCheckError:
+                            continue
+                        if ty.effects == row:
+                            yield t, ty
+
+    def _check(self, n, scope, want):
+        binder = _binder(len(scope))
+        if isinstance(want, Fun):
+            for body in self.check(n - 1, scope + (want.dom,), want.cod):
+                yield Abs(binder, body)
+        for comp in self.check(n - 1, scope, Comp(EMPTY_ROW, want)):
+            yield Cherry(comp)
+        if isinstance(want, Comp):
+            for v in self.check(n - 1, scope, want.value):
+                yield Eta(v)
+            if isinstance(want.value, Fun):
+                inner = Fun(want.value.dom, Comp(want.effects, want.value.cod))
+                for f in self.check(n - 1, scope, inner):
+                    yield Exchange(f)
+            for left in range(1, n - 1):
+                for op, (inp, out) in self.ops:
+                    if want.effects.get(op) != (inp, out):
+                        continue
+                    for param in self.check(left, scope, inp):
+                        for cont in self.check(n - 1 - left, scope + (out,), want):
+                            yield Op(op, param, binder, cont)
+            yield from self._check_handlers(n, scope, want)
+        for left in range(2, n - 1):
+            for arg, arg_ty in self.synth(n - 1 - left, scope):
+                for body in self.check(left - 1, scope + (arg_ty,), want):
+                    yield App(Abs(binder, body), arg)
+        for t, ty in self.synth(n, scope):
+            if _neutral(t) and subtype(ty, want):
+                yield t
+
+    def _check_handlers(self, n, scope, want):
+        synthesized = set()
+        for t, ty in self.synth(n, scope):
+            if type(t) is Handler:
+                synthesized.add(t)
+                if subtype(ty, want):
+                    yield t
+        # a handler that synthesizes no type is checked clause by clause
+        for clause_set, sizes, eta_size, scrutinee, scrut_ty, residual in self._handler_parts(
+            n, scope
+        ):
+            if not residual.subset_of(want.effects):
                 continue
-            clause_pools = [_shapes(s, depth) for s in clause_sizes]
-            for eta_size in range(1, rest):
-                scrut_size = rest - eta_size
-                for chosen in itertools.product(*clause_pools):
-                    for eta_clause in _shapes(eta_size, depth):
-                        for scrutinee in _shapes(scrut_size, depth):
-                            out.append(
-                                Handler(
-                                    tuple(zip(names, chosen)), eta_clause, scrutinee
-                                )
-                            )
-    return tuple(out)
-
-
-def closed_shapes(max_size: int) -> list[Term]:
-    """Every closed shape of size at most `max_size`, smallest first."""
-    out: list[Term] = []
-    for size in range(1, max_size + 1):
-        out.extend(_shapes(size, 0))
-    return out
+            names = tuple(op for op, _ in clause_set)
+            pools = [
+                self.check(size, scope, Fun(inp, Fun(Fun(out, want), want)))
+                for size, (_, (inp, out)) in zip(sizes, clause_set)
+            ]
+            eta_clauses = self.check(eta_size, scope, Fun(scrut_ty.value, want))
+            for chosen in itertools.product(*pools):
+                for eta_clause in eta_clauses:
+                    t = Handler(tuple(zip(names, chosen)), eta_clause, scrutinee)
+                    if t not in synthesized:
+                        yield t
 
 
 def enumerate_typed(max_size: int, ctx: Context = CONTEXT) -> list[tuple[Term, Type]]:
-    """The well-typed closed terms of size at most `max_size`."""
-    out = []
-    for t in closed_shapes(max_size):
-        try:
-            out.append((t, synthesize(ctx, t)))
-        except TypeCheckError:
-            continue
-    return out
+    """The closed terms of size at most `max_size` that `synthesize`
+    accepts, with their types, smallest first."""
+    enumeration = _Enumeration(ctx)
+    return [pair for n in range(1, max_size + 1) for pair in enumeration.synth(n, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +473,14 @@ def sample_typed(rng: random.Random, ty: Type, depth: int, ctx: Context = CONTEX
 
 @dataclass
 class SuiteReport:
+    """A suite's verdict.  `coverage` counts what the checks ranged over
+    (typed terms enumerated, graph nodes, cases per law); the text
+    report leaves it out, records carry it."""
+
     suite: str
     checked: int
     failures: tuple[str, ...]
+    coverage: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -352,7 +497,8 @@ def subject_reduction(max_size: int = 6, ctx: Context = CONTEXT) -> SuiteReport:
     and when it synthesizes, the new type refines the old one."""
     failures = []
     checked = 0
-    for term, ty in enumerate_typed(max_size, ctx):
+    typed = enumerate_typed(max_size, ctx)
+    for term, ty in typed:
         for rule, path, reduced in reducts(term):
             checked += 1
             label = f"{print_term(term)} --{rule.value}@{'.'.join(map(str, path)) or 'root'}--> {print_term(reduced)}"
@@ -369,16 +515,19 @@ def subject_reduction(max_size: int = 6, ctx: Context = CONTEXT) -> SuiteReport:
                 failures.append(
                     f"{label} synthesized {print_type(new_ty)}, not below {print_type(ty)}"
                 )
-    return SuiteReport("subjectReduction", checked, tuple(failures[:20]))
+    return SuiteReport(
+        "subjectReduction", checked, tuple(failures[:20]), {"typedTerms": len(typed)}
+    )
 
 
 def confluence(max_size: int = 5, budget: int = 2000, ctx: Context = CONTEXT) -> SuiteReport:
     """All reduction orders of a typed term end in the same normal form."""
     failures = []
-    checked = 0
+    checked = nodes = 0
     for term, _ in enumerate_typed(max_size, ctx):
         graph = reduction_graph(term, budget)
         checked += 1
+        nodes += len(graph.nodes)
         if not graph.complete:
             failures.append(f"{print_term(term)}: graph budget exceeded")
             continue
@@ -386,7 +535,8 @@ def confluence(max_size: int = 5, budget: int = 2000, ctx: Context = CONTEXT) ->
         if len(distinct) > 1:
             shown = ", ".join(print_term(d) for d in distinct)
             failures.append(f"{print_term(term)}: {len(distinct)} normal forms: {shown}")
-    return SuiteReport("confluence", checked, tuple(failures[:20]))
+    coverage = {"typedTerms": checked, "graphNodes": nodes}
+    return SuiteReport("confluence", checked, tuple(failures[:20]), coverage)
 
 
 def termination(
@@ -470,11 +620,11 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400, ctx: Context = CONTEXT) 
         if isinstance(ty, Fun) and isinstance(ty.cod, Comp)
     ]
     failures = []
-    checked = 0
+    laws = {"rightIdentity": 0, "leftIdentity": 0, "associativity": 0}
 
     # right identity: m >>= eta is m
     for m, _ in computations:
-        checked += 1
+        laws["rightIdentity"] += 1
         if not _both_none_or_eq(_nf(bind(m, eta_identity())), _nf(m)):
             failures.append(f"right identity fails on {print_term(m)}")
 
@@ -486,7 +636,7 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400, ctx: Context = CONTEXT) 
         pairs += 1
         if pairs > max_pairs:
             break
-        checked += 1
+        laws["leftIdentity"] += 1
         if not _both_none_or_eq(_nf(bind(Eta(v), k)), _nf(App(k, v))):
             failures.append(
                 f"left identity fails on value {print_term(v)}, arrow {print_term(k)}"
@@ -503,7 +653,7 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400, ctx: Context = CONTEXT) 
             triples += 1
             if triples > max_pairs:
                 break
-            checked += 1
+            laws["associativity"] += 1
             lhs = bind(bind(m, k), h)
             rhs = bind(m, Abs("x", bind(App(k, Var("x")), h)))
             if not _both_none_or_eq(_nf(lhs), _nf(rhs)):
@@ -512,7 +662,8 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400, ctx: Context = CONTEXT) 
                 )
         if triples > max_pairs:
             break
-    return SuiteReport("monadLaws", checked, tuple(failures[:20]))
+    coverage = {"typedTerms": len(typed), **laws}
+    return SuiteReport("monadLaws", sum(laws.values()), tuple(failures[:20]), coverage)
 
 
 def _both_none_or_eq(left: Term | None, right: Term | None) -> bool:

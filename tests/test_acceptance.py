@@ -49,14 +49,14 @@ def test_criterion_1_golden_corpus():
 
 def test_criterion_2_subject_reduction():
     t0 = time.perf_counter()
-    rep = subject_reduction(max_size=6)
+    rep = subject_reduction(max_size=8)
     dt = time.perf_counter() - t0
     _report(2, "subject reduction", rep.ok and dt < 120.0, dt, f"{rep.checked} reducts")
 
 
 def test_criterion_3_confluence():
     t0 = time.perf_counter()
-    rep = confluence(max_size=6)
+    rep = confluence(max_size=8)
     dt = time.perf_counter() - t0
     _report(3, "confluence graphs", rep.ok and dt < 300.0, dt, f"{rep.checked} graphs")
 

@@ -161,6 +161,11 @@ def test_handler_rejects_duplicate_clauses():
         Handler((("opa", Var("h")), ("opa", Var("g"))), Var("e"), Var("n"))
 
 
+def test_handler_rejects_unsorted_clauses():
+    with pytest.raises(ValueError):
+        Handler((("opb", Var("h")), ("opa", Var("g"))), Var("e"), Var("n"))
+
+
 # --- properties over random terms -------------------------------------------
 
 
@@ -352,6 +357,19 @@ def test_rebuild_replaces_children_and_keeps_the_rest():
         "opa", Const("c0"), "x", Var("x")
     )
     assert rebuild(Ann(Var("x"), A), (Var("y"),)) == Ann(Var("y"), A)
+
+
+def test_rebuild_does_not_recheck_handler_clause_order(monkeypatch):
+    h = handler({"opa": Var("h"), "opb": Var("g")}, Var("e"), Var("n"))
+    checks = []
+    monkeypatch.setattr(Handler, "__post_init__", lambda self: checks.append(self))
+    got = rebuild(h, (Var("h2"), Var("g2"), Var("e2"), Var("n2")))
+    assert checks == []
+    monkeypatch.undo()
+    assert got == Handler(
+        (("opa", Var("h2")), ("opb", Var("g2"))), Var("e2"), Var("n2")
+    )
+    assert hash(got) == hash(handler({"opb": Var("g2"), "opa": Var("h2")}, Var("e2"), Var("n2")))
 
 
 @given(terms)

@@ -38,6 +38,7 @@ from efflam.typecheck import (
     well_formed,
 )
 from .conftest import OP_TABLE, types
+from .shapes import closed_shapes
 
 DECLS = """
 atom iota. atom o.
@@ -360,7 +361,7 @@ def synthesis_digests(max_size: int) -> str:
     how many synthesize a type, and a SHA-256 over the sorted lines
     `shape<TAB>type` or `shape<TAB>error` (kind, path and message)."""
     by_size: dict[int, list[str]] = {}
-    for t in verify.closed_shapes(max_size):
+    for t in closed_shapes(max_size):
         try:
             shown = "type " + print_type(synthesize(verify.CONTEXT, t))
         except TypeCheckError as e:

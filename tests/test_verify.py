@@ -1,6 +1,9 @@
 """Enumeration, oracle agreement, reduction graphs, and the suite drivers."""
 
+import contextlib
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,19 +18,22 @@ from efflam.syntax import (
     EMPTY_ROW,
     Eta,
     Fun,
+    Handler,
     Signature,
     Var,
     alpha_eq,
     canonical_key,
     free_vars,
+    size,
 )
 from efflam.typecheck import TypeCheckError, check_against, synthesize
 from efflam.verify import (
     A,
     B,
     CONTEXT,
+    OPERATIONS,
     SuiteReport,
-    closed_shapes,
+    _Enumeration,
     confluence,
     derivable,
     enumerate_typed,
@@ -39,6 +45,8 @@ from efflam.verify import (
     subject_reduction,
     termination,
 )
+
+from .shapes import _shapes, closed_shapes, reference_typed, typed_digests
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -74,6 +82,108 @@ def test_typed_enumeration_agrees_with_the_checker():
     assert canonical_key(App(Const("a0"), Const("a0"))) not in typed
 
 
+@pytest.mark.parametrize("max_size", range(1, 7))
+def test_typed_enumeration_equals_generate_and_filter(max_size):
+    typed = enumerate_typed(max_size)
+    got = {canonical_key(t): ty for t, ty in typed}
+    assert len(got) == len(typed)
+    assert all(not free_vars(t) for t, _ in typed)
+    assert got == {canonical_key(t): ty for t, ty in reference_typed(max_size)}
+
+
+def _clause_type(op, row, value):
+    inp, out = OPERATIONS.get(op)
+    result = Comp(row, value)
+    return Fun(inp, Fun(Fun(out, result), result))
+
+
+_OP1_ROW = Signature.of({"op1": OPERATIONS.get("op1")})
+
+# Types for the binders b0 (a clause), b1 (a scrutinee) and b2 (an eta
+# clause) that let a handler with an operation clause appear at size 4;
+# closed ones need size 11.  In the fourth, b0 fits every candidate row;
+# in the fifth, `handle {op1 -> b0, eta -> b2} b1` synthesizes no type
+# (b2 fixes a result value type below the one b0 resumes at) but checks
+# against b0's result type, and with b3 in place of b1 it does not, as
+# op2 is left unhandled.
+_HANDLER_SCOPES = [
+    (_clause_type("op1", EMPTY_ROW, A), Comp(_OP1_ROW, A), Fun(A, Comp(EMPTY_ROW, A))),
+    (_clause_type("op1", OPERATIONS, A), Comp(OPERATIONS, A), Fun(A, Comp(_OP1_ROW, A))),
+    (_clause_type("op2", OPERATIONS, B), Comp(OPERATIONS, A), Fun(A, Comp(EMPTY_ROW, B))),
+    (
+        Fun(A, Fun(Fun(A, Comp(OPERATIONS, A)), Comp(EMPTY_ROW, A))),
+        Comp(_OP1_ROW, A),
+        Fun(A, Comp(EMPTY_ROW, A)),
+    ),
+    (
+        _clause_type("op1", EMPTY_ROW, Comp(_OP1_ROW, A)),
+        Comp(EMPTY_ROW, A),
+        Fun(A, Comp(EMPTY_ROW, Comp(EMPTY_ROW, A))),
+        Comp(OPERATIONS.without({"op1"}), A),
+    ),
+]
+
+
+@pytest.mark.parametrize("scope", _HANDLER_SCOPES)
+def test_enumeration_under_binders_equals_generate_and_filter(scope):
+    """Under open binders, in synthesis and in checking mode, including
+    the handlers whose clauses are confirmed by `synthesize`."""
+    ctx = replace(CONTEXT, vars={f"b{i}": ty for i, ty in enumerate(scope)})
+    clause_result = scope[0].cod.cod
+    wants = [Comp(EMPTY_ROW, A), Comp(_OP1_ROW, A), Comp(OPERATIONS, B), A, clause_result]
+    enumeration = _Enumeration(CONTEXT)
+    clause_handlers = 0
+    unsynthesized = Handler((("op1", Var("b0")),), Var("b2"), Var("b1"))
+    for n in range(1, 5):
+        shapes = _shapes(n, len(scope))
+        typed = enumeration.synth(n, scope)
+        expected = {}
+        for t in shapes:
+            with contextlib.suppress(TypeCheckError):
+                expected[canonical_key(t)] = synthesize(ctx, t)
+        assert {canonical_key(t): ty for t, ty in typed} == expected
+        assert len(typed) == len(expected)
+        clause_handlers += sum(isinstance(t, Handler) and bool(t.clauses) for t, _ in typed)
+        for want in wants:
+            terms = enumeration.check(n, scope, want)
+            clause_handlers += sum(isinstance(t, Handler) and bool(t.clauses) for t in terms)
+            checked = [canonical_key(t) for t in terms]
+            expected = set()
+            for t in shapes:
+                with contextlib.suppress(TypeCheckError):
+                    check_against(ctx, t, want)
+                    expected.add(canonical_key(t))
+            assert set(checked) == expected and len(checked) == len(expected)
+    assert clause_handlers > 0
+    if scope is _HANDLER_SCOPES[-1]:
+        assert unsynthesized in enumeration.check(4, scope, clause_result)
+        assert all(t != unsynthesized for t, _ in enumeration.synth(4, scope))
+        leaky = Handler((("op1", Var("b0")),), Var("b2"), Var("b3"))
+        assert leaky not in enumeration.check(4, scope, clause_result)
+
+
+def test_typed_enumeration_is_smallest_first():
+    sizes = [size(t) for t, _ in enumerate_typed(6)]
+    assert sizes == sorted(sizes)
+
+
+def test_typed_enumeration_matches_the_recorded_size_8_digests():
+    """Per size up to 8: the number of typed closed terms and a digest of
+    their sorted `term<TAB>type` lines, recorded with the reference
+    generate-and-filter.  Re-record from the repository root (about 3
+    minutes and 2.3 GB):
+
+        PYTHONPATH=src python -c "from tests.shapes import reference_typed, \\
+            typed_digests; print(typed_digests(reference_typed(8)), end='')" \\
+            > tests/expected/typed-size8.txt
+    """
+    recorded = (Path(__file__).parent / "expected" / "typed-size8.txt").read_text()
+    assert [int(line.split()[1]) for line in recorded.splitlines()] == [
+        3, 3, 7, 30, 74, 282, 1000, 3604
+    ]
+    assert typed_digests(enumerate_typed(8)) == recorded
+
+
 def test_typed_enumeration_is_deterministic():
     first = [(canonical_key(t), ty) for t, ty in enumerate_typed(5)]
     second = [(canonical_key(t), ty) for t, ty in enumerate_typed(5)]
@@ -85,7 +195,7 @@ def test_typed_enumeration_is_deterministic():
 
 
 def test_oracle_derives_everything_the_checker_synthesizes():
-    for t, ty in enumerate_typed(5):
+    for t, ty in enumerate_typed(6):
         assert derivable(CONTEXT, t, ty, depth=8), print_term(t)
 
 
