@@ -8,10 +8,11 @@ Five subcommands:
   fragment         run the built-in corpus and diff against the expected forms
   verify           run one of the metatheory property suites
 
-Exit status: 0 success; 1 parse or type error, or a file that cannot
-be read as UTF-8; 2 corpus mismatch or property failure; 3 stuck term or
-fuel exhaustion; 64 usage error.  When the reader of the output goes
-away (`efflam fragment | head -1`), the command stops quietly with 0.
+Exit status: 0 success; 1 parse or type error, a file that cannot be
+read as UTF-8, or input nested too deeply to process; 2 corpus mismatch
+or property failure; 3 stuck term or fuel exhaustion; 64 usage error.
+When the reader of the output goes away (`efflam fragment | head -1`),
+the command stops quietly with 0.
 Inline expressions (-e) parse in the built-in fragment environment, so
 the corpus signature (speaker, implicate, scope, ...) is available.
 """
@@ -230,7 +231,7 @@ def _report_outcome(trace: ReductionTrace, out: _Emitter) -> int:
     shown = print_term(erase(trace.final))
     match trace.outcome:
         case NormalForm():
-            out.line(shown, kind="normalForm", term=shown, steps=len(trace.steps))
+            out.line(shown, kind="normalForm", term=shown, steps=trace.step_count)
             return STATUS_OK
         case Stuck(path, reason):
             out.line(
@@ -388,6 +389,12 @@ def main(argv=None) -> int:
             case _:
                 raise AssertionError(args.command)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
+    except RecursionError:
+        # the parser and most term walkers recurse once per level of
+        # nesting, so the interpreter's stack bounds the input's depth
+        message = "input too deeply nested to process"
+        out.error(f"efflam: error: {message}", error="tooDeep", message=message)
+        return STATUS_BAD_TERM
     except BrokenPipeError:
         # nothing more can be shown; let the exit flush write to nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

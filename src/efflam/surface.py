@@ -118,13 +118,11 @@ def _lex(src: str) -> list[Token]:
         if kind == "newline":
             line, col = line + 1, 1
             continue
-        if kind == "comment":  # leaves the column as it was
-            continue
         if kind == "bad" or kind == "word" and not text[0].isalpha():
             raise ParseError(line, col, f"unexpected character {text[0]!r}")
         if kind == "word":
             kind = "kw" if text in KEYWORDS else "ident"
-        if kind != "blank":
+        if kind != "blank" and kind != "comment":
             tokens.append(Token(kind, text, line, col))
         col += len(text)
     tokens.append(Token("eof", "", line, col))

@@ -323,14 +323,66 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Abs(binder, body):
-            return free_vars(body) - {binder}
-        case Op(_, param, binder, cont):
-            return free_vars(param) | (free_vars(cont) - {binder})
-    return frozenset().union(*map(free_vars, children(t)))
+    return FreeVars()(t)
+
+
+class FreeVars:
+    """Free variables, with a memo keyed by node identity, for one job.
+
+    Calling an instance gives the free variables of a term and records
+    them for every node it visits; `memo` is that record, by `id`.  Each
+    entry holds its node, so an id cannot be reused while the memo
+    lives; variables and constants are not stored.  Create one per job
+    and drop it after: a memo that outlived its job would keep every
+    term it ever saw alive.
+    """
+
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple[Term, frozenset[str]]] = {}
+        self._depth = 0
+
+    def __call__(self, t: Term) -> frozenset[str]:
+        cls = type(t)
+        if cls is Var:
+            return frozenset((t.name,))
+        if cls is Const:
+            return _NO_VARS
+        hit = self.memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        if self._depth >= _FREE_VARS_DEPTH:
+            self._below(t)
+        # recursion is the fast way for the usual shallow term
+        self._depth += 1
+        if cls is App:
+            fv = self(t.fn) | self(t.arg)
+        elif cls is Abs:
+            fv = self(t.body) - {t.binder}
+        elif cls is Op:
+            fv = self(t.param) | (self(t.cont) - {t.binder})
+        else:
+            fv = _NO_VARS.union(*map(self, children(t)))
+        self._depth -= 1
+        self.memo[id(t)] = (t, fv)
+        return fv
+
+    def _below(self, t: Term) -> None:
+        """Record every unrecorded proper subterm of `t`, deepest first,
+        so that none of them recurses further."""
+        order = []
+        stack = list(children(t))
+        while stack:
+            node = stack.pop()
+            if type(node) is not Var and type(node) is not Const and id(node) not in self.memo:
+                order.append(node)
+                stack.extend(children(node))
+        for node in reversed(order):
+            self(node)
+
+
+# how deep `FreeVars` recurses before it records a subterm bottom-up
+_FREE_VARS_DEPTH = 100
+_NO_VARS: frozenset[str] = frozenset()
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -344,7 +396,7 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return name
 
 
-def subst(t: Term, name: str, repl: Term) -> Term:
+def subst(t: Term, name: str, repl: Term, fv: FreeVars | None = None) -> Term:
     """Capture-avoiding substitution of `repl` for free `name` in `t`.
 
     Identity is preserved: a subterm in which `name` does not occur free
@@ -354,8 +406,14 @@ def subst(t: Term, name: str, repl: Term) -> Term:
     subterm with `t`.  The walk itself finds the occurrences; free
     variables are computed only for `repl` (once, when an occurrence is
     found under a binder) and for the body of a binder that `repl`
-    mentions, to decide whether that binder must be renamed.
+    mentions, to decide whether that binder must be renamed.  They come
+    from the memo `fv` when one is given (else from a fresh one), and
+    the walk skips every subterm that `fv` already knows to be free of
+    `name`.
     """
+    if fv is None:
+        fv = FreeVars()
+    known = fv.memo.get if fv.memo else None
     repl_fv: frozenset[str] | None = None
 
     def under(binder: str, body: Term) -> tuple[str, Term]:
@@ -373,30 +431,34 @@ def subst(t: Term, name: str, repl: Term) -> Term:
             if body2 is body:
                 return binder, body
             if repl_fv is None:
-                repl_fv = free_vars(repl)
+                repl_fv = fv(repl)
             if binder not in repl_fv:
                 return binder, body2
         elif binder not in repl_fv:
             return binder, go(body)
-        body_fv = free_vars(body)
+        body_fv = fv(body)
         if name not in body_fv:
             return binder, body
         renamed = fresh_name(binder, repl_fv | body_fv | {name})
-        return renamed, go(subst(body, binder, Var(renamed)))
+        return renamed, go(subst(body, binder, Var(renamed), fv))
 
     def go(t: Term) -> Term:
-        match t:
-            case Var(n):
-                return repl if n == name else t
-            case Abs(binder, body):
-                binder2, body2 = under(binder, body)
-                return t if body2 is body else Abs(binder2, body2)
-            case Op(op, param, binder, cont):
-                param2 = go(param)
-                binder2, cont2 = under(binder, cont)
-                if param2 is param and cont2 is cont:
-                    return t
-                return Op(op, param2, binder2, cont2)
+        cls = type(t)
+        if cls is Var:
+            return repl if t.name == name else t
+        if known is not None:
+            hit = known(id(t))
+            if hit is not None and name not in hit[1]:
+                return t
+        if cls is Abs:
+            binder2, body2 = under(t.binder, t.body)
+            return t if body2 is t.body else Abs(binder2, body2)
+        if cls is Op:
+            param2 = go(t.param)
+            binder2, cont2 = under(t.binder, t.cont)
+            if param2 is t.param and cont2 is t.cont:
+                return t
+            return Op(t.op, param2, binder2, cont2)
         return rebuild(t, tuple(map(go, children(t))))
 
     return go(t)

@@ -11,7 +11,7 @@ import pytest
 import efflam
 from efflam import cli
 from efflam.cli import main
-from efflam.fragment import GoldenEntry, example
+from efflam.fragment import GoldenEntry, example, shipped_source
 from efflam.verify import SuiteReport
 
 GOOD_FILE = """
@@ -81,6 +81,31 @@ def test_status_stuck(capsys):
 def test_status_fuel_exhausted(capsys):
     assert main(["normalize", "-e", "(\\x. x x) (\\x. x x)", "--fuel", "50"]) == 3
     assert "fuel" in capsys.readouterr().out
+
+
+def _ladder_source(depth: int) -> str:
+    """A sentence of the fragment under `depth` indirect reports."""
+    text = "loves me (every woman')"
+    for i in range(depth):
+        text = f"said-is ({text}) {('john', 'mary')[i % 2]}"
+    return text
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_status_for_input_nested_too_deeply(tmp_path, fmt, capsys):
+    deep = "(" * 150 + "j" + ")" * 150
+    assert main(["normalize", "-e", deep, "--format", fmt]) == 1
+    path = tmp_path / "ladder.lam"
+    path.write_text(shipped_source() + f"check {_ladder_source(256)}.\n")
+    assert main(["check", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    if fmt == "text":
+        assert captured.out == ""
+        assert captured.err.count("too deeply nested") == 2
+    else:
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["error"] for r in records] == ["tooDeep", "tooDeep"]
+        assert all("too deeply nested" in r["message"] for r in records)
 
 
 def test_status_usage(capsys):
@@ -202,6 +227,18 @@ def test_trace_records_mode_agrees_with_text(capsys):
     assert [r["kind"] for r in records] == ["step", "step", "normalForm"]
     assert records[1]["rule"] == "beta"
     assert records[2]["term"] == "eta j"
+
+
+@pytest.mark.parametrize(
+    "expr", ["(\\x. x) j", "extract (eta j)", "j", "(\\x. \\y. eta (love x y)) j m"]
+)
+def test_normalize_records_count_the_steps_trace_shows(expr, capsys):
+    assert main(["normalize", "-e", expr, "--format", "records"]) == 0
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert main(["trace", "-e", expr, "--format", "records"]) == 0
+    traced = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record == traced[-1]
+    assert record["steps"] == len(traced) - 2  # less the init step and the verdict
 
 
 def test_normalize_random_strategy_agrees(capsys):

@@ -24,13 +24,17 @@ from efflam.reduce import (
 )
 from efflam.surface import parse_file, parse_term, print_term
 from efflam.syntax import (
+    EMPTY_ROW,
     Abs,
     Ann,
     App,
+    Atom,
     Cherry,
     Comp,
     Const,
     Eta,
+    Exchange,
+    Fun,
     Handler,
     Op,
     Var,
@@ -52,6 +56,7 @@ def me := do speaker(*, \\x. eta x).
 """
 
 FILE = parse_file(DECLS)
+A = Atom("A")
 ENV = FILE.env()
 CTX = FILE.context()
 
@@ -361,6 +366,7 @@ def _assert_agrees_with_rescan(term, fuel=100_000):
     steps, final = _normalize_by_rescan(term, fuel)
     assert [(s.rule, s.path, s.term) for s in trace.steps] == steps
     assert trace.final == final
+    assert trace.step_count == len(steps)
     return trace
 
 
@@ -378,7 +384,7 @@ def test_resumed_search_on_the_golden_corpus():
         assert isinstance(trace.outcome, NormalForm)
 
 
-@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize("depth", [8, 16, 32, 64])
 def test_resumed_search_on_the_deep_ladder(depth):
     trace = _assert_agrees_with_rescan(_ladder(depth))
     assert isinstance(trace.outcome, NormalForm)
@@ -404,3 +410,93 @@ def test_a_step_can_make_an_ancestor_a_redex():
     trace = _assert_agrees_with_rescan(term)
     assert [(s.rule, s.path) for s in trace.steps] == [(Rule.beta, (0, 0)), (Rule.eta, ())]
     assert trace.final == Const("love")
+
+
+def test_a_discarding_beta_can_make_a_binder_three_frames_up_an_eta_redex():
+    # \x. f ((\y. c) x) x: the beta at (0, 0, 1) drops the argument x,
+    # so x is no longer free in the function `f ...` under the root
+    term = Abs("x", App(App(Const("f"), App(Abs("y", Const("c")), Var("x"))), Var("x")))
+    trace = _assert_agrees_with_rescan(term)
+    assert [(s.rule, s.path) for s in trace.steps] == [(Rule.beta, (0, 0, 1)), (Rule.eta, ())]
+
+
+def test_a_discarding_beta_can_make_a_commute_an_op_redex():
+    # commute (\x. do op((\y. c) x, \z. eta z)): blocked while the
+    # operation's parameter mentions x, a cOp redex once it does not
+    term = Exchange(
+        Abs("x", Op("op", App(Abs("y", Const("c")), Var("x")), "z", Eta(Var("z"))))
+    )
+    trace = _assert_agrees_with_rescan(term)
+    assert [(s.rule, s.path) for s in trace.steps][:2] == [(Rule.beta, (0, 0, 0)), (Rule.cOp, ())]
+
+
+def test_a_handler_dropping_its_clauses_can_make_a_binder_an_eta_redex():
+    # \x. f (handle { op -> x } (eta c)) x: bananaEta discards the
+    # clause, the only place x occurs in the function under the root
+    dropped = Handler((("op", Var("x")),), Abs("v", Var("v")), Eta(Const("c")))
+    term = Abs("x", App(App(Const("f"), dropped), Var("x")))
+    trace = _assert_agrees_with_rescan(term)
+    assert [(s.rule, s.path) for s in trace.steps][:2] == [
+        (Rule.bananaEta, (0, 0, 1)),
+        (Rule.eta, ()),
+    ]
+
+
+def _far_binder_terms(rng, count):
+    r"""Random untyped terms, half of them under a binder that a step deep
+    inside may free: `\x. M x` (eta) or `commute (\x. do op(M, K))` (cOp)."""
+    names = ["x", "y", "z"]
+
+    def gen(depth):
+        if depth <= 0 or rng.random() < 0.15:
+            if rng.random() < 0.6:
+                return Var(rng.choice(names))
+            return Const(rng.choice(["c", "f"]))
+        sub = lambda: gen(depth - 1)  # noqa: E731
+        k = rng.randrange(11)
+        if k <= 2:
+            return Abs(rng.choice(names), sub())
+        if k <= 5:
+            return App(sub(), sub())
+        if k == 6:
+            return Eta(sub())
+        if k == 7:
+            return Op(rng.choice(["a", "b"]), sub(), rng.choice(names), sub())
+        if k == 8:
+            return Cherry(sub()) if rng.random() < 0.5 else Exchange(sub())
+        if k == 9:
+            clauses = {rng.choice(["a", "b"]): sub() for _ in range(rng.randrange(3))}
+            scrutinee = Eta(sub()) if rng.random() < 0.5 else sub()
+            return Handler(tuple(sorted(clauses.items())), sub(), scrutinee)
+        return Ann(sub(), Fun(A, Comp(EMPTY_ROW, A)))
+
+    for _ in range(count):
+        term = gen(rng.randrange(2, 9))
+        if rng.random() < 0.5:
+            x = rng.choice(names)
+            for _ in range(rng.randrange(4)):
+                term = App(Const("f"), term) if rng.random() < 0.5 else App(term, Const("c"))
+            if rng.random() < 0.5:
+                term = Abs(x, App(term, Var(x)))
+            else:
+                term = Exchange(Abs(x, Op("a", term, rng.choice(names), gen(2))))
+            for _ in range(rng.randrange(3)):
+                term = Eta(term) if rng.random() < 0.5 else App(Const("f"), term)
+        yield term
+
+
+def test_resumed_search_under_binders_that_steps_deep_inside_free():
+    rng = random.Random(5)
+    for term in _far_binder_terms(rng, 3000):
+        fuel = rng.choice([0, 1, 2, 5, 40])
+        trace = _assert_agrees_with_rescan(term, fuel)
+        quiet = normalize(term, fuel=fuel, record_steps=False)
+        assert quiet.final == trace.final and quiet.outcome == trace.outcome
+        assert quiet.step_count == trace.step_count == len(trace.steps)
+
+
+def test_the_free_variable_memo_does_not_outlive_a_normalization():
+    import efflam.reduce as reduce_module
+
+    normalize(_ladder(2))
+    assert reduce_module._MEMO.get() is None

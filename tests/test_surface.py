@@ -183,6 +183,12 @@ def test_operation_continuation_must_be_a_lambda():
     assert "must be a lambda" in str(e)
 
 
+def test_error_position_after_a_comment():
+    # the comment's characters count towards the column of what follows
+    e = err("(eta j # unclosed")
+    assert (e.line, e.col) == (1, 18)
+
+
 def test_multiline_error_positions():
     e = err("love j\n  ghost")
     assert (e.line, e.col) == (2, 3)
@@ -298,7 +304,7 @@ def _lex_by_characters(src):
             continue
         if c == "#":
             while i < n and src[i] != "\n":
-                i += 1
+                i, col = i + 1, col + 1
             continue
         if c.isalpha():
             start = i

@@ -17,6 +17,7 @@ from efflam.syntax import (
     EMPTY_ROW,
     Eta,
     Exchange,
+    FreeVars,
     Handler,
     Op,
     RowError,
@@ -248,6 +249,60 @@ def test_subst_agrees_with_the_rescanning_reference(t, x, r):
     assert alpha_eq(got, want)
     assert got == want  # the same fresh names, too
     assert (got is t) == (x not in free_vars(t))
+
+
+@settings(max_examples=400)
+@given(terms, st.sampled_from(NAMES), terms, st.booleans())
+def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
+    # the memo only tells the walk which subterms to skip: the result,
+    # fresh names included, is the same whether it knows much or nothing
+    fv = FreeVars()
+    if filled:
+        fv(t)
+    got = subst(t, x, r, fv)
+    assert got == subst(t, x, r)
+    assert (got is t) == (x not in free_vars(t))
+
+
+def _free_vars_by_recursion(t):
+    """Reference: free variables by structural recursion."""
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case Abs(binder, body):
+            return _free_vars_by_recursion(body) - {binder}
+        case Op(_, param, binder, cont):
+            return _free_vars_by_recursion(param) | (_free_vars_by_recursion(cont) - {binder})
+    return frozenset().union(*map(_free_vars_by_recursion, children(t)))
+
+
+@given(terms)
+def test_free_var_memo_agrees_with_the_recursive_reference(t):
+    fv = FreeVars()
+    assert fv(t) == free_vars(t) == _free_vars_by_recursion(t)
+    for child in children(t):
+        want = _free_vars_by_recursion(child)
+        assert fv.memo.get(id(child), (None, want))[1] == want
+    if children(t):
+        assert fv(t) is fv.memo[id(t)][1]  # the second answer is the recorded one
+
+
+def test_free_var_memo_skips_leaves_and_shares_subterms():
+    shared = App(Var("x"), Const("c"))
+    t = App(Abs("x", shared), shared)
+    fv = FreeVars()
+    assert fv(t) == {"x"}
+    # one entry per compound node; the shared subterm is recorded once
+    assert {id(node) for node, _ in fv.memo.values()} == {id(t), id(t.fn), id(shared)}
+
+
+def test_free_var_memo_is_not_bounded_by_the_recursion_limit():
+    deep = Var("y")
+    for i in range(20_000):
+        deep = App(Abs(f"x{i % 3}", deep), Const("c"))
+    fv = FreeVars()
+    assert fv(deep) == {"y"}
+    assert fv(Abs("y", deep)) == frozenset()
 
 
 @given(terms, st.sampled_from(NAMES))
