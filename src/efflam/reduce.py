@@ -42,6 +42,19 @@ ancestors, the normalizer asks it for the body's free variables, to
 see whether the step drops its argument; substitution then skips every
 subterm of the body that does not mention the variable, so the step
 rebuilds only the paths to its occurrences.
+
+A random-strategy step also costs work in the depth of its redex, not
+in the size of the term.  It draws one of the term's redexes uniformly,
+numbered in `candidates` order, but it never lists them: a memo keyed
+by node identity (`_RedexCounts`) holds each node's rule and the number
+of redexes in its subtree, and the drawn redex is found by walking down
+from the root, passing over whole children by their counts.
+`contract_at` shares every subterm that a step leaves unchanged, so
+only the rebuilt path and the contractum's new nodes are counted after
+a step.  The draw is `rng.choice(range(n))` for `n` redexes, which
+consumes the generator exactly as `rng.choice` over the list of the `n`
+candidates does, so a seed gives the same steps whether the candidates
+are listed or counted.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ from .syntax import (
     App,
     Cherry,
     Comp,
+    Const,
     Eta,
     Exchange,
     FreeVars,
@@ -458,6 +472,14 @@ def normalize(
 
     `fuel` bounds the number of steps: a term whose normal form is
     `fuel` steps away reaches it.
+
+    randomSeeded numbers the redexes of the term in `candidates` order
+    before each step and takes number `rng.choice(range(n))` from a
+    `random.Random(seed)`.  That is the draw `rng.choice` makes from a
+    list of `n` candidates, so a seed fixes the same reduction sequence
+    as a strategy that lists them; the redexes are counted per subterm
+    instead (see the module docstring), so a step costs work in the
+    redex's depth, not in the term's size.
     """
     if strategy == "exhaustiveCheck":
         graph = reduction_graph(t, fuel)
@@ -470,24 +492,7 @@ def normalize(
         return _leftmost_outermost(t, fuel, record_steps)
     if strategy != "randomSeeded":
         raise ValueError(f"unknown strategy {strategy!r}")
-    rng = random.Random(seed)
-    steps: list[Step] = []
-    current = t
-    # one search more than there are steps: after the last step the
-    # term may already be normal
-    for spent in range(fuel + 1):
-        cands = candidates(current)
-        if not cands:
-            stuck = blocked_at(current)
-            outcome = Stuck(*stuck) if stuck else NormalForm()
-            return ReductionTrace(t, steps, outcome, current, spent)
-        if spent == fuel:
-            break
-        rule, path = rng.choice(cands)
-        current = contract_at(current, path, rule)
-        if record_steps:
-            steps.append(Step(rule, path, current))
-    return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
+    return _random_seeded(t, fuel, seed, record_steps)
 
 
 def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
@@ -617,3 +622,171 @@ def _whole(frames: list[list], focus: Term, top: int = 0) -> Term:
         frame[1] = s = rebuild(s, kids)
         focus = _rewrap(tys, s)
     return focus
+
+
+def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
+    rng = random.Random(seed)
+    fv = FreeVars()
+    counts = _RedexCounts(fv)
+    token = _MEMO.set(fv)
+    try:
+        steps: list[Step] = []
+        current = t
+        # one count more than there are steps: after the last step the
+        # term may already be normal
+        for spent in range(fuel + 1):
+            n = counts.total(current)
+            if not n:
+                return _ended(t, steps, current, spent)
+            if spent == fuel:
+                break
+            # draws from the RNG exactly as `rng.choice(candidates(current))`
+            rule, path = counts.find(current, rng.choice(range(n)))
+            current = contract_at(current, path, rule)
+            if record_steps:
+                steps.append(Step(rule, path, current))
+        return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
+    finally:
+        _MEMO.reset(token)
+
+
+class _RedexCounts:
+    """Redexes per subterm, with a memo keyed by node identity, for one
+    random-strategy normalization.
+
+    `memo` maps the id of every ascription-free node counted to the node
+    itself (so that its id cannot be reused while the entry lives), the
+    rule at the node (`_rule_at`, or None) and the number of redexes in
+    its subtree, where a shared subterm counts once per position, as in
+    `candidates`.  Variables and constants have none and are not stored.
+    The memo is closed under subterms: a node's entry implies entries
+    for every ascription-free node below it but variables and constants.
+
+    `fv` answers the side conditions of eta and cOp.  Once the memo
+    reaches twice the size it had after the last prune, both memos are
+    cut down to the nodes of the current term, so neither keeps every
+    term the normalization ever built alive, at an amortized cost of
+    O(1) per entry.
+    """
+
+    def __init__(self, fv: FreeVars) -> None:
+        self.fv = fv
+        self.memo: dict[int, tuple[Term, Rule | None, int]] = {}
+        self._depth = 0
+        self._prune_at = _PRUNE_AT_LEAST
+
+    def total(self, t: Term) -> int:
+        """The number of redexes of the whole term `t`."""
+        n = self.count(t)
+        if len(self.memo) >= self._prune_at:
+            self._prune(t)
+            self._prune_at = max(2 * len(self.memo), _PRUNE_AT_LEAST)
+        return n
+
+    def count(self, t: Term) -> int:
+        """The number of redexes of `t`, counted for every uncounted
+        node of `t`."""
+        while type(t) is Ann:
+            t = t.term
+        cls = type(t)
+        if cls is Var or cls is Const:
+            return 0
+        memo = self.memo
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[2]
+        if self._depth >= _COUNT_DEPTH:
+            self._below(t)
+        # recursion is the fast way for the usual shallow term; after a
+        # step, all but one child of each new node are in the memo
+        self._depth += 1
+        n = 0
+        for kid in children(t):
+            while type(kid) is Ann:
+                kid = kid.term
+            cls = type(kid)
+            if cls is not Var and cls is not Const:
+                hit = memo.get(id(kid))
+                n += self.count(kid) if hit is None else hit[2]
+        self._depth -= 1
+        rule = _rule_at(t, self.fv)
+        if rule is not None:
+            n += 1
+        memo[id(t)] = (t, rule, n)
+        return n
+
+    def _below(self, t: Term) -> None:
+        """Count every uncounted proper subterm of `t`, deepest first, so
+        that none of them recurses further."""
+        memo = self.memo
+        order = []
+        seen = set()
+        stack = list(children(t))
+        while stack:
+            node = stack.pop()
+            while type(node) is Ann:
+                node = node.term
+            cls = type(node)
+            if cls is Var or cls is Const or id(node) in memo or id(node) in seen:
+                continue
+            seen.add(id(node))
+            order.append(node)
+            stack.extend(children(node))
+        for node in reversed(order):
+            self.count(node)
+
+    def find(self, t: Term, k: int) -> tuple[Rule, Path]:
+        """The `k`-th redex of the counted term `t` (from 0) in
+        `candidates` order: pre-order, children left to right."""
+        memo = self.memo
+        path = []
+        while True:
+            while type(t) is Ann:
+                t = t.term
+            rule = memo[id(t)][1]
+            if rule is not None:
+                if not k:
+                    return rule, tuple(path)
+                k -= 1
+            # k < the count of t's subtree, so some child holds the redex
+            for i, kid in enumerate(children(t)):
+                while type(kid) is Ann:
+                    kid = kid.term
+                cls = type(kid)
+                if cls is not Var and cls is not Const:
+                    n = memo[id(kid)][2]
+                    if k < n:
+                        break
+                    k -= n
+            path.append(i)
+            t = kid
+
+    def _prune(self, root: Term) -> None:
+        """Keep only the entries, in both memos, of nodes of `root`."""
+        memo, fv_memo = self.memo, self.fv.memo
+        kept: dict[int, tuple[Term, Rule | None, int]] = {}
+        kept_fv: dict[int, tuple[Term, frozenset[str]]] = {}
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            if cls is Var or cls is Const:
+                continue
+            key = id(t)
+            if cls is not Ann:
+                # each node is walked once, however often it is shared
+                if key in kept:
+                    continue
+                kept[key] = memo[key]
+            hit = fv_memo.get(key)
+            if hit is not None:
+                kept_fv[key] = hit
+            stack.extend(children(t))
+        self.memo = kept
+        self.fv.memo = kept_fv
+
+
+# how deep `_RedexCounts` recurses before it counts a subterm bottom-up
+_COUNT_DEPTH = 100
+# the fewest entries at which `_RedexCounts` prunes its memos
+_PRUNE_AT_LEAST = 1024

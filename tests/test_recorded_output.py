@@ -1,7 +1,8 @@
 """Printed output compared byte for byte with output recorded earlier.
 
 The files under `expected/` pin what a refactoring must not change: the
-corpus report, the trace of the shipped declaration file, and every
+corpus report, the trace of the shipped declaration file (under the
+default strategy and under one seed of the random one), and every
 reduction step of the golden corpus.  After an intended change of
 output, re-record them from the repository root:
 
@@ -11,6 +12,10 @@ output, re-record them from the repository root:
         > tests/expected/trace-fragment-lam.text
     python -m efflam trace src/efflam/fragment.lam --format records \\
         > tests/expected/trace-fragment-lam.records
+    python -m efflam trace --strategy randomSeeded --seed 7 src/efflam/fragment.lam \\
+        --format text > tests/expected/trace-fragment-lam-random-seed7.text
+    python -m efflam trace --strategy randomSeeded --seed 7 src/efflam/fragment.lam \\
+        --format records > tests/expected/trace-fragment-lam-random-seed7.records
     python -c "from tests.test_recorded_output import golden_steps; \\
         print(golden_steps(), end='')" > tests/expected/golden-steps.txt
 """
@@ -60,6 +65,14 @@ def test_trace_of_the_shipped_file_is_unchanged(fmt, capsys):
     with resources.as_file(resources.files("efflam") / "fragment.lam") as shipped:
         assert main(["trace", str(shipped), "--format", fmt]) == 0
     assert capsys.readouterr().out == _recorded(f"trace-fragment-lam.{fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_random_trace_of_the_shipped_file_is_unchanged(fmt, capsys):
+    with resources.as_file(resources.files("efflam") / "fragment.lam") as shipped:
+        argv = ["trace", "--strategy", "randomSeeded", "--seed", "7", str(shipped)]
+        assert main([*argv, "--format", fmt]) == 0
+    assert capsys.readouterr().out == _recorded(f"trace-fragment-lam-random-seed7.{fmt}")
 
 
 def test_golden_steps_are_unchanged():

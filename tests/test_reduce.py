@@ -237,6 +237,7 @@ def test_deep_terms_normalize_without_recursion():
     deep = _nest(3000, App(Abs("x", Var("x")), Const("j")))
     assert candidates(deep) == [(Rule.beta, (0,) * 3000)]
     assert isinstance(normalize(deep).outcome, NormalForm)
+    assert isinstance(normalize(deep, "randomSeeded").outcome, NormalForm)
     assert blocked_at(_nest(3000, Cherry(Op("speaker", Const("*"), "x", Eta(Var("x")))))) == (
         (0,) * 3000,
         "extract is stuck: the computation performs operation speaker",
@@ -370,6 +371,34 @@ def _assert_agrees_with_rescan(term, fuel=100_000):
     return trace
 
 
+def _normalize_random_by_rescan(term, seed, fuel):
+    """Reference random strategy: lists every redex of the whole term
+    before each step and lets the RNG choose among them."""
+    rng = random.Random(seed)
+    steps, current = [], term
+    for spent in range(fuel + 1):
+        found = candidates(current)
+        if not found:
+            stuck = blocked_at(current)
+            return steps, Stuck(*stuck) if stuck else NormalForm(), current, spent
+        if spent == fuel:
+            break
+        rule, path = rng.choice(found)
+        current = contract_at(current, path, rule)
+        steps.append((rule, path, current))
+    return steps, FuelExhausted(), current, fuel
+
+
+def _assert_random_agrees_with_rescan(term, seed, fuel=100_000):
+    trace = normalize(term, "randomSeeded", fuel=fuel, seed=seed)
+    steps, outcome, final, count = _normalize_random_by_rescan(term, seed, fuel)
+    assert [(s.rule, s.path, s.term) for s in trace.steps] == steps
+    assert trace.outcome == outcome
+    assert trace.final == final
+    assert trace.step_count == count
+    return trace
+
+
 def _ladder(depth: int):
     """The sentence "every woman loves me" under `depth` indirect reports."""
     tree = Branch(Branch(Word("loves"), Word("me")), Branch(Word("every"), Word("woman")))
@@ -410,6 +439,8 @@ def test_a_step_can_make_an_ancestor_a_redex():
     trace = _assert_agrees_with_rescan(term)
     assert [(s.rule, s.path) for s in trace.steps] == [(Rule.beta, (0, 0)), (Rule.eta, ())]
     assert trace.final == Const("love")
+    for seed in range(4):
+        _assert_random_agrees_with_rescan(term, seed)
 
 
 def test_a_discarding_beta_can_make_a_binder_three_frames_up_an_eta_redex():
@@ -418,6 +449,8 @@ def test_a_discarding_beta_can_make_a_binder_three_frames_up_an_eta_redex():
     term = Abs("x", App(App(Const("f"), App(Abs("y", Const("c")), Var("x"))), Var("x")))
     trace = _assert_agrees_with_rescan(term)
     assert [(s.rule, s.path) for s in trace.steps] == [(Rule.beta, (0, 0, 1)), (Rule.eta, ())]
+    for seed in range(4):
+        _assert_random_agrees_with_rescan(term, seed)
 
 
 def test_a_discarding_beta_can_make_a_commute_an_op_redex():
@@ -428,6 +461,8 @@ def test_a_discarding_beta_can_make_a_commute_an_op_redex():
     )
     trace = _assert_agrees_with_rescan(term)
     assert [(s.rule, s.path) for s in trace.steps][:2] == [(Rule.beta, (0, 0, 0)), (Rule.cOp, ())]
+    for seed in range(4):
+        _assert_random_agrees_with_rescan(term, seed)
 
 
 def test_a_handler_dropping_its_clauses_can_make_a_binder_an_eta_redex():
@@ -440,6 +475,8 @@ def test_a_handler_dropping_its_clauses_can_make_a_binder_an_eta_redex():
         (Rule.bananaEta, (0, 0, 1)),
         (Rule.eta, ()),
     ]
+    for seed in range(4):
+        _assert_random_agrees_with_rescan(term, seed)
 
 
 def _far_binder_terms(rng, count):
@@ -500,3 +537,69 @@ def test_the_free_variable_memo_does_not_outlive_a_normalization():
 
     normalize(_ladder(2))
     assert reduce_module._MEMO.get() is None
+    normalize(_ladder(2), "randomSeeded")
+    assert reduce_module._MEMO.get() is None
+
+
+# ---------------------------------------------------------------------------
+# The random strategy's counted draw agrees with a full rescan per step
+
+
+@pytest.mark.parametrize("entry", GOLDENS, ids=lambda entry: str(entry.number))
+def test_random_strategy_on_the_golden_corpus(entry):
+    term = entry.term(Const("s"))
+    for seed in range(50):
+        for fuel in (0, 1, 3):
+            _assert_random_agrees_with_rescan(term, seed, fuel)
+        trace = _assert_random_agrees_with_rescan(term, seed)
+        assert isinstance(trace.outcome, NormalForm)
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_random_strategy_on_the_deep_ladder(depth):
+    for seed in range(2):
+        trace = _assert_random_agrees_with_rescan(_ladder(depth), seed)
+        assert isinstance(trace.outcome, NormalForm)
+
+
+def test_random_strategy_on_sampled_typed_terms():
+    rng = random.Random(13)
+    for seed in range(3000):
+        ty = Comp(rng.choice(_ROWS), _sample_type(rng, 2))
+        _assert_random_agrees_with_rescan(sample_typed(rng, ty, 7), seed, fuel=2_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms)
+def test_random_strategy_on_untyped_terms(tm):
+    for seed in range(3):
+        _assert_random_agrees_with_rescan(tm, seed, fuel=60)
+
+
+def test_random_strategy_under_binders_that_steps_deep_inside_free():
+    # the side conditions of eta and cOp read below the node they decide
+    rng = random.Random(5)
+    for term in _far_binder_terms(rng, 500):
+        for seed in range(4):
+            _assert_random_agrees_with_rescan(term, seed, fuel=40)
+
+
+def test_random_strategy_memory_does_not_grow_with_the_steps():
+    # each step of omega builds a new term; the memos must not keep the
+    # old ones alive
+    import gc
+    import tracemalloc
+
+    omega = App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("x"))))
+    peaks = []
+    for fuel in (2_000, 20_000):
+        # without it, the peaks depend on when the collector last ran
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = normalize(omega, "randomSeeded", fuel=fuel, record_steps=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert isinstance(trace.outcome, FuelExhausted) and trace.step_count == fuel
+    assert peaks[1] <= 1.5 * peaks[0], peaks
