@@ -180,7 +180,7 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 def _rule_at(s: Term, fv) -> Rule | None:
     """The rule contracting the ascription-free node `s`, if any; `fv`
-    gives free variables (`free_vars`, or a normalizer's memo)."""
+    gives free variables (a `FreeVars` memo)."""
     match s:
         case App(fn, _) if isinstance(_strip(fn), Abs):
             return Rule.beta
@@ -315,8 +315,9 @@ def _positions(t: Term) -> Iterator[tuple[Term, Path]]:
 def candidates(t: Term) -> list[tuple[Rule, Path]]:
     """Every redex of `t` as (rule, position), leftmost-outermost first."""
     found: list[tuple[Rule, Path]] = []
+    fv = FreeVars()
     for s, path in _positions(t):
-        rule = _rule_at(s, free_vars)
+        rule = _rule_at(s, fv)
         if rule is not None:
             found.append((rule, path))
     return found
@@ -514,14 +515,10 @@ _KEPT: frozenset[str] = frozenset()
 
 
 def _leftmost_outermost(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
-    # a term in normal form needs neither the memo nor the zipper
-    hit = _search([(t, ())], free_vars)
-    if hit is None:
-        return _ended(t, [], t, 0)
     fv = FreeVars()
     token = _MEMO.set(fv)
     try:
-        return _zipper(t, hit, fuel, record_steps, fv)
+        return _zipper(t, fuel, record_steps, fv)
     finally:
         _MEMO.reset(token)
 
@@ -532,9 +529,7 @@ def _ended(t: Term, steps: list[Step], final: Term, count: int) -> ReductionTrac
     return ReductionTrace(t, steps, Stuck(*stuck) if stuck else NormalForm(), final, count)
 
 
-def _zipper(
-    t: Term, hit: tuple[Rule, Path], fuel: int, record_steps: bool, fv: FreeVars
-) -> ReductionTrace:
+def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTrace:
     """Leftmost-outermost normalization on a zipper (see the module
     docstring for why each step re-checks only a few ancestors).
 
@@ -547,6 +542,7 @@ def _zipper(
     focus = t
     steps: list[Step] = []
     count = 0
+    hit = _search([(t, ())], fv)
     while hit is not None:
         rule, path = hit
         for i in path:

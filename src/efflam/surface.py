@@ -8,13 +8,17 @@ alpha-equivalent term whenever the names it mentions are declared.
 Binary sequencing and lifting sugar (`>>=`, `.>>`, `<<.`, `<<.>>`) and
 the lifted connectives (`/\\~`, `->~`, `=~`) expand at parse time into
 their handler definitions; the bare connectives (`/\\`, `->`, `=`)
-are infix spellings of the declared constants `and`, `imp`, `eq`.
+are infix spellings of the declared constants `and`, `imp`, `eq`.  One
+table, `_INFIX`, gives each operator's binding level and associativity
+to the lexer, the parser and the printer.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
@@ -56,36 +60,42 @@ KEYWORDS = {
 
 RESERVED = KEYWORDS | {"F"}
 
-_SYMBOLS = [
-    "<<.>>",
-    "/\\~",
-    "->~",
-    "<<.",
-    ".>>",
-    ">>=",
-    "=~",
-    "/\\",
-    "->",
-    "~>",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ".",
-    ":=",
-    ":",
-    "=",
-    "\\",
-    "*",
-]
+
+class _Infix(NamedTuple):
+    level: int  # binding level: 0 is the loosest
+    assoc: str  # left | right | none
+    constant: str | None  # the declared constant the sugar needs
+    build: Callable[[Term, Term], Term] | None  # None: `constant` applied to both
+
+
+# every infix operator, loosest first; the bare connectives (no builder)
+# are the ones the printer writes back as infix
+_INFIX = {
+    ">>=": _Infix(0, "left", None, bind),
+    "->": _Infix(1, "right", "imp", None),
+    "->~": _Infix(1, "right", "imp", partial(lift_binary, "imp")),
+    "/\\": _Infix(2, "left", "and", None),
+    "/\\~": _Infix(2, "left", "and", partial(lift_binary, "and")),
+    "=": _Infix(3, "none", "eq", None),
+    "=~": _Infix(3, "none", "eq", partial(lift_binary, "eq")),
+    "<<.": _Infix(4, "left", None, apply_right),
+    ".>>": _Infix(4, "left", None, apply_left),
+    "<<.>>": _Infix(4, "left", None, apply_both),
+}
+
+_TIGHTEST = max(op.level for op in _INFIX.values())
+
+# longest first, so that the lexer takes the longest symbol that matches
+_SYMBOLS = sorted(
+    [*_INFIX, "~>", "(", ")", "{", "}", ",", ".", ":=", ":", "\\", "*"], key=len, reverse=True
+)
 
 # what the lexer reads at each step: a line break, a run of blanks, a
 # comment, a word (letters, digits, `_` and `'`, and `-` when a letter
 # or digit follows it; `\w` is exactly `str.isalnum` plus `_`, and the
 # lexer checks that the first character passes `str.isalpha`), the unit
-# type, a symbol (the first in the order above that matches), or any
-# other character, which is an error
+# type, a symbol (the longest that matches), or any other character,
+# which is an error
 _TOKEN = re.compile(
     r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
     r"|(?P<word>[^\W\d_](?:[\w']|-[^\W_])*)|(?P<one>1)"
@@ -259,67 +269,32 @@ class _Parser:
             return Atom(tok.text)
         self.fail("expected a type")
 
-    # -- terms, loosest binding first
+    # -- terms
 
-    def term(self) -> Term:
-        left = self.imp_term()
-        while self.at_sym(">>="):
-            self.next()
-            left = bind(left, self.imp_term())
-        return left
-
-    def imp_term(self) -> Term:
-        left = self.conj_term()
-        if self.at_sym("->"):
-            self.require_constant("imp", self.next())
-            return App(App(Const("imp"), left), self.imp_term())
-        if self.at_sym("->~"):
-            self.require_constant("imp", self.next())
-            return lift_binary("imp", left, self.imp_term())
-        return left
-
-    def conj_term(self) -> Term:
-        left = self.eq_term()
-        while True:
-            if self.at_sym("/\\"):
-                self.require_constant("and", self.next())
-                left = App(App(Const("and"), left), self.eq_term())
-            elif self.at_sym("/\\~"):
-                self.require_constant("and", self.next())
-                left = lift_binary("and", left, self.eq_term())
-            else:
-                return left
-
-    def eq_term(self) -> Term:
-        left = self.lift_term()
-        if self.at_sym("="):
-            self.require_constant("eq", self.next())
-            return App(App(Const("eq"), left), self.lift_term())
-        if self.at_sym("=~"):
-            self.require_constant("eq", self.next())
-            return lift_binary("eq", left, self.lift_term())
-        return left
-
-    def require_constant(self, name: str, tok: Token) -> None:
-        if name not in self.env.constants:
-            raise ParseError(
-                tok.line, tok.col, f"this sugar needs a declared constant {name}"
-            )
-
-    def lift_term(self) -> Term:
+    def term(self, level: int = 0) -> Term:
+        """An operand, then every infix operator that binds at `level` or
+        tighter, by precedence climbing over `_INFIX` (Pratt, "Top Down
+        Operator Precedence", POPL 1973)."""
         left = self.app_term()
+        # the tightest operator that may follow: after an operator, only
+        # looser ones, or the same level again if it is left-associative
+        limit = _TIGHTEST
         while True:
-            if self.at_sym("<<."):
-                self.next()
-                left = apply_right(left, self.app_term())
-            elif self.at_sym(".>>"):
-                self.next()
-                left = apply_left(left, self.app_term())
-            elif self.at_sym("<<.>>"):
-                self.next()
-                left = apply_both(left, self.app_term())
-            else:
+            tok = self.peek()
+            op = _INFIX.get(tok.text) if tok.kind == "sym" else None
+            if op is None or not level <= op.level <= limit:
                 return left
+            self.next()
+            if op.constant is not None and op.constant not in self.env.constants:
+                raise ParseError(
+                    tok.line, tok.col, f"this sugar needs a declared constant {op.constant}"
+                )
+            right = self.term(op.level if op.assoc == "right" else op.level + 1)
+            if op.build is None:
+                left = App(App(Const(op.constant), left), right)
+            else:
+                left = op.build(left, right)
+            limit = op.level if op.assoc == "left" else op.level - 1
 
     def app_term(self) -> Term:
         if self.at_sym("\\"):
@@ -539,9 +514,17 @@ def print_type(ty: Type) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-_BIND, _IMP, _CONJ, _EQ, _LIFT, _APP, _UNIT = range(7)
+# printing levels: the operators', then application, then atoms
+_BIND, _APP, _UNIT = 0, _TIGHTEST + 1, _TIGHTEST + 2
 
-_INFIX = {"imp": (_IMP, _CONJ, _IMP, "->"), "and": (_CONJ, _CONJ, _EQ, "/\\"), "eq": (_EQ, _LIFT, _LIFT, "=")}
+# each bare connective's constant: (level, left operand's level, right
+# operand's level, symbol); the operand on the associative side sits at
+# the operator's own level, the other one level tighter
+_PRINTED_INFIX = {
+    op.constant: (op.level, op.level + (op.assoc != "left"), op.level + (op.assoc != "right"), sym)
+    for sym, op in _INFIX.items()
+    if op.build is None
+}
 
 
 def print_term(t: Term) -> str:
@@ -559,8 +542,8 @@ def print_term(t: Term) -> str:
                 return _UNIT, name
             case Abs(binder, body):
                 return _BIND, f"\\{binder}. {go(body, _BIND)}"
-            case App(App(Const(c), a), b) if c in _INFIX:
-                lvl, llvl, rlvl, sym = _INFIX[c]
+            case App(App(Const(c), a), b) if c in _PRINTED_INFIX:
+                lvl, llvl, rlvl, sym = _PRINTED_INFIX[c]
                 return lvl, f"{go(a, llvl)} {sym} {go(b, rlvl)}"
             case App(fn, arg):
                 return _APP, f"{go(fn, _APP)} {go(arg, _UNIT)}"

@@ -370,10 +370,16 @@ class FreeVars:
         """Record every unrecorded proper subterm of `t`, deepest first,
         so that none of them recurses further."""
         order = []
+        seen = set()
         stack = list(children(t))
         while stack:
             node = stack.pop()
-            if type(node) is not Var and type(node) is not Const and id(node) not in self.memo:
+            if type(node) is Var or type(node) is Const:
+                continue
+            key = id(node)
+            # a node shared by several parents is queued once
+            if key not in self.memo and key not in seen:
+                seen.add(key)
                 order.append(node)
                 stack.extend(children(node))
         for node in reversed(order):

@@ -93,10 +93,19 @@ def _ladder_source(depth: int) -> str:
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
 def test_status_for_input_nested_too_deeply(tmp_path, fmt, capsys):
-    deep = "(" * 150 + "j" + ")" * 150
-    assert main(["normalize", "-e", deep, "--format", fmt]) == 1
+    # the parser spends three frames per level of parentheses, so these
+    # fit in the interpreter's stack
+    for n in (150, 300):
+        deep = "(" * n + "j" + ")" * n
+        assert main(["normalize", "-e", deep, "--format", fmt]) == 0
     path = tmp_path / "ladder.lam"
     path.write_text(shipped_source() + f"check {_ladder_source(256)}.\n")
+    assert main(["check", str(path), "--format", fmt]) == 0
+    capsys.readouterr()
+    # and these do not
+    deep = "(" * 1000 + "j" + ")" * 1000
+    assert main(["normalize", "-e", deep, "--format", fmt]) == 1
+    path.write_text(shipped_source() + f"check {_ladder_source(512)}.\n")
     assert main(["check", str(path), "--format", fmt]) == 1
     captured = capsys.readouterr()
     if fmt == "text":

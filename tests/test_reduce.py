@@ -34,6 +34,7 @@ from efflam.syntax import (
     Const,
     Eta,
     Exchange,
+    FreeVars,
     Fun,
     Handler,
     Op,
@@ -539,6 +540,38 @@ def test_the_free_variable_memo_does_not_outlive_a_normalization():
     assert reduce_module._MEMO.get() is None
     normalize(_ladder(2), "randomSeeded")
     assert reduce_module._MEMO.get() is None
+
+
+def test_one_free_variable_memo_per_redex_search(monkeypatch):
+    computed = 0
+
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            nonlocal computed
+            computed += 1
+            super().__setitem__(key, value)
+
+    # every memo, wherever it is made, counts the nodes it computes
+    plain_init = FreeVars.__init__
+
+    def counting_init(self):
+        plain_init(self)
+        self.memo = CountingMemo()
+
+    monkeypatch.setattr(FreeVars, "__init__", counting_init)
+    # t_i = \x_i. x_i t_{i+1} x_i: every binder asks eta's side condition
+    # about a function that holds the whole rest of the term
+    depth = 400
+    term = Const("c")
+    for i in reversed(range(depth)):
+        x = Var(f"x{i}")
+        term = Abs(x.name, App(App(x, term), x))
+    # three compound nodes per level, each computed once
+    assert candidates(term) == []
+    assert computed <= 3 * depth
+    computed = 0
+    assert isinstance(normalize(term).outcome, NormalForm)
+    assert computed <= 3 * depth
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from efflam.syntax import (
     alpha_eq,
     free_vars,
 )
+from .chain_parser import parse_term_by_chain
 from .conftest import terms
 
 DECLS = """
@@ -153,6 +154,19 @@ def test_connective_precedence():
     assert print_term(expected) == src
 
 
+def test_implication_is_right_associative():
+    expected = App(App(Const("imp"), Const("j")), t("m -> j"))
+    assert t("j -> m -> j") == expected
+    assert print_term(expected) == "j -> m -> j"
+
+
+def test_equality_is_not_associative():
+    e = err("j = m = j")
+    assert str(e) == "parse error at line 1, column 7: unexpected '=' after the term"
+    e = err("j /\\ j = m = j")
+    assert (e.line, e.col, e.args[0]) == (1, 12, "unexpected '=' after the term")
+
+
 # ---------------------------------------------------------------------------
 # Errors carry positions
 
@@ -199,6 +213,12 @@ def test_infix_needs_its_constant_declared():
     with pytest.raises(ParseError) as exc:
         parse_term("p /\\ p", env)
     assert "needs a declared constant and" in str(exc.value)
+    # reported at the operator, before its right operand is read
+    with pytest.raises(ParseError) as exc:
+        parse_term("p\n  ->~ ghost", env)
+    assert str(exc.value) == (
+        "parse error at line 2, column 3: this sugar needs a declared constant imp"
+    )
 
 
 def test_type_row_rejects_undeclared_operations():
@@ -286,6 +306,45 @@ def test_parser_never_crashes(src):
         parse_term(src, GEN_ENV)
     except ParseError:
         pass
+
+
+# operands, all ten infix symbols, lambdas and parentheses, for the
+# differential test against the parser that the operator table replaced
+_OPERANDS = ["j", "m", "x", "me", "eta j", "love j", "(eta x : F{speaker}(iota))"]
+_INFIX_SYMBOLS = [">>=", "->", "->~", "/\\", "/\\~", "=", "=~", "<<.", ".>>", "<<.>>"]
+
+
+def _infix_sources(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(_INFIX_SYMBOLS), children).map(" ".join),
+        children.map(lambda s: f"({s})"),
+        children.map(lambda s: f"\\x. {s}"),
+        st.tuples(children, children).map(" ".join),
+    )
+
+
+_infix_terms = st.recursive(st.sampled_from(_OPERANDS), _infix_sources, max_leaves=10)
+# token soup: mostly malformed, for the error messages and positions
+_infix_soup = st.lists(
+    st.sampled_from(_OPERANDS + _INFIX_SYMBOLS + ["\\x.", "(", ")"]), max_size=12
+).map(" ".join)
+# the connectives' constants, each one possibly undeclared
+_infix_envs = st.sampled_from(
+    [ENV] + [Env(ENV.atoms, ENV.constants - {c}, ENV.operations, ENV.defs) for c in ("and", "imp", "eq")]
+)
+
+
+def _parsed(parse, src, env):
+    try:
+        return parse(src, env)
+    except ParseError as err:
+        return str(err)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(_infix_terms, _infix_soup), _infix_envs)
+def test_operator_table_parses_as_the_reference_chain(src, env):
+    assert _parsed(parse_term, src, env) == _parsed(parse_term_by_chain, src, env)
 
 
 def _lex_by_characters(src):

@@ -305,6 +305,18 @@ def test_free_var_memo_is_not_bounded_by_the_recursion_limit():
     assert fv(Abs("y", deep)) == frozenset()
 
 
+def test_free_var_memo_walks_a_shared_dag_once_per_node():
+    # x_{k+1} = x_k x_k: 2^k paths, k + 1 distinct nodes, deeper than the
+    # memo's recursion cut-off
+    k = 200
+    dag = App(Var("x"), Var("y"))
+    for _ in range(k):
+        dag = App(dag, dag)
+    fv = FreeVars()
+    assert fv(dag) == {"x", "y"}
+    assert len(fv.memo) == k + 1
+
+
 @given(terms, st.sampled_from(NAMES))
 def test_alpha_eq_after_binder_rename(t, x):
     fresh = fresh_name(x, free_vars(t) | {x})
