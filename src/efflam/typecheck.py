@@ -18,6 +18,22 @@ they perform (an ascribed clause adds its ascription's row untyped).
 The last round's typings are kept, and a clause is checked against the
 result only when it was not typed or its type does not fit; so nested
 handlers whose rows settle in one round are typed once per level.
+
+Within one `synthesize` or `check_against` call, each ascription and
+each handler is typed once per context.  The checker records, by node
+identity, every ascription that held and every handler type it
+synthesized, with the types the context gave the node's free
+variables, and reuses the result where the same node is reached again
+and those types are the same.  The parser inlines every use of a `def`
+as one shared ascription, so a lexical entry used at every level of a
+deep sentence is checked once; and a handler nested in a clause body
+is typed once, not once per round of the enclosing row guess, unless
+it mentions a variable whose type the guess changes.  Reuse is exact:
+the atoms, constants and operations are fixed for the call, so a
+term's typing depends on the context only through the types of its
+free variables (Bauer & Pretnar, "An Effect System for Algebraic
+Effects and Handlers", LMCS 2014).  Only successes are reused; a
+failure is found afresh, so its error carries the path where it occurs.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from .syntax import (
     EMPTY_ROW,
     Eta,
     Exchange,
+    FreeVars,
     Fun,
     Handler,
     Op,
@@ -145,107 +162,253 @@ def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Synthesis
+# Synthesis and checking
 
 
 def synthesize(ctx: Context, t: Term) -> Type:
-    return _synth(ctx, t, ())
+    return _Checker()._synth(ctx, t, ())
 
 
-def _synth(ctx: Context, t: Term, path: Path) -> Type:
-    match t:
-        case Var(name):
-            if name in ctx.vars:
-                return ctx.vars[name]
-            _fail("unknownName", path, "unbound variable %s", name)
-        case ConstTerm(name):
-            if name in ctx.constants:
-                return ctx.constants[name]
-            _fail("unknownName", path, "unknown constant %s", name)
-        case Ann(inner, ty):
-            well_formed(ctx, ty, path)
-            _check(ctx, inner, ty, path)
-            return ty
-        case Abs(_, _):
-            _fail("annotationRequired", path, "cannot synthesize a type for a bare lambda")
-        case App(fn, arg):
-            if isinstance(fn, Abs):
-                # immediately applied lambda: type the argument, then the body
-                arg_ty = _synth(ctx, arg, path + (1,))
-                return _synth(ctx.bind(fn.binder, arg_ty), fn.body, path + (0, 0))
-            fn_ty = _synth(ctx, fn, path + (0,))
-            if not isinstance(fn_ty, Fun):
-                _fail("notAFunction", path + (0,), "applied term has type %s", fn_ty)
-            _check(ctx, arg, fn_ty.dom, path + (1,))
-            return fn_ty.cod
-        case Eta(value):
-            return Comp(EMPTY_ROW, _synth(ctx, value, path + (0,)))
-        case Op(op, param, binder, cont):
-            entry = ctx.operations.get(op)
-            if entry is None:
-                _fail("unknownName", path, "operation %s is not declared", op)
-            inp, out = entry
-            _check(ctx, param, inp, path + (0,))
-            cont_ty = _synth(ctx.bind(binder, out), cont, path + (1,))
-            if not isinstance(cont_ty, Comp):
-                _fail(
-                    "notAComputation",
-                    path + (1,),
-                    "operation continuation has type %s",
-                    cont_ty,
+def check_against(ctx: Context, t: Term, ty: Type) -> None:
+    _Checker()._check(ctx, t, ty, ())
+
+
+class _Checker:
+    """The typing rules, for one `synthesize` or `check_against` call.
+
+    `_memo` holds, by node identity, each ascription that held and each
+    handler type that was synthesized, under the types that the context
+    gave the node's free variables.  A node's free variables are asked
+    for only when it is reached again in another context, so a node
+    typed once costs one entry.  The memo is made on the first `Ann` or
+    `Handler` reached, so a call that meets neither pays nothing for it,
+    and it goes with the checker when the call returns.  Only successes
+    are recorded: a failure is raised afresh, with its own path.
+    """
+
+    # id -> [node, variables of the first context it was reached in, its
+    # type there, its free variables, {types of those: type}]
+    _memo: dict[int, list] | None = None
+    _free_vars: FreeVars | None = None
+
+    def _recall(self, ctx: Context, t: Term) -> tuple[Type | None, list]:
+        """The type recorded for `t` under the types that `ctx` gives its
+        free variables, or None; and `t`'s entry, to record in."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        entry = memo.get(id(t))
+        if entry is None:
+            # the entry holds its node, so the id is not reused while it lives
+            entry = memo[id(t)] = [t, ctx.vars, None, None, None]
+            return None, entry
+        _, first, first_ty, names, later = entry
+        bound = ctx.vars
+        if bound is first:
+            return first_ty, entry
+        if names is None:
+            if self._free_vars is None:
+                self._free_vars = FreeVars()
+            names = entry[3] = tuple(self._free_vars(t))
+            later = entry[4] = {}
+            if first_ty is not None:
+                later[tuple([first.get(name) for name in names])] = first_ty
+        return later.get(tuple([bound.get(name) for name in names])), entry
+
+    @staticmethod
+    def _record(entry: list, ctx: Context, ty: Type) -> None:
+        bound = ctx.vars
+        if bound is entry[1]:
+            entry[2] = ty
+        else:  # _recall has listed the free variables
+            entry[4][tuple([bound.get(name) for name in entry[3]])] = ty
+
+    def _synth(self, ctx: Context, t: Term, path: Path) -> Type:
+        match t:
+            case Var(name):
+                if name in ctx.vars:
+                    return ctx.vars[name]
+                _fail("unknownName", path, "unbound variable %s", name)
+            case ConstTerm(name):
+                if name in ctx.constants:
+                    return ctx.constants[name]
+                _fail("unknownName", path, "unknown constant %s", name)
+            case Ann(inner, ty):
+                well_formed(ctx, ty, path)
+                held, entry = self._recall(ctx, t)
+                if held is None:
+                    self._check(ctx, inner, ty, path)
+                    self._record(entry, ctx, ty)
+                return ty
+            case Abs(_, _):
+                _fail("annotationRequired", path, "cannot synthesize a type for a bare lambda")
+            case App(fn, arg):
+                if isinstance(fn, Abs):
+                    # immediately applied lambda: type the argument, then the body
+                    arg_ty = self._synth(ctx, arg, path + (1,))
+                    return self._synth(ctx.bind(fn.binder, arg_ty), fn.body, path + (0, 0))
+                fn_ty = self._synth(ctx, fn, path + (0,))
+                if not isinstance(fn_ty, Fun):
+                    _fail("notAFunction", path + (0,), "applied term has type %s", fn_ty)
+                self._check(ctx, arg, fn_ty.dom, path + (1,))
+                return fn_ty.cod
+            case Eta(value):
+                return Comp(EMPTY_ROW, self._synth(ctx, value, path + (0,)))
+            case Op(op, param, binder, cont):
+                entry = ctx.operations.get(op)
+                if entry is None:
+                    _fail("unknownName", path, "operation %s is not declared", op)
+                inp, out = entry
+                self._check(ctx, param, inp, path + (0,))
+                cont_ty = self._synth(ctx.bind(binder, out), cont, path + (1,))
+                if not isinstance(cont_ty, Comp):
+                    _fail(
+                        "notAComputation",
+                        path + (1,),
+                        "operation continuation has type %s",
+                        cont_ty,
+                    )
+                row = cont_ty.effects.union(Signature.of({op: entry}))
+                return Comp(row, cont_ty.value)
+            case Handler(_, _, _):
+                got, entry = self._recall(ctx, t)
+                if got is None:
+                    got = _synth_handler(self, ctx, t, path)
+                    self._record(entry, ctx, got)
+                return got
+            case Cherry(comp):
+                comp_ty = self._synth(ctx, comp, path + (0,))
+                if not isinstance(comp_ty, Comp):
+                    _fail("notAComputation", path + (0,), "extraction from type %s", comp_ty)
+                if not comp_ty.effects.is_empty():
+                    _fail(
+                        "rowNotEmpty",
+                        path + (0,),
+                        "extraction requires an empty effect row, found {%s}",
+                        ", ".join(comp_ty.effects.names()),
+                    )
+                return comp_ty.value
+            case Exchange(fn):
+                fn_ty = self._synth(ctx, fn, path + (0,))
+                if not isinstance(fn_ty, Fun):
+                    _fail("notAFunction", path + (0,), "commuted term has type %s", fn_ty)
+                if not isinstance(fn_ty.cod, Comp):
+                    _fail(
+                        "notAComputation",
+                        path + (0,),
+                        "commuted function returns %s",
+                        fn_ty.cod,
+                    )
+                return Comp(fn_ty.cod.effects, Fun(fn_ty.dom, fn_ty.cod.value))
+        raise TypeError(f"not a term: {t!r}")
+
+    def _fun_to_comp(self, ctx: Context, f: Term, dom: Type, path: Path) -> tuple[Type, Signature]:
+        """Value type and row of `f dom` for a clause-position function term."""
+        match f:
+            case Ann(_, Fun(d, Comp(effects, value))) if subtype(dom, d):
+                return value, effects
+            case Abs(binder, body):
+                body_ty = self._synth(ctx.bind(binder, dom), body, path + (0,))
+                if not isinstance(body_ty, Comp):
+                    _fail("clauseShape", path, "clause returns %s, not a computation", body_ty)
+                return body_ty.value, body_ty.effects
+            case _:
+                f_ty = self._synth(ctx, f, path)
+                if not (isinstance(f_ty, Fun) and isinstance(f_ty.cod, Comp) and subtype(dom, f_ty.dom)):
+                    _fail("clauseShape", path, "clause has type %s", f_ty)
+                return f_ty.cod.value, f_ty.cod.effects
+
+    def _check(self, ctx: Context, t: Term, want: Type, path: Path) -> None:
+        match t:
+            case Ann(inner, ty):
+                well_formed(ctx, ty, path)
+                if not subtype(ty, want):
+                    _fail("mismatch", path, "ascription %s does not fit %s", ty, want)
+                held, entry = self._recall(ctx, t)
+                if held is None:
+                    self._check(ctx, inner, ty, path)
+                    self._record(entry, ctx, ty)
+                return
+            case Abs(binder, body):
+                if not isinstance(want, Fun):
+                    _fail("mismatch", path, "lambda checked against %s", want)
+                self._check(ctx.bind(binder, want.dom), body, want.cod, path + (0,))
+                return
+            case Eta(value) if isinstance(want, Comp):
+                self._check(ctx, value, want.value, path + (0,))
+                return
+            case Op(op, param, binder, cont) if isinstance(want, Comp):
+                entry = ctx.operations.get(op)
+                if entry is None:
+                    _fail("unknownName", path, "operation %s is not declared", op)
+                if want.effects.get(op) != entry:
+                    _fail(
+                        "mismatch",
+                        path,
+                        "operation %s is not available in row {%s}",
+                        op,
+                        ", ".join(want.effects.names()),
+                    )
+                self._check(ctx, param, entry[0], path + (0,))
+                self._check(ctx.bind(binder, entry[1]), cont, want, path + (1,))
+                return
+            case Handler(clauses, eta_clause, scrutinee) if isinstance(want, Comp):
+                # A synthesized result is exact; the structural push below
+                # would force the wanted row into the resumption types,
+                # where it sits contravariantly and may not fit.
+                try:
+                    got = self._synth(ctx, t, path)
+                except TypeCheckError:
+                    pass
+                else:
+                    if not subtype(got, want):
+                        _fail("mismatch", path, "expected %s, found %s", want, got)
+                    return
+                n = len(clauses)
+                scrut_path = path + (n + 1,)
+                scrut_ty = self._synth(ctx, scrutinee, scrut_path)
+                if not isinstance(scrut_ty, Comp):
+                    _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
+                handled = {op for op, _ in clauses}
+                residual = scrut_ty.effects.without(handled)
+                if not residual.subset_of(want.effects):
+                    missing = set(residual.names()) - set(want.effects.names())
+                    _fail(
+                        "mismatch",
+                        scrut_path,
+                        "unhandled operations {%s} do not appear in row {%s}",
+                        ", ".join(sorted(missing)),
+                        ", ".join(want.effects.names()),
+                    )
+                for i, (op, clause) in enumerate(clauses):
+                    entry = ctx.operations.get(op)
+                    if entry is None:
+                        _fail("unknownName", path + (i,), "operation %s is not declared", op)
+                    inp, out = entry
+                    self._check(ctx, clause, Fun(inp, Fun(Fun(out, want), want)), path + (i,))
+                self._check(ctx, eta_clause, Fun(scrut_ty.value, want), path + (n,))
+                return
+            case Cherry(comp):
+                self._check(ctx, comp, Comp(EMPTY_ROW, want), path + (0,))
+                return
+            case Exchange(fn) if isinstance(want, Comp) and isinstance(want.value, Fun):
+                self._check(
+                    ctx, fn, Fun(want.value.dom, Comp(want.effects, want.value.cod)), path + (0,)
                 )
-            row = cont_ty.effects.union(Signature.of({op: entry}))
-            return Comp(row, cont_ty.value)
-        case Handler(_, _, _):
-            return _synth_handler(ctx, t, path)
-        case Cherry(comp):
-            comp_ty = _synth(ctx, comp, path + (0,))
-            if not isinstance(comp_ty, Comp):
-                _fail("notAComputation", path + (0,), "extraction from type %s", comp_ty)
-            if not comp_ty.effects.is_empty():
-                _fail(
-                    "rowNotEmpty",
-                    path + (0,),
-                    "extraction requires an empty effect row, found {%s}",
-                    ", ".join(comp_ty.effects.names()),
-                )
-            return comp_ty.value
-        case Exchange(fn):
-            fn_ty = _synth(ctx, fn, path + (0,))
-            if not isinstance(fn_ty, Fun):
-                _fail("notAFunction", path + (0,), "commuted term has type %s", fn_ty)
-            if not isinstance(fn_ty.cod, Comp):
-                _fail(
-                    "notAComputation",
-                    path + (0,),
-                    "commuted function returns %s",
-                    fn_ty.cod,
-                )
-            return Comp(fn_ty.cod.effects, Fun(fn_ty.dom, fn_ty.cod.value))
-    raise TypeError(f"not a term: {t!r}")
+                return
+            case App(fn, arg) if isinstance(fn, Abs):
+                arg_ty = self._synth(ctx, arg, path + (1,))
+                self._check(ctx.bind(fn.binder, arg_ty), fn.body, want, path + (0, 0))
+                return
+        got = self._synth(ctx, t, path)
+        if not subtype(got, want):
+            _fail("mismatch", path, "expected %s, found %s", want, got)
 
 
-def _fun_to_comp(ctx: Context, f: Term, dom: Type, path: Path) -> tuple[Type, Signature]:
-    """Value type and row of `f dom` for a clause-position function term."""
-    match f:
-        case Ann(_, Fun(d, Comp(effects, value))) if subtype(dom, d):
-            return value, effects
-        case Abs(binder, body):
-            body_ty = _synth(ctx.bind(binder, dom), body, path + (0,))
-            if not isinstance(body_ty, Comp):
-                _fail("clauseShape", path, "clause returns %s, not a computation", body_ty)
-            return body_ty.value, body_ty.effects
-        case _:
-            f_ty = _synth(ctx, f, path)
-            if not (isinstance(f_ty, Fun) and isinstance(f_ty.cod, Comp) and subtype(dom, f_ty.dom)):
-                _fail("clauseShape", path, "clause has type %s", f_ty)
-            return f_ty.cod.value, f_ty.cod.effects
-
-
-def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
+def _synth_handler(checker: _Checker, ctx: Context, t: Handler, path: Path) -> Type:
     n = len(t.clauses)
     scrut_path = path + (n + 1,)
-    scrut_ty = _synth(ctx, t.scrutinee, scrut_path)
+    scrut_ty = checker._synth(ctx, t.scrutinee, scrut_path)
     if not isinstance(scrut_ty, Comp):
         _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
     entries: list[tuple[Type, Type]] = []
@@ -259,7 +422,7 @@ def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
     gamma = scrut_ty.value
 
     # the eta clause fixes the result value type and seeds the row
-    delta, row = _fun_to_comp(ctx, t.eta_clause, gamma, path + (n,))
+    delta, row = checker._fun_to_comp(ctx, t.eta_clause, gamma, path + (n,))
     row = residual.union(row)
 
     # operation clauses may perform further operations: each round types
@@ -274,10 +437,10 @@ def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
                         grown = grown.union(effects)  # read off; checked below
                     case Abs(x, Abs(k, body)):
                         resume = Fun(out, Comp(row, delta))
-                        body_ty = _synth(ctx.bind(x, inp).bind(k, resume), body, ())
+                        body_ty = checker._synth(ctx.bind(x, inp).bind(k, resume), body, ())
                         ty = Fun(inp, Fun(resume, body_ty))
                     case _:
-                        ty = _synth(ctx, clause, ())
+                        ty = checker._synth(ctx, clause, ())
             match ty:
                 case Fun(_, Fun(_, Comp(effects, _))):
                     grown = grown.union(effects)
@@ -293,98 +456,8 @@ def _synth_handler(ctx: Context, t: Handler, path: Path) -> Type:
     for i, ((_, clause), (inp, out), ty) in enumerate(zip(t.clauses, entries, typed)):
         want = Fun(inp, Fun(Fun(out, result), result))
         if ty is None or not subtype(ty, want):
-            _check(ctx, clause, want, path + (i,))
+            checker._check(ctx, clause, want, path + (i,))
     # _fun_to_comp typed any other eta clause, and its type fits result
     if isinstance(t.eta_clause, Ann):
-        _check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
+        checker._check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
     return result
-
-
-# ---------------------------------------------------------------------------
-# Checking
-
-
-def check_against(ctx: Context, t: Term, ty: Type) -> None:
-    _check(ctx, t, ty, ())
-
-
-def _check(ctx: Context, t: Term, want: Type, path: Path) -> None:
-    match t:
-        case Ann(inner, ty):
-            well_formed(ctx, ty, path)
-            if not subtype(ty, want):
-                _fail("mismatch", path, "ascription %s does not fit %s", ty, want)
-            _check(ctx, inner, ty, path)
-            return
-        case Abs(binder, body):
-            if not isinstance(want, Fun):
-                _fail("mismatch", path, "lambda checked against %s", want)
-            _check(ctx.bind(binder, want.dom), body, want.cod, path + (0,))
-            return
-        case Eta(value) if isinstance(want, Comp):
-            _check(ctx, value, want.value, path + (0,))
-            return
-        case Op(op, param, binder, cont) if isinstance(want, Comp):
-            entry = ctx.operations.get(op)
-            if entry is None:
-                _fail("unknownName", path, "operation %s is not declared", op)
-            if want.effects.get(op) != entry:
-                _fail(
-                    "mismatch",
-                    path,
-                    "operation %s is not available in row {%s}",
-                    op,
-                    ", ".join(want.effects.names()),
-                )
-            _check(ctx, param, entry[0], path + (0,))
-            _check(ctx.bind(binder, entry[1]), cont, want, path + (1,))
-            return
-        case Handler(clauses, eta_clause, scrutinee) if isinstance(want, Comp):
-            # A synthesized result is exact; the structural push below
-            # would force the wanted row into the resumption types,
-            # where it sits contravariantly and may not fit.
-            try:
-                got = _synth_handler(ctx, t, path)
-            except TypeCheckError:
-                pass
-            else:
-                if not subtype(got, want):
-                    _fail("mismatch", path, "expected %s, found %s", want, got)
-                return
-            n = len(clauses)
-            scrut_path = path + (n + 1,)
-            scrut_ty = _synth(ctx, scrutinee, scrut_path)
-            if not isinstance(scrut_ty, Comp):
-                _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
-            handled = {op for op, _ in clauses}
-            residual = scrut_ty.effects.without(handled)
-            if not residual.subset_of(want.effects):
-                missing = set(residual.names()) - set(want.effects.names())
-                _fail(
-                    "mismatch",
-                    scrut_path,
-                    "unhandled operations {%s} do not appear in row {%s}",
-                    ", ".join(sorted(missing)),
-                    ", ".join(want.effects.names()),
-                )
-            for i, (op, clause) in enumerate(clauses):
-                entry = ctx.operations.get(op)
-                if entry is None:
-                    _fail("unknownName", path + (i,), "operation %s is not declared", op)
-                inp, out = entry
-                _check(ctx, clause, Fun(inp, Fun(Fun(out, want), want)), path + (i,))
-            _check(ctx, eta_clause, Fun(scrut_ty.value, want), path + (n,))
-            return
-        case Cherry(comp):
-            _check(ctx, comp, Comp(EMPTY_ROW, want), path + (0,))
-            return
-        case Exchange(fn) if isinstance(want, Comp) and isinstance(want.value, Fun):
-            _check(ctx, fn, Fun(want.value.dom, Comp(want.effects, want.value.cod)), path + (0,))
-            return
-        case App(fn, arg) if isinstance(fn, Abs):
-            arg_ty = _synth(ctx, arg, path + (1,))
-            _check(ctx.bind(fn.binder, arg_ty), fn.body, want, path + (0, 0))
-            return
-    got = _synth(ctx, t, path)
-    if not subtype(got, want):
-        _fail("mismatch", path, "expected %s, found %s", want, got)

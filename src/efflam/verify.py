@@ -290,104 +290,12 @@ def enumerate_typed(max_size: int, ctx: Context = CONTEXT) -> list[tuple[Term, T
 
 
 # ---------------------------------------------------------------------------
-# Declarative typing as a bounded search
-#
-# An independent reading of the typing rules: subsumption is a rule of
-# its own, and the rules for eliminations guess the cut type from a
-# finite universe.  Used as an oracle against the algorithmic checker.
+# Seeded construction of well-typed terms
 
 _ROWS = tuple(
     Signature.of({name: OPERATIONS.get(name) for name in names})
     for names in ((), ("op1",), ("op2",), ("op1", "op2"))
 )
-_VALUE_TYPES = (A, B, UNIT, Fun(A, A), Fun(A, B))
-_UNIVERSE: tuple[Type, ...] = (
-    _VALUE_TYPES
-    + tuple(Comp(row, v) for row in _ROWS for v in _VALUE_TYPES)
-    + tuple(
-        Comp(row, Comp(inner, v))
-        for row in _ROWS
-        for inner in (_ROWS[0],)
-        for v in _VALUE_TYPES
-    )
-    + tuple(Fun(a, Comp(row, b)) for a in (A, B) for row in _ROWS for b in (A, B))
-)
-
-
-def derivable(ctx: Context, t: Term, ty: Type, depth: int = 4) -> bool:
-    """Bounded search for a declarative typing derivation of t : ty."""
-    if depth < 0:
-        return False
-    match t:
-        case Var(name):
-            have = ctx.vars.get(name)
-            return have is not None and subtype(have, ty)
-        case Const(name):
-            have = ctx.constants.get(name)
-            return have is not None and subtype(have, ty)
-        case Ann(inner, stated):
-            return subtype(stated, ty) and derivable(ctx, inner, stated, depth - 1)
-        case Abs(binder, body):
-            if not isinstance(ty, Fun):
-                return False
-            return derivable(ctx.bind(binder, ty.dom), body, ty.cod, depth - 1)
-        case App(fn, arg):
-            return any(
-                derivable(ctx, fn, Fun(cut, ty), depth - 1)
-                and derivable(ctx, arg, cut, depth - 1)
-                for cut in _UNIVERSE
-            )
-        case Eta(value):
-            return isinstance(ty, Comp) and derivable(ctx, value, ty.value, depth - 1)
-        case Op(op, param, binder, cont):
-            if not isinstance(ty, Comp):
-                return False
-            entry = ty.effects.get(op)
-            if entry is None or entry != ctx.operations.get(op):
-                return False
-            return derivable(ctx, param, entry[0], depth - 1) and derivable(
-                ctx.bind(binder, entry[1]), cont, ty, depth - 1
-            )
-        case Cherry(comp):
-            return derivable(ctx, comp, Comp(EMPTY_ROW, ty), depth - 1)
-        case Exchange(fn):
-            if not (isinstance(ty, Comp) and isinstance(ty.value, Fun)):
-                return False
-            inner = Fun(ty.value.dom, Comp(ty.effects, ty.value.cod))
-            return derivable(ctx, fn, inner, depth - 1)
-        case Handler(clauses, eta_clause, scrutinee):
-            if not isinstance(ty, Comp):
-                return False
-            handled = {name for name, _ in clauses}
-            for cut in _UNIVERSE:
-                if not isinstance(cut, Comp):
-                    continue
-                if not cut.effects.without(handled).subset_of(ty.effects):
-                    continue
-                if not derivable(ctx, scrutinee, cut, depth - 1):
-                    continue
-                if not derivable(ctx, eta_clause, Fun(cut.value, ty), depth - 1):
-                    continue
-                if all(
-                    derivable(
-                        ctx,
-                        clause,
-                        Fun(
-                            ctx.operations.get(name)[0],
-                            Fun(Fun(ctx.operations.get(name)[1], ty), ty),
-                        ),
-                        depth - 1,
-                    )
-                    for name, clause in clauses
-                    if ctx.operations.get(name) is not None
-                ) and all(ctx.operations.get(name) is not None for name, _ in clauses):
-                    return True
-            return False
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Seeded construction of well-typed terms
 
 
 def _sample_type(rng: random.Random, depth: int) -> Type:

@@ -18,6 +18,14 @@ output, re-record them from the repository root:
         --format records > tests/expected/trace-fragment-lam-random-seed7.records
     python -c "from tests.test_recorded_output import golden_steps; \\
         print(golden_steps(), end='')" > tests/expected/golden-steps.txt
+
+The `check` output of a file with deep directives (see `deep_declarations`)
+is recorded the same way:
+
+    python -c "from tests.test_recorded_output import deep_declarations; \\
+        print(deep_declarations(), end='')" > deep.lam
+    python -m efflam check deep.lam --format text > tests/expected/check-deep.text
+    python -m efflam check deep.lam --format records > tests/expected/check-deep.records
 """
 
 from __future__ import annotations
@@ -28,10 +36,12 @@ from pathlib import Path
 import pytest
 
 from efflam.cli import main
-from efflam.fragment import GOLDENS
+from efflam.fragment import GOLDENS, shipped_source
 from efflam.reduce import normalize
 from efflam.surface import print_path, print_term
 from efflam.syntax import Const, erase
+
+from .test_typecheck import ladder_source, two_round_nest
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -52,6 +62,20 @@ def golden_steps() -> str:
                 f"{print_term(erase(step.term))}\n"
             )
     return "".join(lines)
+
+
+def deep_declarations() -> str:
+    """The shipped declarations, the verify signature, and two deep
+    `check` directives: a 12-deep handler nest whose rows take two rounds
+    to settle, and a sentence under 64 indirect reports."""
+    return (
+        shipped_source()
+        + "\n# the verify signature\n"
+        + "atom A.\natom B.\nconst a0 : A.\n"
+        + "operation op1 : A ~> A.\noperation op2 : A ~> B.\n\n"
+        + f"check {print_term(two_round_nest(12))}.\n"
+        + f"check {ladder_source(64)}.\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
@@ -81,3 +105,11 @@ def test_golden_steps_are_unchanged():
     assert len(got) == len(want)
     for line, (mine, recorded) in enumerate(zip(got, want), start=1):
         assert mine == recorded, f"golden-steps.txt line {line}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_check_of_deep_directives_is_unchanged(fmt, capsys, tmp_path):
+    deep = tmp_path / "deep.lam"
+    deep.write_text(deep_declarations(), encoding="utf-8")
+    assert main(["check", str(deep), "--format", fmt]) == 0
+    assert capsys.readouterr().out == _recorded(f"check-deep.{fmt}")

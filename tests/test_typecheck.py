@@ -6,10 +6,12 @@ import hashlib
 import random
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from efflam import typecheck, verify
+from efflam.fragment import shipped_source
 from efflam.syntax import (
     Abs,
     Ann,
@@ -24,8 +26,11 @@ from efflam.syntax import (
     Op,
     Signature,
     Term,
+    Type,
     UNIT,
     Var,
+    children,
+    rebuild,
     size,
 )
 from efflam.surface import parse_file, parse_term, print_term, print_type
@@ -38,6 +43,7 @@ from efflam.typecheck import (
     well_formed,
 )
 from .conftest import OP_TABLE, types
+from .oracle import UNIVERSE
 from .shapes import closed_shapes
 
 DECLS = """
@@ -312,11 +318,11 @@ def test_the_first_ill_typed_clause_reports_the_error():
     assert str(err(second)) == "mismatch at 1.0.0.1: expected iota, found 1"
 
 
-def _nested_handler(depth: int) -> Term:
+def _nested_handler(depth: int, innermost: Term = Eta(Const("a0"))) -> Term:
     """Handlers nested `depth` deep inside handler clauses, as built for
     the checker's benchmark: each level handles `op1` around one call of
     it, and its clause body is the next level."""
-    body = Eta(Const("a0"))
+    body = innermost
     for _ in range(depth):
         body = Handler(
             (("op1", Abs("p", Abs("k", body))),),
@@ -326,7 +332,8 @@ def _nested_handler(depth: int) -> Term:
     return body
 
 
-def test_nested_handlers_are_typed_once_per_level(monkeypatch):
+def _handler_rule_calls(monkeypatch, t: Term) -> tuple[Type, int]:
+    """The type `t` synthesizes, and how often the handler rule ran."""
     calls = []
     rule = typecheck._synth_handler
 
@@ -335,15 +342,31 @@ def test_nested_handlers_are_typed_once_per_level(monkeypatch):
         return rule(*args)
 
     monkeypatch.setattr(typecheck, "_synth_handler", counted)
-    assert synthesize(verify.CONTEXT, _nested_handler(12)) == Comp(EMPTY_ROW, verify.A)
-    assert len(calls) == 12  # once per level; checking every clause again made it 4,095
+    return synthesize(verify.CONTEXT, t), len(calls)
+
+
+def test_nested_handlers_are_typed_once_per_level(monkeypatch):
+    # once per level; checking every clause again made it 4,095
+    assert _handler_rule_calls(monkeypatch, _nested_handler(12)) == (Comp(EMPTY_ROW, verify.A), 12)
+
+
+def two_round_nest(depth: int) -> Term:
+    """`_nested_handler` over `do op2(a0, \\y. eta a0)`: every level's row
+    takes two rounds to settle, because the clause body performs `op2`."""
+    return _nested_handler(depth, Op("op2", Const("a0"), "y", Eta(Const("a0"))))
+
+
+def test_two_round_nests_are_typed_once_per_level(monkeypatch):
+    # re-typing the nested handler in every round made it 4,095
+    row = Signature.of({"op2": (verify.A, verify.B)})
+    assert _handler_rule_calls(monkeypatch, two_round_nest(12)) == (Comp(row, verify.A), 12)
 
 
 def test_check_agrees_with_subtyping_on_synthesized_types():
     """If a term synthesizes T, checking it against W succeeds exactly
     when T <: W; the handler rule relies on this to skip clause checks."""
     for t, got in verify.enumerate_typed(6):
-        for want in verify._UNIVERSE:
+        for want in UNIVERSE:
             try:
                 check_against(verify.CONTEXT, t, want)
                 checks = True
@@ -385,3 +408,132 @@ def test_synthesis_matches_the_recorded_results():
     """
     recorded = (Path(__file__).parent / "expected" / "synthesis-size6.txt").read_text()
     assert synthesis_digests(6) == recorded
+
+
+# ---------------------------------------------------------------------------
+# Each ascription and nested handler is typed once per context in a call,
+# which must give what typing every occurrence afresh gives
+
+FRAGMENT = parse_file(shipped_source())
+FRAGMENT_ENV = FRAGMENT.env()
+FRAGMENT_CTX = FRAGMENT.context()
+
+
+def ladder_source(depth: int) -> str:
+    """"every woman loves me" under `depth` indirect reports, reporters
+    alternating john and mary, in surface syntax over `fragment.lam`."""
+    sentence = "loves me (every woman')"
+    for level in range(depth):
+        sentence = f"said-is ({sentence}) {('john', 'mary')[level % 2]}"
+    return sentence
+
+
+def unshare(t: Term) -> Term:
+    """A copy of `t` in which every node is new, so that no two
+    occurrences share an id."""
+    if isinstance(t, (Var, Const)):
+        return type(t)(t.name)
+    return rebuild(t, [unshare(child) for child in children(t)])
+
+
+def _outcome(ctx: Context, t: Term):
+    try:
+        return synthesize(ctx, t)
+    except TypeCheckError as e:
+        return (e.kind, e.path, e.message)
+
+
+def _assert_blind_to_sharing(ctx: Context, t: Term):
+    copy = unshare(t)
+    assert copy == t
+    assert _outcome(ctx, copy) == _outcome(ctx, t), print_term(t)
+
+
+def test_unshare_leaves_no_node_shared():
+    t = parse_term(ladder_source(2), FRAGMENT_ENV)
+
+    def ids(term):
+        return [id(term)] + [i for child in children(term) for i in ids(child)]
+
+    assert len(set(ids(t))) < len(ids(t))  # inlined defs are shared
+    assert len(set(ids(unshare(t)))) == len(ids(t))
+
+
+def test_the_fragment_types_as_if_unshared():
+    for _, _, t in FRAGMENT.defs:
+        _assert_blind_to_sharing(FRAGMENT_CTX, t)
+    for _, t in FRAGMENT.directives:
+        _assert_blind_to_sharing(FRAGMENT_CTX, t)
+
+
+def test_deep_reports_type_as_if_unshared():
+    for depth in range(65):
+        _assert_blind_to_sharing(FRAGMENT_CTX, parse_term(ladder_source(depth), FRAGMENT_ENV))
+
+
+# `eta x : F{}(A)`: it holds where x : A and fails where x : B
+_SHARED = Ann(Eta(Var("x")), Comp(EMPTY_ROW, verify.A))
+_PROBE_ARGS = (Const("a0"), App(Const("f0"), Const("a0")))
+_SCRUTINEES = (
+    Op("op1", Const("a0"), "y", Eta(Var("y"))),
+    Op("op2", Const("a0"), "y", Eta(Const("a0"))),
+    Eta(Const("a0")),
+)
+
+
+@st.composite
+def handler_nests(draw) -> Term:
+    """Handlers nested 1-6 deep in handler clauses over the verify
+    signature.  Level i binds `p<i>` and `k<i>`.  Its clause body may
+    pass the level below to up to two enclosing resumptions `k<j>`
+    (j <= i), so that the nested handler's type depends on their row
+    guesses, and may first apply `\\x. _SHARED` to an `A` or a `B`."""
+    depth = draw(st.integers(1, 6))
+    body = draw(st.sampled_from(_SCRUTINEES))
+    for level in reversed(range(depth)):
+        for outer in draw(st.lists(st.integers(0, level), max_size=2)):
+            body = Handler((), Abs("r", App(Var(f"k{outer}"), Var("r"))), body)
+        if draw(st.booleans()):
+            probe = App(Abs("x", _SHARED), draw(st.sampled_from(_PROBE_ARGS)))
+            body = App(Abs("u", body), probe)
+        op = draw(st.sampled_from(("op1", "op2")))
+        body = Handler(
+            ((op, Abs(f"p{level}", Abs(f"k{level}", body))),),
+            Abs("x", Eta(Var("x"))),
+            draw(st.sampled_from(_SCRUTINEES)),
+        )
+    return body
+
+
+@given(handler_nests())
+def test_handler_nests_type_as_if_unshared(t):
+    _assert_blind_to_sharing(verify.CONTEXT, t)
+
+
+def test_a_shared_ascription_is_typed_again_under_a_new_binder_type():
+    holds = App(Abs("x", _SHARED), _PROBE_ARGS[0])
+    fails = App(Abs("x", _SHARED), _PROBE_ARGS[1])
+    assert synthesize(verify.CONTEXT, holds) == Comp(EMPTY_ROW, verify.A)
+    t = App(Abs("u", fails), holds)  # the argument is typed first
+    assert _outcome(verify.CONTEXT, t) == ("mismatch", (0, 0, 0, 0, 0), "expected A, found B")
+    _assert_blind_to_sharing(verify.CONTEXT, t)
+
+
+def test_a_lexical_entry_is_checked_once_per_call(monkeypatch):
+    body = FRAGMENT_ENV.defs["said-is"].term  # under the ascription `def` adds
+    calls = []
+    check = typecheck._Checker._check
+
+    def counted(self, ctx, t, want, path):
+        if t is body:
+            calls.append(path)
+        return check(self, ctx, t, want, path)
+
+    monkeypatch.setattr(typecheck._Checker, "_check", counted)
+    counts = {}
+    for depth in (8, 64):
+        calls.clear()
+        t = parse_term(ladder_source(depth), FRAGMENT_ENV)
+        assert print_type(synthesize(FRAGMENT_CTX, t)) == "F{implicate, scope, speaker}(o)"
+        counts[depth] = len(calls)
+    assert counts == {8: 1, 64: 1}

@@ -35,7 +35,6 @@ from efflam.verify import (
     SuiteReport,
     _Enumeration,
     confluence,
-    derivable,
     enumerate_typed,
     handler_identity,
     monad_laws,
@@ -46,6 +45,7 @@ from efflam.verify import (
     termination,
 )
 
+from .oracle import UNIVERSE, derivable
 from .shapes import _shapes, closed_shapes, reference_typed, typed_digests
 
 # ---------------------------------------------------------------------------
@@ -200,11 +200,9 @@ def test_oracle_derives_everything_the_checker_synthesizes():
 
 
 def test_everything_the_oracle_derives_passes_check_mode():
-    from efflam.verify import _UNIVERSE
-
     derivations = 0
     for t in closed_shapes(3):
-        for ty in _UNIVERSE:
+        for ty in UNIVERSE:
             if derivable(CONTEXT, t, ty, depth=4):
                 derivations += 1
                 check_against(CONTEXT, t, ty)
@@ -212,10 +210,8 @@ def test_everything_the_oracle_derives_passes_check_mode():
 
 
 def test_oracle_rejects_a_misapplied_constant():
-    from efflam.verify import _UNIVERSE
-
     bogus = App(Const("a0"), Const("a0"))
-    assert not any(derivable(CONTEXT, bogus, ty) for ty in _UNIVERSE)
+    assert not any(derivable(CONTEXT, bogus, ty) for ty in UNIVERSE)
 
 
 def test_oracle_applies_subsumption_to_rows():
