@@ -167,39 +167,26 @@ def _cmd_check(args, out: _Emitter) -> int:
     if isinstance(decl, int):
         return decl
     ctx = decl.context()
-    for name, _, term in decl.defs:
+    # (label, kind, the record's fields naming the item, term)
+    items = [(name, "def", {"name": name}, term) for name, _, term in decl.defs]
+    items += [
+        (f"{kind} directive {index}", "directive", {"directive": kind, "index": index}, term)
+        for index, (kind, term) in enumerate(decl.directives, start=1)
+    ]
+    for label, item_kind, named, term in items:
         try:
             ty = synthesize(ctx, term)
         except TypeCheckError as err:
             out.error(
-                f"{name}: {err}",
+                f"{label}: {err}",
                 error=err.kind,
-                name=name,
+                **named,
                 path=print_path(err.path),
                 message=err.message,
             )
             return STATUS_BAD_TERM
-        out.line(f"{name} : {print_type(ty)}", kind="def", name=name, type=print_type(ty))
-    for index, (kind, term) in enumerate(decl.directives, start=1):
-        try:
-            ty = synthesize(ctx, term)
-        except TypeCheckError as err:
-            out.error(
-                f"{kind} directive {index}: {err}",
-                error=err.kind,
-                directive=kind,
-                index=index,
-                path=print_path(err.path),
-                message=err.message,
-            )
-            return STATUS_BAD_TERM
-        out.line(
-            f"{kind} directive {index} : {print_type(ty)}",
-            kind="directive",
-            directive=kind,
-            index=index,
-            type=print_type(ty),
-        )
+        shown = print_type(ty)
+        out.line(f"{label} : {shown}", kind=item_kind, **named, type=shown)
     return STATUS_OK
 
 

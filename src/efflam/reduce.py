@@ -35,13 +35,16 @@ only three places can hold the next redex:
 - the contractum;
 - the right siblings of each ancestor, deepest first.
 
-Free variables come from a memo keyed by node identity (`FreeVars`),
-created for one normalization and dropped after it.  It answers the
-side conditions above.  Before a beta step below the two nearest
-ancestors, the normalizer asks it for the body's free variables, to
-see whether the step drops its argument; substitution then skips every
-subterm of the body that does not mention the variable, so the step
-rebuilds only the paths to its occurrences.
+Free variables come from a memo keyed by node identity (`FreeVars`).
+There is one per normalization, made by `normalize` and dropped after
+it, and both strategies prune it to the current term whenever a memo
+has doubled, so its size, and the peak memory of a normalization, does not
+grow with the steps.  It answers the side conditions above.  Before a
+beta step below the two nearest ancestors, the normalizer asks it for
+the body's free variables, to see whether the step drops its argument;
+substitution then skips every subterm of the body that does not
+mention the variable, so the step rebuilds only the paths to its
+occurrences.
 
 A random-strategy step also costs work in the depth of its redex, not
 in the size of the term.  It draws one of the term's redexes uniformly,
@@ -78,6 +81,7 @@ from .syntax import (
     FreeVars,
     Fun,
     Handler,
+    NodeMemo,
     Op,
     Term,
     Var,
@@ -344,12 +348,12 @@ def _search(stack: list[tuple[Term, Path]], fv) -> tuple[Rule, Path] | None:
     return None
 
 
-# The free-variable memo of the leftmost-outermost normalization in
-# progress, if any.  `_leftmost_outermost` sets it for its own duration
-# and resets it after, so it never outlives one call.  `contract_at`
-# hands it to the contraction, which keeps each step a plain
-# `contract_at(focus, (), rule)` call: the call that the per-rule step
-# counters of the benchmark's tracer observe.
+# The free-variable memo of the normalization in progress, if any.
+# `normalize` sets it for the duration of one call and resets it after,
+# so it never outlives the call.  `contract_at` hands it to the
+# contraction, which keeps each step a plain `contract_at(t, path, rule)`
+# call: the call that the per-rule step counters of the benchmark's
+# tracer observe.
 _MEMO: ContextVar[FreeVars | None] = ContextVar("_MEMO", default=None)
 
 
@@ -359,17 +363,9 @@ def contract_at(t: Term, path: Path, rule: Rule) -> Term:
     Only the nodes on `path` are rebuilt; every other subterm is shared
     with `t`.
     """
-    spine = []
-    for i in path:
-        tys, s = _peel(t)
-        kids = children(s)
-        spine.append((tys, s, kids, i))
-        t = kids[i]
-    tys, s = _peel(t)
-    t = _rewrap(tys, _contract(s, rule, _MEMO.get()))
-    for tys, s, kids, i in reversed(spine):
-        t = _rewrap(tys, rebuild(s, (*kids[:i], t, *kids[i + 1 :])))
-    return t
+    frames: list[list] = []
+    tys, s = _peel(_descend(frames, t, path))
+    return _whole(frames, _rewrap(tys, _contract(s, rule, _MEMO.get())))
 
 
 def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
@@ -489,11 +485,16 @@ def normalize(
         if len(graph.normal_forms) > 1:
             raise ConfluenceError(f"{len(graph.normal_forms)} distinct normal forms reached")
         strategy = "leftmostOutermost"
-    if strategy == "leftmostOutermost":
-        return _leftmost_outermost(t, fuel, record_steps)
-    if strategy != "randomSeeded":
+    if strategy not in ("leftmostOutermost", "randomSeeded"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _random_seeded(t, fuel, seed, record_steps)
+    fv = FreeVars()
+    token = _MEMO.set(fv)
+    try:
+        if strategy == "leftmostOutermost":
+            return _zipper(t, fuel, record_steps, fv)
+        return _random_seeded(t, fuel, seed, record_steps, fv)
+    finally:
+        _MEMO.reset(token)
 
 
 def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
@@ -512,15 +513,6 @@ def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
 
 
 _KEPT: frozenset[str] = frozenset()
-
-
-def _leftmost_outermost(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
-    fv = FreeVars()
-    token = _MEMO.set(fv)
-    try:
-        return _zipper(t, fuel, record_steps, fv)
-    finally:
-        _MEMO.reset(token)
 
 
 def _ended(t: Term, steps: list[Step], final: Term, count: int) -> ReductionTrace:
@@ -545,11 +537,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
     hit = _search([(t, ())], fv)
     while hit is not None:
         rule, path = hit
-        for i in path:
-            tys, s = _peel(focus)
-            kids = list(children(s))
-            frames.append([tys, s, kids, i])
-            focus = kids[i]
+        focus = _descend(frames, focus, path)
         if count == fuel:
             return ReductionTrace(t, steps, FuelExhausted(), _whole(frames, focus), count)
         # the outermost frame the step can make a redex: the second
@@ -572,6 +560,8 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
         count += 1
         if record_steps:
             steps.append(Step(rule, tuple(frame[3] for frame in frames), _whole(frames, focus)))
+        if fv.due():
+            fv.prune(_whole(frames, focus))
         # bring frames[top:] up to date, then re-check them outermost first
         _whole(frames, focus, top)
         hit = None
@@ -608,6 +598,17 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
     return _ended(t, steps, focus, count)
 
 
+def _descend(frames: list[list], focus: Term, path: Path) -> Term:
+    """The subterm of `focus` at `path`, pushing a frame for each
+    ascription-free node passed on the way."""
+    for i in path:
+        tys, s = _peel(focus)
+        kids = list(children(s))
+        frames.append([tys, s, kids, i])
+        focus = kids[i]
+    return focus
+
+
 def _whole(frames: list[list], focus: Term, top: int = 0) -> Term:
     """The subterm at frames[top] with `focus` plugged in; the frames
     from `top` down are brought up to date on the way."""
@@ -620,63 +621,55 @@ def _whole(frames: list[list], focus: Term, top: int = 0) -> Term:
     return focus
 
 
-def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
+def _random_seeded(
+    t: Term, fuel: int, seed: int, record_steps: bool, fv: FreeVars
+) -> ReductionTrace:
     rng = random.Random(seed)
-    fv = FreeVars()
     counts = _RedexCounts(fv)
-    token = _MEMO.set(fv)
-    try:
-        steps: list[Step] = []
-        current = t
-        # one count more than there are steps: after the last step the
-        # term may already be normal
-        for spent in range(fuel + 1):
-            n = counts.total(current)
-            if not n:
-                return _ended(t, steps, current, spent)
-            if spent == fuel:
-                break
-            # draws from the RNG exactly as `rng.choice(candidates(current))`
-            rule, path = counts.find(current, rng.choice(range(n)))
-            current = contract_at(current, path, rule)
-            if record_steps:
-                steps.append(Step(rule, path, current))
-        return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
-    finally:
-        _MEMO.reset(token)
+    steps: list[Step] = []
+    current = t
+    # one count more than there are steps: after the last step the term
+    # may already be normal
+    for spent in range(fuel + 1):
+        n = counts.total(current)
+        if not n:
+            return _ended(t, steps, current, spent)
+        if spent == fuel:
+            break
+        # draws from the RNG exactly as `rng.choice(candidates(current))`
+        rule, path = counts.find(current, rng.choice(range(n)))
+        current = contract_at(current, path, rule)
+        if record_steps:
+            steps.append(Step(rule, path, current))
+    return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
 
 
-class _RedexCounts:
+class _RedexCounts(NodeMemo):
     """Redexes per subterm, with a memo keyed by node identity, for one
     random-strategy normalization.
 
     `memo` maps the id of every ascription-free node counted to the node
-    itself (so that its id cannot be reused while the entry lives), the
-    rule at the node (`_rule_at`, or None) and the number of redexes in
-    its subtree, where a shared subterm counts once per position, as in
-    `candidates`.  Variables and constants have none and are not stored.
-    The memo is closed under subterms: a node's entry implies entries
-    for every ascription-free node below it but variables and constants.
+    itself, the rule at the node (`_rule_at`, or None) and the number of
+    redexes in its subtree, where a shared subterm counts once per
+    position, as in `candidates`.  The memo is closed under subterms: a
+    node's entry implies entries for every ascription-free node below it
+    but variables and constants.
 
-    `fv` answers the side conditions of eta and cOp.  Once the memo
-    reaches twice the size it had after the last prune, both memos are
-    cut down to the nodes of the current term, so neither keeps every
-    term the normalization ever built alive, at an amortized cost of
-    O(1) per entry.
+    `fv` answers the side conditions of eta and cOp.  Whenever this memo
+    is due, both memos are pruned to the nodes of the current term in
+    one walk.  This memo holds every node of that term, so a prune
+    costs O(1) per entry, amortized.
     """
 
     def __init__(self, fv: FreeVars) -> None:
+        super().__init__()
         self.fv = fv
-        self.memo: dict[int, tuple[Term, Rule | None, int]] = {}
-        self._depth = 0
-        self._prune_at = _PRUNE_AT_LEAST
 
     def total(self, t: Term) -> int:
         """The number of redexes of the whole term `t`."""
         n = self.count(t)
-        if len(self.memo) >= self._prune_at:
-            self._prune(t)
-            self._prune_at = max(2 * len(self.memo), _PRUNE_AT_LEAST)
+        if self.due():
+            self.prune(t, self.fv)
         return n
 
     def count(self, t: Term) -> int:
@@ -691,11 +684,10 @@ class _RedexCounts:
         hit = memo.get(id(t))
         if hit is not None:
             return hit[2]
-        if self._depth >= _COUNT_DEPTH:
-            self._below(t)
-        # recursion is the fast way for the usual shallow term; after a
-        # step, all but one child of each new node are in the memo
-        self._depth += 1
+        if self._room <= 0:
+            self._below(t, self.count)
+        # after a step, all but one child of each new node are in the memo
+        self._room -= 1
         n = 0
         for kid in children(t):
             while type(kid) is Ann:
@@ -704,32 +696,12 @@ class _RedexCounts:
             if cls is not Var and cls is not Const:
                 hit = memo.get(id(kid))
                 n += self.count(kid) if hit is None else hit[2]
-        self._depth -= 1
+        self._room += 1
         rule = _rule_at(t, self.fv)
         if rule is not None:
             n += 1
         memo[id(t)] = (t, rule, n)
         return n
-
-    def _below(self, t: Term) -> None:
-        """Count every uncounted proper subterm of `t`, deepest first, so
-        that none of them recurses further."""
-        memo = self.memo
-        order = []
-        seen = set()
-        stack = list(children(t))
-        while stack:
-            node = stack.pop()
-            while type(node) is Ann:
-                node = node.term
-            cls = type(node)
-            if cls is Var or cls is Const or id(node) in memo or id(node) in seen:
-                continue
-            seen.add(id(node))
-            order.append(node)
-            stack.extend(children(node))
-        for node in reversed(order):
-            self.count(node)
 
     def find(self, t: Term, k: int) -> tuple[Rule, Path]:
         """The `k`-th redex of the counted term `t` (from 0) in
@@ -756,33 +728,3 @@ class _RedexCounts:
                     k -= n
             path.append(i)
             t = kid
-
-    def _prune(self, root: Term) -> None:
-        """Keep only the entries, in both memos, of nodes of `root`."""
-        memo, fv_memo = self.memo, self.fv.memo
-        kept: dict[int, tuple[Term, Rule | None, int]] = {}
-        kept_fv: dict[int, tuple[Term, frozenset[str]]] = {}
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            cls = type(t)
-            if cls is Var or cls is Const:
-                continue
-            key = id(t)
-            if cls is not Ann:
-                # each node is walked once, however often it is shared
-                if key in kept:
-                    continue
-                kept[key] = memo[key]
-            hit = fv_memo.get(key)
-            if hit is not None:
-                kept_fv[key] = hit
-            stack.extend(children(t))
-        self.memo = kept
-        self.fv.memo = kept_fv
-
-
-# how deep `_RedexCounts` recurses before it counts a subterm bottom-up
-_COUNT_DEPTH = 100
-# the fewest entries at which `_RedexCounts` prunes its memos
-_PRUNE_AT_LEAST = 1024

@@ -326,20 +326,92 @@ def free_vars(t: Term) -> frozenset[str]:
     return FreeVars()(t)
 
 
-class FreeVars:
-    """Free variables, with a memo keyed by node identity, for one job.
+class NodeMemo:
+    """One fact per node, recorded by node identity, for one job.
 
-    Calling an instance gives the free variables of a term and records
-    them for every node it visits; `memo` is that record, by `id`.  Each
-    entry holds its node, so an id cannot be reused while the memo
-    lives; variables and constants are not stored.  Create one per job
-    and drop it after: a memo that outlived its job would keep every
-    term it ever saw alive.
+    `memo` maps the id of each node recorded to an entry whose first
+    item is the node itself, so an id cannot be reused while the entry
+    lives; variables and constants are never recorded.  A subclass
+    computes its fact by recursion, the fast way for the usual shallow
+    term, and once `_room` levels are used up it calls `_below` first,
+    which records every unrecorded subterm bottom-up from an explicit
+    stack, so the recursion goes no deeper whatever the term's depth.
+
+    Create one per job and drop it after.  A job that keeps building new
+    terms calls `prune` whenever `due`: the memo then keeps only the
+    nodes of the current term, and is due again once it has doubled
+    (and holds at least 1,024 entries), so old terms are not kept alive.
     """
 
     def __init__(self) -> None:
-        self.memo: dict[int, tuple[Term, frozenset[str]]] = {}
-        self._depth = 0
+        self.memo: dict[int, tuple] = {}
+        # how many more levels the recursion may go before `_below`
+        self._room = 100
+        self._prune_at = _PRUNE_AT_LEAST
+
+    def _below(self, t: Term, fill) -> None:
+        """Record every unrecorded proper subterm of `t` by `fill`,
+        deepest first, so that none of them recurses further."""
+        memo = self.memo
+        order = []
+        seen = set()
+        stack = list(children(t))
+        while stack:
+            node = stack.pop()
+            if type(node) is Var or type(node) is Const:
+                continue
+            key = id(node)
+            # a node shared by several parents is queued once
+            if key not in memo and key not in seen:
+                seen.add(key)
+                order.append(node)
+                stack.extend(children(node))
+        for node in reversed(order):
+            fill(node)
+
+    def due(self) -> bool:
+        """Whether the memo has grown enough since the last prune."""
+        return len(self.memo) >= self._prune_at
+
+    def prune(self, root: Term, *others: "NodeMemo") -> None:
+        """Keep only the entries of nodes of `root`, here and in each of
+        `others`, in one walk of `root` that costs its size."""
+        memos = (self, *others)
+        kept: list[dict[int, tuple]] = [{} for _ in memos]
+        seen = set()
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if type(t) is Var or type(t) is Const:
+                continue
+            key = id(t)
+            # each node is walked once, however often it is shared
+            if key in seen:
+                continue
+            seen.add(key)
+            for memo, keep in zip(memos, kept):
+                hit = memo.memo.get(key)
+                if hit is not None:
+                    keep[key] = hit
+            stack.extend(children(t))
+        for memo, keep in zip(memos, kept):
+            memo.memo = keep
+            memo._prune_at = max(2 * len(keep), _PRUNE_AT_LEAST)
+
+
+# the fewest entries at which a `NodeMemo` is due for a prune
+_PRUNE_AT_LEAST = 1024
+
+
+class FreeVars(NodeMemo):
+    """Free variables, with a memo keyed by node identity, for one job.
+
+    Calling an instance gives the free variables of a term and records
+    them for every node it visits; `memo` is that record, by `id`, each
+    entry a pair of the node and its free variables.  It is closed under
+    subterms: a node's entry implies entries for every node below it but
+    variables and constants.
+    """
 
     def __call__(self, t: Term) -> frozenset[str]:
         cls = type(t)
@@ -350,10 +422,9 @@ class FreeVars:
         hit = self.memo.get(id(t))
         if hit is not None:
             return hit[1]
-        if self._depth >= _FREE_VARS_DEPTH:
-            self._below(t)
-        # recursion is the fast way for the usual shallow term
-        self._depth += 1
+        if self._room <= 0:
+            self._below(t, self)
+        self._room -= 1
         if cls is App:
             fv = self(t.fn) | self(t.arg)
         elif cls is Abs:
@@ -362,32 +433,11 @@ class FreeVars:
             fv = self(t.param) | (self(t.cont) - {t.binder})
         else:
             fv = _NO_VARS.union(*map(self, children(t)))
-        self._depth -= 1
+        self._room += 1
         self.memo[id(t)] = (t, fv)
         return fv
 
-    def _below(self, t: Term) -> None:
-        """Record every unrecorded proper subterm of `t`, deepest first,
-        so that none of them recurses further."""
-        order = []
-        seen = set()
-        stack = list(children(t))
-        while stack:
-            node = stack.pop()
-            if type(node) is Var or type(node) is Const:
-                continue
-            key = id(node)
-            # a node shared by several parents is queued once
-            if key not in self.memo and key not in seen:
-                seen.add(key)
-                order.append(node)
-                stack.extend(children(node))
-        for node in reversed(order):
-            self(node)
 
-
-# how deep `FreeVars` recurses before it records a subterm bottom-up
-_FREE_VARS_DEPTH = 100
 _NO_VARS: frozenset[str] = frozenset()
 
 
@@ -467,7 +517,13 @@ def subst(t: Term, name: str, repl: Term, fv: FreeVars | None = None) -> Term:
             return Op(t.op, param2, binder2, cont2)
         return rebuild(t, tuple(map(go, children(t))))
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        # `go` and `under` call each other through their closures: emptying
+        # the cells breaks that cycle, so the walk, and the memo dict that
+        # `known` holds, are freed on return rather than by the collector
+        del go, under
 
 
 def erase(t: Term) -> Term:

@@ -39,7 +39,7 @@ failure is found afresh, so its error carries the path where it occurs.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .syntax import (
     Abs,
@@ -119,7 +119,7 @@ class Context:
         )
 
     def bind(self, name: str, ty: Type) -> "Context":
-        return replace(self, vars={**self.vars, name: ty})
+        return Context(self.atoms, self.constants, self.operations, {**self.vars, name: ty})
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,11 @@ class _Checker:
                     return ctx.constants[name]
                 _fail("unknownName", path, "unknown constant %s", name)
             case Ann(inner, ty):
-                well_formed(ctx, ty, path)
+                # a recorded ascription is well formed: that depends only
+                # on the call's atoms and operations
                 held, entry = self._recall(ctx, t)
                 if held is None:
+                    well_formed(ctx, ty, path)
                     self._check(ctx, inner, ty, path)
                     self._record(entry, ctx, ty)
                 return ty
@@ -321,10 +323,11 @@ class _Checker:
     def _check(self, ctx: Context, t: Term, want: Type, path: Path) -> None:
         match t:
             case Ann(inner, ty):
-                well_formed(ctx, ty, path)
+                held, entry = self._recall(ctx, t)
+                if held is None:
+                    well_formed(ctx, ty, path)
                 if not subtype(ty, want):
                     _fail("mismatch", path, "ascription %s does not fit %s", ty, want)
-                held, entry = self._recall(ctx, t)
                 if held is None:
                     self._check(ctx, inner, ty, path)
                     self._record(entry, ctx, ty)

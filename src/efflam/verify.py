@@ -282,10 +282,10 @@ class _Enumeration:
                         yield t
 
 
-def enumerate_typed(max_size: int, ctx: Context = CONTEXT) -> list[tuple[Term, Type]]:
+def enumerate_typed(max_size: int) -> list[tuple[Term, Type]]:
     """The closed terms of size at most `max_size` that `synthesize`
-    accepts, with their types, smallest first."""
-    enumeration = _Enumeration(ctx)
+    accepts under `CONTEXT`, with their types, smallest first."""
+    enumeration = _Enumeration(CONTEXT)
     return [pair for n in range(1, max_size + 1) for pair in enumeration.synth(n, ())]
 
 
@@ -323,7 +323,7 @@ def _inhabit(ty: Type) -> Term:
     raise ValueError(f"uninhabited {ty!r}")
 
 
-def sample_typed(rng: random.Random, ty: Type, depth: int, ctx: Context = CONTEXT) -> Term:
+def sample_typed(rng: random.Random, ty: Type, depth: int) -> Term:
     """A well-typed term of type `ty`, built by rule-directed descent."""
 
     def go(ty: Type, scope: dict[str, Type], depth: int) -> Term:
@@ -400,23 +400,23 @@ class SuiteReport:
         return [head, *(f"  {f}" for f in self.failures)]
 
 
-def subject_reduction(max_size: int = 6, ctx: Context = CONTEXT) -> SuiteReport:
+def subject_reduction(max_size: int = 6) -> SuiteReport:
     """Each one-step reduct still checks at the redex's synthesized type,
     and when it synthesizes, the new type refines the old one."""
     failures = []
     checked = 0
-    typed = enumerate_typed(max_size, ctx)
+    typed = enumerate_typed(max_size)
     for term, ty in typed:
         for rule, path, reduced in reducts(term):
             checked += 1
             label = f"{print_term(term)} --{rule.value}@{'.'.join(map(str, path)) or 'root'}--> {print_term(reduced)}"
             try:
-                check_against(ctx, reduced, ty)
+                check_against(CONTEXT, reduced, ty)
             except TypeCheckError as err:
                 failures.append(f"{label} no longer checks at {print_type(ty)}: {err}")
                 continue
             try:
-                new_ty = synthesize(ctx, reduced)
+                new_ty = synthesize(CONTEXT, reduced)
             except TypeCheckError:
                 continue
             if not subtype(new_ty, ty):
@@ -428,11 +428,11 @@ def subject_reduction(max_size: int = 6, ctx: Context = CONTEXT) -> SuiteReport:
     )
 
 
-def confluence(max_size: int = 5, budget: int = 2000, ctx: Context = CONTEXT) -> SuiteReport:
+def confluence(max_size: int = 5, budget: int = 2000) -> SuiteReport:
     """All reduction orders of a typed term end in the same normal form."""
     failures = []
     checked = nodes = 0
-    for term, _ in enumerate_typed(max_size, ctx):
+    for term, _ in enumerate_typed(max_size):
         graph = reduction_graph(term, budget)
         checked += 1
         nodes += len(graph.nodes)
@@ -452,14 +452,13 @@ def termination(
     depth: int = 7,
     fuel: int = 100_000,
     seed: int = 0,
-    ctx: Context = CONTEXT,
 ) -> SuiteReport:
     """Random well-typed terms always run out of redexes before fuel."""
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
         ty = Comp(rng.choice(_ROWS), _sample_type(rng, 2))
-        term = sample_typed(rng, ty, depth, ctx)
+        term = sample_typed(rng, ty, depth)
         trace = normalize(term, fuel=fuel, record_steps=False)
         if isinstance(trace.outcome, FuelExhausted):
             failures.append(f"sample {i}: fuel exhausted on {print_term(term)[:120]}")
@@ -476,9 +475,7 @@ def _resuming_handler(op: str, body: Term, result: Comp) -> Term:
     return Handler(((op, clause),), eta_identity(), body)
 
 
-def handler_identity(
-    samples: int = 1000, depth: int = 5, seed: int = 0, ctx: Context = CONTEXT
-) -> SuiteReport:
+def handler_identity(samples: int = 1000, depth: int = 5, seed: int = 0) -> SuiteReport:
     """A handler for an operation outside the computation's row is inert:
     the wrapped term and the bare term share one normal form."""
     rng = random.Random(seed)
@@ -487,7 +484,7 @@ def handler_identity(
     for i in range(samples):
         row = rng.choice(rows_without_op1)
         ty = Comp(row, rng.choice((A, B, UNIT)))
-        term = sample_typed(rng, ty, depth, ctx)
+        term = sample_typed(rng, ty, depth)
         plain = normalize(term, record_steps=False)
         wrapped = normalize(_resuming_handler("op1", term, ty), record_steps=False)
         identity = normalize(Handler((), eta_identity(), term), record_steps=False)
@@ -517,9 +514,9 @@ def _nf(term: Term, fuel: int = 100_000) -> Term | None:
     return erase(trace.final)
 
 
-def monad_laws(max_size: int = 5, max_pairs: int = 400, ctx: Context = CONTEXT) -> SuiteReport:
+def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:
     """Unit and associativity of sequencing, up to normalization."""
-    typed = enumerate_typed(max_size, ctx)
+    typed = enumerate_typed(max_size)
     computations = [(t, ty) for t, ty in typed if isinstance(ty, Comp)]
     values = [(t, ty) for t, ty in typed if ty in (A, B, UNIT)]
     arrows = [
@@ -578,15 +575,6 @@ def _both_none_or_eq(left: Term | None, right: Term | None) -> bool:
     if left is None or right is None:
         return left is None and right is None
     return alpha_eq(left, right)
-
-
-SUITES = {
-    "subjectReduction": subject_reduction,
-    "confluence": confluence,
-    "termination": termination,
-    "handlerIdentity": handler_identity,
-    "monadLaws": monad_laws,
-}
 
 
 def run_suite(name: str, size: int | None = None, seed: int | None = None) -> SuiteReport:

@@ -37,6 +37,7 @@ from efflam.syntax import (
     FreeVars,
     Fun,
     Handler,
+    NodeMemo,
     Op,
     Var,
     alpha_eq,
@@ -542,6 +543,28 @@ def test_the_free_variable_memo_does_not_outlive_a_normalization():
     assert reduce_module._MEMO.get() is None
 
 
+# (\x. \y. x x y) (\x. \y. x x y): a beta step rebuilds the term under
+# `\y`, and the eta step after it asks for the free variables of a node
+# that the beta step made, so the memo gains an entry every other step
+_W = Abs("x", Abs("y", App(App(Var("x"), Var("x")), Var("y"))))
+_SELF_ETA = App(_W, _W)
+
+
+def test_resumed_search_agrees_with_a_rescan_across_memo_prunes(monkeypatch):
+    pruned = 0
+    prune = NodeMemo.prune
+
+    def counted(self, *args):
+        nonlocal pruned
+        pruned += 1
+        prune(self, *args)
+
+    monkeypatch.setattr(NodeMemo, "prune", counted)
+    trace = _assert_agrees_with_rescan(_SELF_ETA, fuel=5_000)
+    assert isinstance(trace.outcome, FuelExhausted)
+    assert pruned >= 2
+
+
 def test_one_free_variable_memo_per_redex_search(monkeypatch):
     computed = 0
 
@@ -617,20 +640,30 @@ def test_random_strategy_under_binders_that_steps_deep_inside_free():
             _assert_random_agrees_with_rescan(term, seed, fuel=40)
 
 
-def test_random_strategy_memory_does_not_grow_with_the_steps():
-    # each step of omega builds a new term; the memos must not keep the
-    # old ones alive
+_OMEGA = App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("x"))))
+
+
+@pytest.mark.parametrize(
+    "strategy, term, fuels",
+    [
+        # each step of omega builds a new term
+        pytest.param("randomSeeded", _OMEGA, (2_000, 20_000), id="randomSeeded"),
+        # both fuels go past the first prune, at about 2,000 steps
+        pytest.param("leftmostOutermost", _SELF_ETA, (5_000, 20_000), id="leftmostOutermost"),
+    ],
+)
+def test_normalization_memory_does_not_grow_with_the_steps(strategy, term, fuels):
+    # the memos must not keep the terms of earlier steps alive
     import gc
     import tracemalloc
 
-    omega = App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("x"))))
     peaks = []
-    for fuel in (2_000, 20_000):
+    for fuel in fuels:
         # without it, the peaks depend on when the collector last ran
         gc.collect()
         tracemalloc.start()
         try:
-            trace = normalize(omega, "randomSeeded", fuel=fuel, record_steps=False)
+            trace = normalize(term, strategy, fuel=fuel, record_steps=False)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -264,6 +264,26 @@ def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
     assert (got is t) == (x not in free_vars(t))
 
 
+def test_subst_leaves_nothing_for_the_cyclic_collector():
+    # garbage in a reference cycle, such as closures that call each other,
+    # lives on, with the memo dict it holds, until the collector runs
+    import gc
+
+    t = Abs("y", App(Var("x"), App(Abs("z", Var("x")), Var("y"))))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            renamed = subst(t, "x", Var("y"))
+            assert renamed == Abs("y'", App(Var("y"), App(Abs("z", Var("y")), Var("y'"))))
+            fv = FreeVars()
+            fv(t)
+            subst(t, "x", Const("c"), fv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _free_vars_by_recursion(t):
     """Reference: free variables by structural recursion."""
     match t:

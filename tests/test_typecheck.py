@@ -537,3 +537,23 @@ def test_a_lexical_entry_is_checked_once_per_call(monkeypatch):
         assert print_type(synthesize(FRAGMENT_CTX, t)) == "F{implicate, scope, speaker}(o)"
         counts[depth] = len(calls)
     assert counts == {8: 1, 64: 1}
+
+
+def test_a_shared_ascription_is_checked_well_formed_once_per_call(monkeypatch):
+    # every level of a report reuses the lexical entries' ascriptions
+    calls = 0
+    plain = typecheck.well_formed
+
+    def counted(ctx, ty, path=()):
+        nonlocal calls
+        calls += 1
+        return plain(ctx, ty, path)
+
+    monkeypatch.setattr(typecheck, "well_formed", counted)
+    counts = {}
+    for depth in (8, 64):
+        calls = 0
+        t = parse_term(ladder_source(depth), FRAGMENT_ENV)
+        assert print_type(synthesize(FRAGMENT_CTX, t)) == "F{implicate, scope, speaker}(o)"
+        counts[depth] = calls
+    assert counts[64] == counts[8], counts
