@@ -39,12 +39,13 @@ Free variables come from a memo keyed by node identity (`FreeVars`).
 There is one per normalization, made by `normalize` and dropped after
 it, and both strategies prune it to the current term whenever a memo
 has doubled, so its size, and the peak memory of a normalization, does not
-grow with the steps.  It answers the side conditions above.  Before a
-beta step below the two nearest ancestors, the normalizer asks it for
-the body's free variables, to see whether the step drops its argument;
-substitution then skips every subterm of the body that does not
-mention the variable, so the step rebuilds only the paths to its
-occurrences.
+grow with the steps.  It answers the side conditions above, and it
+tells whether a beta step below the two nearest ancestors drops its
+argument.  Substitution asks it too, and enters only the subterms
+that mention the substituted variable, so a step rebuilds only the
+paths to its occurrences, and a subterm that later steps pass on
+unchanged, such as the rest of a long chain of handled operations, is
+walked once per normalization, not once per step.
 
 A random-strategy step also costs work in the depth of its redex, not
 in the size of the term.  It draws one of the term's redexes uniformly,
@@ -83,6 +84,7 @@ from .syntax import (
     Handler,
     NodeMemo,
     Op,
+    Path,
     Term,
     Var,
     canonical_key,
@@ -92,8 +94,6 @@ from .syntax import (
     rebuild,
     subst,
 )
-
-Path = tuple[int, ...]
 
 
 class Rule(str, Enum):
@@ -217,12 +217,13 @@ def _rule_at(s: Term, fv) -> Rule | None:
     return None
 
 
-def _commute_ann(fn_anns: list) -> tuple[list, object | None]:
-    """Split a commuted function's ascriptions into (discarded, innermost usable)."""
+def _commute_ann(fn_anns: Sequence) -> Fun | None:
+    """The innermost of a commuted function's ascriptions that the
+    commuted function can keep: a function type returning a computation."""
     for ty in reversed(fn_anns):
         if isinstance(ty, Fun) and isinstance(ty.cod, Comp):
-            return fn_anns, ty
-    return fn_anns, None
+            return ty
+    return None
 
 
 def _contract(s: Term, rule: Rule, fv=None) -> Term:
@@ -279,7 +280,7 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             assert isinstance(lam, Abs)
             injected = _strip(lam.body)
             assert isinstance(injected, Eta)
-            _, usable = _commute_ann(fn_anns)
+            usable = _commute_ann(fn_anns)
             result_fn = Abs(lam.binder, injected.value)
             if usable is not None:
                 result_fn = Ann(result_fn, Fun(usable.dom, usable.cod.value))
@@ -295,7 +296,7 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
                 renamed = fresh_name(binder, fv(cont) | {binder, lam.binder})
                 cont = subst(cont, binder, Var(renamed), fv)
                 binder = renamed
-            _, usable = _commute_ann(fn_anns)
+            usable = _commute_ann(fn_anns)
             inner_fn: Term = Abs(lam.binder, cont)
             if usable is not None:
                 inner_fn = Ann(inner_fn, usable)
@@ -424,14 +425,15 @@ def reduction_graph(term: Term, budget: int = 2000) -> ReductionGraph:
     At most `budget` nodes are kept; a reduct that would be one more
     marks the graph incomplete and is not explored.
     """
-    nodes = {canonical_key(term): term}
+    root_key = canonical_key(term)
+    nodes = {root_key: term}
     edges: list[tuple[str, Rule, Path, str]] = []
     normal_forms: list[Term] = []
-    queue = deque([term])
+    # each term is queued with its key, so it is keyed once
+    queue = deque([(term, root_key)])
     complete = True
     while queue:
-        current = queue.popleft()
-        current_key = canonical_key(current)
+        current, current_key = queue.popleft()
         nexts = reducts(current)
         if not nexts:
             normal_forms.append(current)
@@ -444,7 +446,7 @@ def reduction_graph(term: Term, budget: int = 2000) -> ReductionGraph:
                     complete = False
                     continue
                 nodes[key] = reduced
-                queue.append(reduced)
+                queue.append((reduced, key))
     return ReductionGraph(term, nodes, edges, normal_forms, complete)
 
 

@@ -35,6 +35,7 @@ from .syntax import (
     Fun,
     Handler,
     Op,
+    Path,
     Signature,
     Term,
     Type,
@@ -566,8 +567,13 @@ def print_term(t: Term) -> str:
                 return _UNIT, f"({go(term, _BIND)} : {print_type(ty)})"
         raise TypeError(f"not a term: {t!r}")
 
-    return go(t, _BIND)
+    try:
+        return go(t, _BIND)
+    finally:
+        # `go` and `render` call each other through their closures:
+        # emptying the cells breaks that cycle, as in `subst`
+        del go, render
 
 
-def print_path(path: tuple[int, ...]) -> str:
+def print_path(path: Path) -> str:
     return ".".join(str(i) for i in path) if path else "root"

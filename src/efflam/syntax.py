@@ -236,6 +236,9 @@ class Ann:
 
 Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
 
+# a position in a term: child indices, in `children` order, from the root
+Path = tuple[int, ...]
+
 
 # ---------------------------------------------------------------------------
 # Term shape: the one place that lists each constructor's subterms
@@ -459,53 +462,40 @@ def subst(t: Term, name: str, repl: Term, fv: FreeVars | None = None) -> Term:
     comes back as the very same object, and a node is rebuilt only when
     one of its children changed.  So `subst(t, name, repl) is t` when
     `name` is not free in `t`, and a result shares every untouched
-    subterm with `t`.  The walk itself finds the occurrences; free
-    variables are computed only for `repl` (once, when an occurrence is
-    found under a binder) and for the body of a binder that `repl`
-    mentions, to decide whether that binder must be renamed.  They come
-    from the memo `fv` when one is given (else from a fresh one), and
-    the walk skips every subterm that `fv` already knows to be free of
-    `name`.
+    subterm with `t`.  Free variables come from the memo `fv` when one
+    is given (else from a fresh one).  Asking it about `t` first records
+    every node of `t`, so the walk enters only the nodes whose entry
+    holds `name`: it costs the paths to the occurrences, however large
+    `t` is.  A binder on such a path that `repl` mentions is renamed.
     """
     if fv is None:
         fv = FreeVars()
-    known = fv.memo.get if fv.memo else None
-    repl_fv: frozenset[str] | None = None
+    if name not in fv(t):
+        return t
+    known = fv.memo.get
+    repl_fv = fv(repl)
 
     def under(binder: str, body: Term) -> tuple[str, Term]:
-        # the binder and body after substituting in the body; the same
-        # objects when `name` is not free there
-        nonlocal repl_fv
+        # the binder and body after substituting in the body
         if binder == name:
             return binder, body
-        if repl_fv is None:
-            # `repl`'s free variables are needed only once an occurrence
-            # is found under a binder: substitute first, and redo the body
-            # renamed if `binder` would capture; a binder is redone at
-            # most once, since later ones know `repl_fv` up front
-            body2 = go(body)
-            if body2 is body:
-                return binder, body
-            if repl_fv is None:
-                repl_fv = fv(repl)
-            if binder not in repl_fv:
-                return binder, body2
-        elif binder not in repl_fv:
-            return binder, go(body)
-        body_fv = fv(body)
-        if name not in body_fv:
-            return binder, body
-        renamed = fresh_name(binder, repl_fv | body_fv | {name})
-        return renamed, go(subst(body, binder, Var(renamed), fv))
+        if binder in repl_fv:
+            body_fv = fv(body)
+            if name in body_fv:
+                renamed = fresh_name(binder, repl_fv | body_fv | {name})
+                return renamed, go(subst(body, binder, Var(renamed), fv))
+        return binder, go(body)
 
     def go(t: Term) -> Term:
         cls = type(t)
         if cls is Var:
             return repl if t.name == name else t
-        if known is not None:
-            hit = known(id(t))
-            if hit is not None and name not in hit[1]:
-                return t
+        if cls is Const:
+            return t
+        # a node made by a rename is not recorded yet
+        hit = known(id(t))
+        if name not in (fv(t) if hit is None else hit[1]):
+            return t
         if cls is Abs:
             binder2, body2 = under(t.binder, t.body)
             return t if body2 is t.body else Abs(binder2, body2)
@@ -579,7 +569,12 @@ def canonical_key(t: Term) -> str:
                     go(child, env, depth)
                 parts.append(")")
 
-    go(t, {}, 0)
+    try:
+        go(t, {}, 0)
+    finally:
+        # `go` calls itself through its closure: emptying the cell breaks
+        # that cycle, so `parts` is freed on return, as in `subst`
+        del go
     return "".join(parts)
 
 

@@ -55,15 +55,15 @@ from .syntax import (
     Fun,
     Handler,
     Op,
+    Path,
     Signature,
     Term,
     Type,
     UNIT,
     Var,
 )
+from .surface import print_path
 from .syntax import Const as ConstTerm
-
-Path = tuple[int, ...]
 
 
 class TypeCheckError(Exception):
@@ -88,8 +88,7 @@ class TypeCheckError(Exception):
         return self.template % self.args[3:]
 
     def __str__(self) -> str:
-        at = ".".join(str(i) for i in self.path) if self.path else "root"
-        return f"{self.kind} at {at}: {self.message}"
+        return f"{self.kind} at {print_path(self.path)}: {self.message}"
 
 
 def _fail(kind: str, path: Path, template: str, *args: object) -> "TypeCheckError":

@@ -34,7 +34,7 @@ from .reduce import (
     reduction_graph,
     reducts,
 )
-from .surface import print_term, print_type
+from .surface import print_path, print_term, print_type
 from .syntax import (
     Abs,
     Ann,
@@ -55,7 +55,6 @@ from .syntax import (
     UNIT,
     Var,
     alpha_eq,
-    erase,
 )
 from .typecheck import Context, TypeCheckError, check_against, subtype, synthesize
 
@@ -372,7 +371,12 @@ def sample_typed(rng: random.Random, ty: Type, depth: int) -> Term:
                     return App(Const("f0"), go(A, scope, depth - 1))
                 return _inhabit(ty)
 
-    return go(ty, {}, depth)
+    try:
+        return go(ty, {}, depth)
+    finally:
+        # `go` calls itself through its closure: emptying the cell breaks
+        # that cycle, as in `subst`
+        del go
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,7 @@ def subject_reduction(max_size: int = 6) -> SuiteReport:
     for term, ty in typed:
         for rule, path, reduced in reducts(term):
             checked += 1
-            label = f"{print_term(term)} --{rule.value}@{'.'.join(map(str, path)) or 'root'}--> {print_term(reduced)}"
+            label = f"{print_term(term)} --{rule.value}@{print_path(path)}--> {print_term(reduced)}"
             try:
                 check_against(CONTEXT, reduced, ty)
             except TypeCheckError as err:
@@ -491,9 +495,9 @@ def handler_identity(samples: int = 1000, depth: int = 5, seed: int = 0) -> Suit
         if isinstance(plain.outcome, NormalForm):
             agree = (
                 isinstance(wrapped.outcome, NormalForm)
-                and alpha_eq(erase(plain.final), erase(wrapped.final))
+                and alpha_eq(plain.final, wrapped.final)
                 and isinstance(identity.outcome, NormalForm)
-                and alpha_eq(erase(plain.final), erase(identity.final))
+                and alpha_eq(plain.final, identity.final)
             )
         else:
             # a handler cannot dissolve around a term with no normal form
@@ -511,7 +515,7 @@ def _nf(term: Term, fuel: int = 100_000) -> Term | None:
     trace = normalize(term, fuel=fuel, record_steps=False)
     if not isinstance(trace.outcome, NormalForm):
         return None
-    return erase(trace.final)
+    return trace.final
 
 
 def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:

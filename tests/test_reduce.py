@@ -246,6 +246,27 @@ def test_deep_terms_normalize_without_recursion():
     )
 
 
+def _handled_chain(n):
+    # handle { op1 -> \p. \k. k p, eta -> \x. eta x }
+    #   (do op1(a0, \y0. do op1(y0, \y1. ... eta y_{n-1})))
+    body = Eta(Var(f"y{n - 1}"))
+    for i in reversed(range(n)):
+        body = Op("op1", Const("a0") if i == 0 else Var(f"y{i - 1}"), f"y{i}", body)
+    clause = Abs("p", Abs("k", App(Var("k"), Var("p"))))
+    return Handler((("op1", clause),), Abs("x", Eta(Var("x"))), body)
+
+
+@pytest.mark.parametrize("strategy", ["leftmostOutermost", "randomSeeded"])
+def test_a_long_handled_chain_normalizes(strategy):
+    # each call takes bananaOp and three betas, and the last beta of each
+    # substitutes into the whole rest of the chain: substitution must
+    # enter only the paths to the variable, not recurse down the chain
+    trace = normalize(_handled_chain(2000), strategy, record_steps=False)
+    assert isinstance(trace.outcome, NormalForm)
+    assert trace.final == Eta(Const("a0"))
+    assert trace.step_count == 4 * 2000 + 2
+
+
 # ---------------------------------------------------------------------------
 # Ascriptions survive reduction and keep traces checkable
 

@@ -266,10 +266,18 @@ def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
 
 def test_subst_leaves_nothing_for_the_cyclic_collector():
     # garbage in a reference cycle, such as closures that call each other,
-    # lives on, with the memo dict it holds, until the collector runs
+    # lives on, with the memo dict it holds, until the collector runs; the
+    # other walkers built on recursive closures are held to the same rule
     import gc
+    import random
+
+    from efflam.fragment import example
+    from efflam.surface import print_term
+    from efflam.verify import A, _ROWS, sample_typed
 
     t = Abs("y", App(Var("x"), App(Abs("z", Var("x")), Var("y"))))
+    golden = example(8).term(Const("s"))
+    rng = random.Random(0)
     gc.collect()
     gc.disable()
     try:
@@ -279,6 +287,9 @@ def test_subst_leaves_nothing_for_the_cyclic_collector():
             fv = FreeVars()
             fv(t)
             subst(t, "x", Const("c"), fv)
+            canonical_key(t)
+            print_term(golden)
+            sample_typed(rng, Comp(_ROWS[0], A), 5)
         assert gc.collect() == 0
     finally:
         gc.enable()
