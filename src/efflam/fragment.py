@@ -41,7 +41,6 @@ from .syntax import (
     Signature,
     Term,
     Type,
-    UNIT,
     Var,
     free_vars,
     fresh_name,
@@ -82,55 +81,55 @@ SENTENCE_FINAL = Comp(CONTEXT_ROW, O)
 # ---------------------------------------------------------------------------
 # Handler builders
 #
-# Each builder typechecks the term it is about to handle and writes the
-# resulting concrete types onto its clauses.
+# Each builder typechecks the term it is about to handle under `CONTEXT`
+# and writes the resulting concrete types onto its clause.
 
 
-def _computation_of(m: Term, ctx: Context, what: str) -> Comp:
-    ty = synthesize(ctx, m)
+def _computation_of(m: Term, what: str) -> Comp:
+    ty = synthesize(CONTEXT, m)
     if not isinstance(ty, Comp):
         raise TypeCheckError("notAComputation", (), "%s must be a computation", what)
     return ty
 
 
-def scope_island(m: Term, ctx: Context = CONTEXT) -> Term:
+def _handle(m: Term, op: str, p: str, k: str, body: Term, result: Comp) -> Handler:
+    """`m` under a handler for `op` alone whose clause is `\\p. \\k. body`,
+    ascribed `inp -> (out -> result) -> result` for `op`'s declared
+    input and output types."""
+    inp, out = CONTEXT.operations.get(op)
+    clause = Ann(Abs(p, Abs(k, body)), Fun(inp, Fun(Fun(out, result), result)))
+    return Handler(((op, clause),), eta_identity(), m)
+
+
+def scope_island(m: Term) -> Term:
     """Close off quantifier scope: every pending scope-taker lands here.
 
     The handled term must be a sentence-level computation; the result
     carries exactly the context row, which is what a scope resumption
     is allowed to produce.
     """
-    ty = _computation_of(m, ctx, "a scope island")
+    ty = _computation_of(m, "a scope island")
     if ty.value != O or not ty.effects.without({"scope"}).subset_of(CONTEXT_ROW):
         raise TypeCheckError(
             "mismatch", (), "a scope island needs a sentence computation, got %s", ty
         )
-    result = Comp(CONTEXT_ROW, O)
-    clause = Ann(
-        Abs("c", Abs("k", App(Var("c"), Var("k")))),
-        Fun(CONTEXT.operations.get("scope")[0], Fun(Fun(IOTA, result), result)),
-    )
-    return Handler((("scope", clause),), eta_identity(), m)
+    return _handle(m, "scope", "c", "k", App(Var("c"), Var("k")), Comp(CONTEXT_ROW, O))
 
 
-def with_speaker(speaker: Term, m: Term, ctx: Context = CONTEXT) -> Term:
+def with_speaker(speaker: Term, m: Term) -> Term:
     """Fix the utterance speaker: every speaker query resumes with it."""
-    check_against(ctx, speaker, IOTA)
-    ty = _computation_of(m, ctx, "a speaker-closed term")
+    check_against(CONTEXT, speaker, IOTA)
+    ty = _computation_of(m, "a speaker-closed term")
     result = Comp(ty.effects.without({"speaker"}), ty.value)
     avoid = free_vars(speaker)
     u = fresh_name("u", avoid)
     k = fresh_name("k", avoid | {u})
-    clause = Ann(
-        Abs(u, Abs(k, App(Var(k), speaker))),
-        Fun(UNIT, Fun(Fun(IOTA, result), result)),
-    )
-    return Handler((("speaker", clause),), eta_identity(), m)
+    return _handle(m, "speaker", u, k, App(Var(k), speaker), result)
 
 
-def accommodate(m: Term, ctx: Context = CONTEXT) -> Term:
+def accommodate(m: Term) -> Term:
     """Fold side commitments into the asserted content as conjuncts."""
-    ty = _computation_of(m, ctx, "an accommodated term")
+    ty = _computation_of(m, "an accommodated term")
     if ty.value != O:
         raise TypeCheckError(
             "mismatch", (), "accommodation needs a truth-valued computation, got %s", ty
@@ -140,11 +139,7 @@ def accommodate(m: Term, ctx: Context = CONTEXT) -> Term:
         App(Var("k"), Const("*")),
         Abs("r", Eta(App(App(Const("and"), Var("p")), Var("r")))),
     )
-    clause = Ann(
-        Abs("p", Abs("k", resumed)),
-        Fun(O, Fun(Fun(UNIT, result), result)),
-    )
-    return Handler((("implicate", clause),), eta_identity(), m)
+    return _handle(m, "implicate", "p", "k", resumed, result)
 
 
 # ---------------------------------------------------------------------------

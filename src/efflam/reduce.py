@@ -173,9 +173,7 @@ def _rewrap(tys: Sequence, t: Term) -> Term:
 
 
 def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = children(_strip(t))[i]
-    return t
+    return _descend([], t, path)
 
 
 # ---------------------------------------------------------------------------

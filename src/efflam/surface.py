@@ -199,10 +199,6 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == text
 
-    def at_kw(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == text
-
     def expect_sym(self, text: str) -> Token:
         tok = self.next()
         if tok.kind != "sym" or tok.text != text:
@@ -529,50 +525,50 @@ _PRINTED_INFIX = {
 
 
 def print_term(t: Term) -> str:
-    def go(t: Term, level: int) -> str:
-        natural, text = render(t)
-        if natural < level:
-            return f"({text})"
-        return text
+    return _print(t, _BIND)
 
-    def render(t: Term) -> tuple[int, str]:
-        match t:
-            case Var(name):
-                return _UNIT, name
-            case Const(name):
-                return _UNIT, name
-            case Abs(binder, body):
-                return _BIND, f"\\{binder}. {go(body, _BIND)}"
-            case App(App(Const(c), a), b) if c in _PRINTED_INFIX:
-                lvl, llvl, rlvl, sym = _PRINTED_INFIX[c]
-                return lvl, f"{go(a, llvl)} {sym} {go(b, rlvl)}"
-            case App(fn, arg):
-                return _APP, f"{go(fn, _APP)} {go(arg, _UNIT)}"
-            case Eta(value):
-                return _APP, f"eta {go(value, _UNIT)}"
-            case Cherry(comp):
-                return _APP, f"extract {go(comp, _UNIT)}"
-            case Exchange(fn):
-                return _APP, f"commute {go(fn, _UNIT)}"
-            case Op(op, param, binder, cont):
-                return _UNIT, f"do {op}({go(param, _BIND)}, \\{binder}. {go(cont, _BIND)})"
-            case Handler(clauses, eta_clause, scrutinee):
-                parts = [f"{name} -> {go(clause, _BIND)}" for name, clause in clauses]
-                if not alpha_eq(eta_clause, eta_identity()):
-                    parts.append(f"eta -> {go(eta_clause, _BIND)}")
-                inner = ", ".join(parts)
-                braces = f"{{ {inner} }}" if inner else "{ }"
-                return _APP, f"handle {braces} {go(scrutinee, _UNIT)}"
-            case Ann(term, ty):
-                return _UNIT, f"({go(term, _BIND)} : {print_type(ty)})"
-        raise TypeError(f"not a term: {t!r}")
 
-    try:
-        return go(t, _BIND)
-    finally:
-        # `go` and `render` call each other through their closures:
-        # emptying the cells breaks that cycle, as in `subst`
-        del go, render
+def _print(t: Term, level: int) -> str:
+    """`t` printed as an operand at binding `level`: parenthesized when
+    its own level is looser."""
+    natural, text = _render(t)
+    if natural < level:
+        return f"({text})"
+    return text
+
+
+def _render(t: Term) -> tuple[int, str]:
+    """`t`'s binding level and its unparenthesized text."""
+    match t:
+        case Var(name):
+            return _UNIT, name
+        case Const(name):
+            return _UNIT, name
+        case Abs(binder, body):
+            return _BIND, f"\\{binder}. {_print(body, _BIND)}"
+        case App(App(Const(c), a), b) if c in _PRINTED_INFIX:
+            lvl, llvl, rlvl, sym = _PRINTED_INFIX[c]
+            return lvl, f"{_print(a, llvl)} {sym} {_print(b, rlvl)}"
+        case App(fn, arg):
+            return _APP, f"{_print(fn, _APP)} {_print(arg, _UNIT)}"
+        case Eta(value):
+            return _APP, f"eta {_print(value, _UNIT)}"
+        case Cherry(comp):
+            return _APP, f"extract {_print(comp, _UNIT)}"
+        case Exchange(fn):
+            return _APP, f"commute {_print(fn, _UNIT)}"
+        case Op(op, param, binder, cont):
+            return _UNIT, f"do {op}({_print(param, _BIND)}, \\{binder}. {_print(cont, _BIND)})"
+        case Handler(clauses, eta_clause, scrutinee):
+            parts = [f"{name} -> {_print(clause, _BIND)}" for name, clause in clauses]
+            if not alpha_eq(eta_clause, eta_identity()):
+                parts.append(f"eta -> {_print(eta_clause, _BIND)}")
+            inner = ", ".join(parts)
+            braces = f"{{ {inner} }}" if inner else "{ }"
+            return _APP, f"handle {braces} {_print(scrutinee, _UNIT)}"
+        case Ann(term, ty):
+            return _UNIT, f"({_print(term, _BIND)} : {print_type(ty)})"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def print_path(path: Path) -> str:

@@ -355,21 +355,7 @@ class NodeMemo:
     def _below(self, t: Term, fill) -> None:
         """Record every unrecorded proper subterm of `t` by `fill`,
         deepest first, so that none of them recurses further."""
-        memo = self.memo
-        order = []
-        seen = set()
-        stack = list(children(t))
-        while stack:
-            node = stack.pop()
-            if type(node) is Var or type(node) is Const:
-                continue
-            key = id(node)
-            # a node shared by several parents is queued once
-            if key not in memo and key not in seen:
-                seen.add(key)
-                order.append(node)
-                stack.extend(children(node))
-        for node in reversed(order):
+        for node in reversed(list(_nodes(list(children(t)), self.memo))):
             fill(node)
 
     def due(self) -> bool:
@@ -381,25 +367,35 @@ class NodeMemo:
         `others`, in one walk of `root` that costs its size."""
         memos = (self, *others)
         kept: list[dict[int, tuple]] = [{} for _ in memos]
-        seen = set()
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if type(t) is Var or type(t) is Const:
-                continue
+        for t in _nodes([root]):
             key = id(t)
-            # each node is walked once, however often it is shared
-            if key in seen:
-                continue
-            seen.add(key)
             for memo, keep in zip(memos, kept):
                 hit = memo.memo.get(key)
                 if hit is not None:
                     keep[key] = hit
-            stack.extend(children(t))
         for memo, keep in zip(memos, kept):
             memo.memo = keep
             memo._prune_at = max(2 * len(keep), _PRUNE_AT_LEAST)
+
+
+def _nodes(stack: list[Term], skip=()) -> Iterator[Term]:
+    """Each distinct node reachable from `stack`, once, parents first.
+
+    Variables and constants are not entered, nor any node whose id is
+    in `skip`; a node shared by several parents is entered once, so the
+    walk costs the number of distinct nodes.  Consumes `stack`.
+    """
+    seen = set()
+    while stack:
+        t = stack.pop()
+        if type(t) is Var or type(t) is Const:
+            continue
+        key = id(t)
+        if key in skip or key in seen:
+            continue
+        seen.add(key)
+        yield t
+        stack.extend(children(t))
 
 
 # the fewest entries at which a `NodeMemo` is due for a prune
@@ -472,48 +468,47 @@ def subst(t: Term, name: str, repl: Term, fv: FreeVars | None = None) -> Term:
         fv = FreeVars()
     if name not in fv(t):
         return t
-    known = fv.memo.get
-    repl_fv = fv(repl)
+    return _subst(t, name, repl, fv(repl), fv, fv.memo.get)
 
-    def under(binder: str, body: Term) -> tuple[str, Term]:
-        # the binder and body after substituting in the body
-        if binder == name:
-            return binder, body
-        if binder in repl_fv:
-            body_fv = fv(body)
-            if name in body_fv:
-                renamed = fresh_name(binder, repl_fv | body_fv | {name})
-                return renamed, go(subst(body, binder, Var(renamed), fv))
-        return binder, go(body)
 
-    def go(t: Term) -> Term:
-        cls = type(t)
-        if cls is Var:
-            return repl if t.name == name else t
-        if cls is Const:
+def _subst(t: Term, name: str, repl: Term, repl_fv, fv: FreeVars, known) -> Term:
+    """`subst`'s walk: `repl_fv` is `repl`'s free variables, and `known`
+    looks a node up in the memo `fv`."""
+    cls = type(t)
+    if cls is Var:
+        return repl if t.name == name else t
+    if cls is Const:
+        return t
+    # a node made by a rename is not recorded yet
+    hit = known(id(t))
+    if name not in (fv(t) if hit is None else hit[1]):
+        return t
+    if cls is Abs:
+        binder2, body2 = _subst_under(t.binder, t.body, name, repl, repl_fv, fv, known)
+        return t if body2 is t.body else Abs(binder2, body2)
+    if cls is Op:
+        param2 = _subst(t.param, name, repl, repl_fv, fv, known)
+        binder2, cont2 = _subst_under(t.binder, t.cont, name, repl, repl_fv, fv, known)
+        if param2 is t.param and cont2 is t.cont:
             return t
-        # a node made by a rename is not recorded yet
-        hit = known(id(t))
-        if name not in (fv(t) if hit is None else hit[1]):
-            return t
-        if cls is Abs:
-            binder2, body2 = under(t.binder, t.body)
-            return t if body2 is t.body else Abs(binder2, body2)
-        if cls is Op:
-            param2 = go(t.param)
-            binder2, cont2 = under(t.binder, t.cont)
-            if param2 is t.param and cont2 is t.cont:
-                return t
-            return Op(t.op, param2, binder2, cont2)
-        return rebuild(t, tuple(map(go, children(t))))
+        return Op(t.op, param2, binder2, cont2)
+    kids = []
+    for child in children(t):
+        kids.append(_subst(child, name, repl, repl_fv, fv, known))
+    return rebuild(t, kids)
 
-    try:
-        return go(t)
-    finally:
-        # `go` and `under` call each other through their closures: emptying
-        # the cells breaks that cycle, so the walk, and the memo dict that
-        # `known` holds, are freed on return rather than by the collector
-        del go, under
+
+def _subst_under(binder: str, body: Term, name, repl, repl_fv, fv, known) -> tuple[str, Term]:
+    """The binder and body after substituting in the body."""
+    if binder == name:
+        return binder, body
+    if binder in repl_fv:
+        body_fv = fv(body)
+        if name in body_fv:
+            renamed = fresh_name(binder, repl_fv | body_fv | {name})
+            body = subst(body, binder, Var(renamed), fv)
+            return renamed, _subst(body, name, repl, repl_fv, fv, known)
+    return binder, _subst(body, name, repl, repl_fv, fv, known)
 
 
 def erase(t: Term) -> Term:
@@ -537,45 +532,42 @@ def canonical_key(t: Term) -> str:
     """
 
     parts: list[str] = []
-
-    def go(t: Term, env: dict[str, int], depth: int) -> None:
-        while isinstance(t, Ann):
-            t = t.term
-        match t:
-            case Var(name):
-                if name in env:
-                    parts.append(f"#{depth - 1 - env[name]}")
-                else:
-                    parts.append(f"${name}")
-            case Const(name):
-                parts.append(f"!{name}")
-            case Abs(binder, body):
-                parts.append("(\\")
-                go(body, {**env, binder: depth}, depth + 1)
-                parts.append(")")
-            case Op(op, param, binder, cont):
-                parts.append(f"(do {op} ")
-                go(param, env, depth)
-                parts.append(" .")
-                go(cont, {**env, binder: depth}, depth + 1)
-                parts.append(")")
-            case _:
-                # a handler's clause names are part of its shape
-                parts.append(f"({type(t).__name__}")
-                if isinstance(t, Handler):
-                    parts.append("".join(f" {name}=" for name, _ in t.clauses))
-                for child in children(t):
-                    parts.append(" ")
-                    go(child, env, depth)
-                parts.append(")")
-
-    try:
-        go(t, {}, 0)
-    finally:
-        # `go` calls itself through its closure: emptying the cell breaks
-        # that cycle, so `parts` is freed on return, as in `subst`
-        del go
+    _key(t, {}, 0, parts)
     return "".join(parts)
+
+
+def _key(t: Term, env: dict[str, int], depth: int, parts: list[str]) -> None:
+    """Append `t`'s key to `parts`; `env` maps each binder in scope to
+    the depth it was bound at, `depth` being the number in scope."""
+    while isinstance(t, Ann):
+        t = t.term
+    match t:
+        case Var(name):
+            if name in env:
+                parts.append(f"#{depth - 1 - env[name]}")
+            else:
+                parts.append(f"${name}")
+        case Const(name):
+            parts.append(f"!{name}")
+        case Abs(binder, body):
+            parts.append("(\\")
+            _key(body, {**env, binder: depth}, depth + 1, parts)
+            parts.append(")")
+        case Op(op, param, binder, cont):
+            parts.append(f"(do {op} ")
+            _key(param, env, depth, parts)
+            parts.append(" .")
+            _key(cont, {**env, binder: depth}, depth + 1, parts)
+            parts.append(")")
+        case _:
+            # a handler's clause names are part of its shape
+            parts.append(f"({type(t).__name__}")
+            if isinstance(t, Handler):
+                parts.append("".join(f" {name}=" for name, _ in t.clauses))
+            for child in children(t):
+                parts.append(" ")
+                _key(child, env, depth, parts)
+            parts.append(")")
 
 
 def size(t: Term) -> int:

@@ -324,59 +324,53 @@ def _inhabit(ty: Type) -> Term:
 
 def sample_typed(rng: random.Random, ty: Type, depth: int) -> Term:
     """A well-typed term of type `ty`, built by rule-directed descent."""
+    return _sample(rng, ty, {}, depth)
 
-    def go(ty: Type, scope: dict[str, Type], depth: int) -> Term:
-        if depth <= 0:
-            return _inhabit(ty)
-        usable = [n for n, t in scope.items() if subtype(t, ty)]
-        if usable and rng.random() < 0.3:
-            return Var(rng.choice(usable))
-        match ty:
-            case Fun(dom, cod):
+
+def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) -> Term:
+    """`sample_typed` under the variable types `scope`."""
+    if depth <= 0:
+        return _inhabit(ty)
+    usable = [n for n, t in scope.items() if subtype(t, ty)]
+    if usable and rng.random() < 0.3:
+        return Var(rng.choice(usable))
+    match ty:
+        case Fun(dom, cod):
+            name = f"v{len(scope)}"
+            return Abs(name, _sample(rng, cod, {**scope, name: dom}, depth - 1))
+        case Comp(effects, value):
+            roll = rng.random()
+            available = list(effects.names())
+            if available and roll < 0.35:
+                op = rng.choice(available)
+                inp, out = effects.get(op)
                 name = f"v{len(scope)}"
-                return Abs(name, go(cod, {**scope, name: dom}, depth - 1))
-            case Comp(effects, value):
-                roll = rng.random()
-                available = list(effects.names())
-                if available and roll < 0.35:
-                    op = rng.choice(available)
-                    inp, out = effects.get(op)
-                    name = f"v{len(scope)}"
-                    return Op(
-                        op,
-                        go(inp, scope, depth - 1),
-                        name,
-                        go(ty, {**scope, name: out}, depth - 1),
-                    )
-                if roll < 0.55:
-                    inner_value = rng.choice((A, B, UNIT))
-                    name = f"v{len(scope)}"
-                    scrutinee = go(Comp(effects, inner_value), scope, depth - 1)
-                    eta_clause = Abs(
-                        name, go(ty, {**scope, name: inner_value}, depth - 1)
-                    )
-                    return Handler((), eta_clause, scrutinee)
-                if roll < 0.65 and isinstance(value, Fun):
-                    inner = Fun(value.dom, Comp(effects, value.cod))
-                    return Exchange(Ann(go(inner, scope, depth - 1), inner))
-                return Eta(go(value, scope, depth - 1))
-            case _:
-                if rng.random() < 0.35:
-                    cut = rng.choice((A, B, UNIT))
-                    fn = go(Fun(cut, ty), scope, depth - 1)
-                    if isinstance(fn, Var):
-                        return App(fn, go(cut, scope, depth - 1))
-                    return App(Ann(fn, Fun(cut, ty)), go(cut, scope, depth - 1))
-                if ty == B and rng.random() < 0.5:
-                    return App(Const("f0"), go(A, scope, depth - 1))
-                return _inhabit(ty)
-
-    try:
-        return go(ty, {}, depth)
-    finally:
-        # `go` calls itself through its closure: emptying the cell breaks
-        # that cycle, as in `subst`
-        del go
+                return Op(
+                    op,
+                    _sample(rng, inp, scope, depth - 1),
+                    name,
+                    _sample(rng, ty, {**scope, name: out}, depth - 1),
+                )
+            if roll < 0.55:
+                inner_value = rng.choice((A, B, UNIT))
+                name = f"v{len(scope)}"
+                scrutinee = _sample(rng, Comp(effects, inner_value), scope, depth - 1)
+                eta_clause = Abs(name, _sample(rng, ty, {**scope, name: inner_value}, depth - 1))
+                return Handler((), eta_clause, scrutinee)
+            if roll < 0.65 and isinstance(value, Fun):
+                inner = Fun(value.dom, Comp(effects, value.cod))
+                return Exchange(Ann(_sample(rng, inner, scope, depth - 1), inner))
+            return Eta(_sample(rng, value, scope, depth - 1))
+        case _:
+            if rng.random() < 0.35:
+                cut = rng.choice((A, B, UNIT))
+                fn = _sample(rng, Fun(cut, ty), scope, depth - 1)
+                if isinstance(fn, Var):
+                    return App(fn, _sample(rng, cut, scope, depth - 1))
+                return App(Ann(fn, Fun(cut, ty)), _sample(rng, cut, scope, depth - 1))
+            if ty == B and rng.random() < 0.5:
+                return App(Const("f0"), _sample(rng, A, scope, depth - 1))
+            return _inhabit(ty)
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +407,33 @@ def subject_reduction(max_size: int = 6) -> SuiteReport:
     for term, ty in typed:
         for rule, path, reduced in reducts(term):
             checked += 1
-            label = f"{print_term(term)} --{rule.value}@{print_path(path)}--> {print_term(reduced)}"
             try:
                 check_against(CONTEXT, reduced, ty)
             except TypeCheckError as err:
-                failures.append(f"{label} no longer checks at {print_type(ty)}: {err}")
-                continue
-            try:
-                new_ty = synthesize(CONTEXT, reduced)
-            except TypeCheckError:
-                continue
-            if not subtype(new_ty, ty):
-                failures.append(
-                    f"{label} synthesized {print_type(new_ty)}, not below {print_type(ty)}"
-                )
+                why = f"no longer checks at {print_type(ty)}: {err}"
+            else:
+                try:
+                    new_ty = synthesize(CONTEXT, reduced)
+                except TypeCheckError:
+                    continue
+                if subtype(new_ty, ty):
+                    continue
+                why = f"synthesized {print_type(new_ty)}, not below {print_type(ty)}"
+            # printed only here: most reducts keep their type
+            label = f"{print_term(term)} --{rule.value}@{print_path(path)}--> {print_term(reduced)}"
+            failures.append(f"{label} {why}")
     return SuiteReport(
         "subjectReduction", checked, tuple(failures[:20]), {"typedTerms": len(typed)}
     )
 
 
-def confluence(max_size: int = 5, budget: int = 2000) -> SuiteReport:
-    """All reduction orders of a typed term end in the same normal form."""
+def confluence(max_size: int = 5) -> SuiteReport:
+    """All reduction orders of a typed term end in the same normal form;
+    each graph holds at most `reduction_graph`'s default 2,000 nodes."""
     failures = []
     checked = nodes = 0
     for term, _ in enumerate_typed(max_size):
-        graph = reduction_graph(term, budget)
+        graph = reduction_graph(term)
         checked += 1
         nodes += len(graph.nodes)
         if not graph.complete:
@@ -518,7 +514,11 @@ def _nf(term: Term, fuel: int = 100_000) -> Term | None:
     return trace.final
 
 
-def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:
+# the most cases checked of each law over pairs or triples
+_MAX_CASES = 400
+
+
+def monad_laws(max_size: int = 5) -> SuiteReport:
     """Unit and associativity of sequencing, up to normalization."""
     typed = enumerate_typed(max_size)
     computations = [(t, ty) for t, ty in typed if isinstance(ty, Comp)]
@@ -543,7 +543,7 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:
         if not subtype(vty, kty.dom):
             continue
         pairs += 1
-        if pairs > max_pairs:
+        if pairs > _MAX_CASES:
             break
         laws["leftIdentity"] += 1
         if not _both_none_or_eq(_nf(bind(Eta(v), k)), _nf(App(k, v))):
@@ -560,7 +560,7 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:
             if not subtype(kty.cod.value, hty.dom):
                 continue
             triples += 1
-            if triples > max_pairs:
+            if triples > _MAX_CASES:
                 break
             laws["associativity"] += 1
             lhs = bind(bind(m, k), h)
@@ -569,7 +569,7 @@ def monad_laws(max_size: int = 5, max_pairs: int = 400) -> SuiteReport:
                 failures.append(
                     f"associativity fails on {print_term(m)}, {print_term(k)}, {print_term(h)}"
                 )
-        if triples > max_pairs:
+        if triples > _MAX_CASES:
             break
     coverage = {"typedTerms": len(typed), **laws}
     return SuiteReport("monadLaws", sum(laws.values()), tuple(failures[:20]), coverage)

@@ -16,6 +16,7 @@ from efflam.fragment import (
     NP,
     S,
     SENTENCE,
+    SENTENCE_FINAL,
     Into,
     Word,
     accommodate,
@@ -86,6 +87,12 @@ def test_scope_island_requires_a_sentence_computation():
         scope_island(_me())  # individual-valued, not truth-valued
     with pytest.raises(TypeCheckError):
         scope_island(Const("j"))
+
+
+def test_scope_island_closes_off_scope():
+    term = scope_island(denote(Branch(Branch(Word("loves"), Word("everyone")), Word("john"))))
+    assert synthesize(CONTEXT, term) == SENTENCE_FINAL
+    assert alpha_eq(nf(with_speaker(Const("s"), term)), parse_term("eta (forall (love j))", ENV))
 
 
 def test_with_speaker_requires_an_individual():

@@ -295,6 +295,30 @@ def test_subject_reduction_suite_passes_at_small_size():
     assert report.checked > 50
 
 
+def test_subject_reduction_reports_a_reduct_that_no_longer_checks(monkeypatch):
+    # at size 1 the typed terms are a0 : A, f0 : A -> B and * : 1
+    monkeypatch.setattr(
+        "efflam.verify.reducts",
+        lambda term: [(Rule.beta, (0,), Const("*"))] if term == Const("a0") else [],
+    )
+    assert subject_reduction(max_size=1).lines() == [
+        "subjectReduction: 1 checked, 1 failures: FAIL",
+        "  a0 --beta@0--> * no longer checks at A: mismatch at root: expected A, found 1",
+    ]
+
+
+def test_subject_reduction_reports_a_reduct_whose_type_is_not_below(monkeypatch):
+    monkeypatch.setattr(
+        "efflam.verify.reducts",
+        lambda term: [(Rule.cherry, (), Const("a0"))] if term == Const("a0") else [],
+    )
+    monkeypatch.setattr("efflam.verify.synthesize", lambda ctx, term: B)
+    assert subject_reduction(max_size=1).lines() == [
+        "subjectReduction: 1 checked, 1 failures: FAIL",
+        "  a0 --cherry@root--> a0 synthesized B, not below A",
+    ]
+
+
 def test_confluence_suite_passes_at_small_size():
     report = confluence(max_size=5)
     assert report.ok
