@@ -11,15 +11,24 @@ their handler definitions; the bare connectives (`/\\`, `->`, `=`)
 are infix spellings of the declared constants `and`, `imp`, `eq`.  One
 table, `_INFIX`, gives each operator's binding level and associativity
 to the lexer, the parser and the printer.
+
+A token is its text alone: one regular-expression call splits the
+source into the texts of its words, symbols and unit types, skipping
+blanks, line breaks and comments, and ends the list with "" for the end
+of the input.  The parser reads a token's kind off its text.  Line and
+column are computed only when a `ParseError` is raised, by lexing the
+source again up to the index of the token the error blames.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from itertools import islice
+from typing import NamedTuple, NoReturn
 
 from .prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
 from .syntax import (
@@ -91,17 +100,28 @@ _SYMBOLS = sorted(
     [*_INFIX, "~>", "(", ")", "{", "}", ",", ".", ":=", ":", "\\", "*"], key=len, reverse=True
 )
 
-# what the lexer reads at each step: a line break, a run of blanks, a
-# comment, a word (letters, digits, `_` and `'`, and `-` when a letter
-# or digit follows it; `\w` is exactly `str.isalnum` plus `_`, and the
-# lexer checks that the first character passes `str.isalpha`), the unit
-# type, a symbol (the longest that matches), or any other character,
-# which is an error
+# one match per token: the blanks, line breaks and comments before it,
+# then the token itself, captured.  A token is a word (letters, digits,
+# `_` and `'`, and `-` when a letter or digit follows it; `\w` is exactly
+# `str.isalnum` plus `_`, and `_lex` checks that the first character
+# passes `str.isalpha`), the unit type, a symbol (the longest that
+# matches), the end of the input (captured as ""), or any other
+# character, which is an error.  The gap is blanks, then comments each
+# followed by blanks, so it splits one way only and the capture after
+# it always matches at once.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
-    r"|(?P<word>[^\W\d_](?:[\w']|-[^\W_])*)|(?P<one>1)"
-    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"([^\W\d_](?:[\w']|-[^\W_])*|1|" + "|".join(map(re.escape, _SYMBOLS)) + r"|\Z|.)"
 )
+
+# the lexed texts that are not words; any other must start with a letter
+_FIXED = frozenset(_SYMBOLS) | {"1", ""}
+
+# the lexed texts that are not identifiers: any other is a word that is
+# not a keyword
+_NON_IDENTS = KEYWORDS | _FIXED
+
+_UNIT_STARTS = {"(", "*", "eta", "extract", "commute", "do", "handle"}
 
 
 class ParseError(Exception):
@@ -114,30 +134,26 @@ class ParseError(Exception):
         return f"parse error at line {self.line}, column {self.col}: {self.args[0]}"
 
 
-class Token(NamedTuple):
-    kind: str  # ident | kw | sym | one | eof
-    text: str
-    line: int
-    col: int
-
-
-def _lex(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    for m in _TOKEN.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        if kind == "newline":
-            line, col = line + 1, 1
-            continue
-        if kind == "bad" or kind == "word" and not text[0].isalpha():
-            raise ParseError(line, col, f"unexpected character {text[0]!r}")
-        if kind == "word":
-            kind = "kw" if text in KEYWORDS else "ident"
-        if kind != "blank" and kind != "comment":
-            tokens.append(Token(kind, text, line, col))
-        col += len(text)
-    tokens.append(Token("eof", "", line, col))
+def _lex(src: str) -> list[str]:
+    """The token texts of `src`, ending with "" for the end of input."""
+    tokens = _TOKEN.findall(src)
+    # a gap at the very end is matched with the end, and then the end
+    # matches once more on its own
+    if len(tokens) > 1 and tokens[-2] == "":
+        tokens.pop()
+    bad = [text for text in set(tokens).difference(_FIXED) if not text[0].isalpha()]
+    if bad:
+        index = min(map(tokens.index, bad))
+        line, col = _position(src, index)
+        raise ParseError(line, col, f"unexpected character {tokens[index][0]!r}")
     return tokens
+
+
+def _position(src: str, index: int) -> tuple[int, int]:
+    """Line and column of the token at `index` in `_lex(src)`: only an
+    error reads them, so they are found by lexing `src` again."""
+    start = next(islice(_TOKEN.finditer(src), index, None)).start(1)
+    return src.count("\n", 0, start) + 1, start - src.rfind("\n", 0, start)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +164,10 @@ def _lex(src: str) -> list[Token]:
 class Env:
     """Names a term is parsed against."""
 
-    atoms: frozenset[str] = frozenset({UNIT.name})
-    constants: frozenset[str] = frozenset({"*"})
-    operations: Signature = Signature()
+    atoms: AbstractSet[str] = frozenset({UNIT.name})
+    constants: AbstractSet[str] = frozenset({"*"})
+    # read only through `get`, so `parse_file` can pass its growing table
+    operations: Signature | Mapping[str, tuple[Type, Type]] = Signature()
     defs: dict[str, Term] = field(default_factory=dict)
 
 
@@ -179,41 +196,54 @@ class DeclFile:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], env: Env):
-        self.toks = tokens
+    """Recursive descent over the token texts of `src`.  A token's kind
+    follows from its text, and an error finds its position from the index
+    of the token it blames."""
+
+    def __init__(self, src: str, env: Env):
+        self.src = src
+        self.toks = _lex(src)
         self.pos = 0
         self.env = env
         self.bound: list[str] = []
 
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        return self.toks[self.pos] == text
 
-    def expect_sym(self, text: str) -> Token:
-        tok = self.next()
-        if tok.kind != "sym" or tok.text != text:
-            raise ParseError(tok.line, tok.col, f"expected {text!r}, found {tok.text!r}")
+    def expect_sym(self, text: str) -> None:
+        tok = self.toks[self.pos]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}")
+        self.pos += 1
+
+    def expect_ident(self, what: str) -> str:
+        tok = self.toks[self.pos]
+        if tok in _NON_IDENTS:
+            self.fail(f"expected {what}, found {tok!r}")
+        self.pos += 1
         return tok
 
-    def expect_ident(self, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.col, f"expected {what}, found {tok.text!r}")
-        return tok
+    def fail_at(self, index: int, message: str) -> NoReturn:
+        line, col = _position(self.src, index)
+        raise ParseError(line, col, message)
 
-    def fail(self, message: str):
+    def fail(self, message: str) -> NoReturn:
+        self.fail_at(self.pos, message)
+
+    def end(self, what: str) -> None:
         tok = self.peek()
-        raise ParseError(tok.line, tok.col, message)
+        if tok != "":
+            self.fail(f"unexpected {tok!r} after the {what}")
 
     # -- types
 
@@ -226,30 +256,27 @@ class _Parser:
 
     def type_atom(self) -> Type:
         tok = self.peek()
-        if tok.kind == "one":
+        if tok == "1":
             self.next()
             return UNIT
-        if tok.kind == "sym" and tok.text == "(":
+        if tok == "(":
             self.next()
             ty = self.type_()
             self.expect_sym(")")
             return ty
-        if tok.kind == "ident" and tok.text == "F":
+        if tok == "F":
             self.next()
             self.expect_sym("{")
             table: dict[str, tuple[Type, Type]] = {}
             while not self.at_sym("}"):
-                name_tok = self.expect_ident("an operation name")
-                entry = self.env.operations.get(name_tok.text)
+                at = self.pos
+                name = self.expect_ident("an operation name")
+                entry = self.env.operations.get(name)
                 if entry is None:
-                    raise ParseError(
-                        name_tok.line, name_tok.col, f"unknown operation {name_tok.text}"
-                    )
-                if name_tok.text in table:
-                    raise ParseError(
-                        name_tok.line, name_tok.col, f"duplicate operation {name_tok.text} in row"
-                    )
-                table[name_tok.text] = entry
+                    self.fail_at(at, f"unknown operation {name}")
+                if name in table:
+                    self.fail_at(at, f"duplicate operation {name} in row")
+                table[name] = entry
                 if self.at_sym(","):
                     self.next()
                 elif not self.at_sym("}"):
@@ -259,11 +286,11 @@ class _Parser:
             value = self.type_()
             self.expect_sym(")")
             return Comp(Signature.of(table), value)
-        if tok.kind == "ident":
+        if tok not in _NON_IDENTS:
+            if tok not in self.env.atoms:
+                self.fail(f"unknown atomic type {tok}")
             self.next()
-            if tok.text not in self.env.atoms:
-                raise ParseError(tok.line, tok.col, f"unknown atomic type {tok.text}")
-            return Atom(tok.text)
+            return Atom(tok)
         self.fail("expected a type")
 
     # -- terms
@@ -277,15 +304,12 @@ class _Parser:
         # looser ones, or the same level again if it is left-associative
         limit = _TIGHTEST
         while True:
-            tok = self.peek()
-            op = _INFIX.get(tok.text) if tok.kind == "sym" else None
+            op = _INFIX.get(self.peek())
             if op is None or not level <= op.level <= limit:
                 return left
-            self.next()
             if op.constant is not None and op.constant not in self.env.constants:
-                raise ParseError(
-                    tok.line, tok.col, f"this sugar needs a declared constant {op.constant}"
-                )
+                self.fail(f"this sugar needs a declared constant {op.constant}")
+            self.next()
             right = self.term(op.level if op.assoc == "right" else op.level + 1)
             if op.build is None:
                 left = App(App(Const(op.constant), left), right)
@@ -308,26 +332,20 @@ class _Parser:
 
     def starts_unit(self) -> bool:
         tok = self.peek()
-        if tok.kind == "ident":
-            return True
-        if tok.kind == "sym" and tok.text in ("(", "*"):
-            return True
-        if tok.kind == "kw" and tok.text in ("eta", "extract", "commute", "do", "handle"):
-            return True
-        return False
+        return tok not in _NON_IDENTS or tok in _UNIT_STARTS
 
     def lambda_(self) -> Term:
         self.expect_sym("\\")
         binder = self.expect_ident("a binder name")
         self.expect_sym(".")
-        self.bound.append(binder.text)
+        self.bound.append(binder)
         body = self.term()
         self.bound.pop()
-        return Abs(binder.text, body)
+        return Abs(binder, body)
 
     def unit(self) -> Term:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
+        if tok == "(":
             self.next()
             inner = self.term()
             if self.at_sym(":"):
@@ -337,37 +355,38 @@ class _Parser:
                 return Ann(inner, ty)
             self.expect_sym(")")
             return inner
-        if tok.kind == "sym" and tok.text == "*":
+        if tok == "*":
             self.next()
             return Const("*")
-        if tok.kind == "sym" and tok.text == "\\":
+        if tok == "\\":
             return self.lambda_()
-        if tok.kind == "kw":
-            if tok.text == "eta":
+        if tok in KEYWORDS:
+            if tok == "eta":
                 self.next()
                 return Eta(self.unit())
-            if tok.text == "extract":
+            if tok == "extract":
                 self.next()
                 return Cherry(self.unit())
-            if tok.text == "commute":
+            if tok == "commute":
                 self.next()
                 return Exchange(self.unit())
-            if tok.text == "do":
+            if tok == "do":
                 return self.op_call()
-            if tok.text == "handle":
+            if tok == "handle":
                 return self.handler()
-            self.fail(f"unexpected keyword {tok.text!r}")
-        if tok.kind == "ident":
+            self.fail(f"unexpected keyword {tok!r}")
+        if tok not in _NON_IDENTS:
+            if tok in self.bound:
+                term = Var(tok)
+            elif tok in self.env.defs:
+                term = self.env.defs[tok]
+            elif tok in self.env.constants:
+                term = Const(tok)
+            else:
+                self.fail(f"unknown identifier {tok}")
             self.next()
-            name = tok.text
-            if name in self.bound:
-                return Var(name)
-            if name in self.env.defs:
-                return self.env.defs[name]
-            if name in self.env.constants:
-                return Const(name)
-            raise ParseError(tok.line, tok.col, f"unknown identifier {name}")
-        self.fail(f"expected a term, found {tok.text!r}")
+            return term
+        self.fail(f"expected a term, found {tok!r}")
 
     def op_call(self) -> Term:
         self.next()  # do
@@ -380,7 +399,7 @@ class _Parser:
         cont = self.lambda_()
         self.expect_sym(")")
         assert isinstance(cont, Abs)
-        return Op(op.text, param, cont.binder, cont.body)
+        return Op(op, param, cont.binder, cont.body)
 
     def handler(self) -> Term:
         self.next()  # handle
@@ -388,21 +407,20 @@ class _Parser:
         clauses: dict[str, Term] = {}
         eta_clause: Term | None = None
         while not self.at_sym("}"):
+            at = self.pos
             head = self.next()
-            if head.kind == "kw" and head.text == "eta":
+            if head == "eta":
                 self.expect_sym("->")
                 if eta_clause is not None:
-                    raise ParseError(head.line, head.col, "duplicate eta clause")
+                    self.fail_at(at, "duplicate eta clause")
                 eta_clause = self.term()
-            elif head.kind == "ident":
+            elif head not in _NON_IDENTS:
                 self.expect_sym("->")
-                if head.text in clauses:
-                    raise ParseError(
-                        head.line, head.col, f"duplicate clause for operation {head.text}"
-                    )
-                clauses[head.text] = self.term()
+                if head in clauses:
+                    self.fail_at(at, f"duplicate clause for operation {head}")
+                clauses[head] = self.term()
             else:
-                raise ParseError(head.line, head.col, "expected an operation name or 'eta'")
+                self.fail_at(at, "expected an operation name or 'eta'")
             if self.at_sym(","):
                 self.next()
             elif not self.at_sym("}"):
@@ -417,78 +435,77 @@ class _Parser:
 
 
 def parse_term(src: str, env: Env) -> Term:
-    p = _Parser(_lex(src), env)
+    p = _Parser(src, env)
     term = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r} after the term")
+    p.end("term")
     return term
 
 
 def parse_type(src: str, env: Env) -> Type:
-    p = _Parser(_lex(src), env)
+    p = _Parser(src, env)
     ty = p.type_()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r} after the type")
+    p.end("type")
     return ty
+
+
+_DECLARATIONS = {"atom", "const", "operation", "def", "check", "normalize", "trace"}
 
 
 def parse_file(src: str) -> DeclFile:
     decl = DeclFile()
-    tokens = _lex(src)
-    p = _Parser(tokens, decl.env())
+    # the names a term is parsed against: each declaration adds its own
+    # once it is read, so a declaration cannot mention itself
+    atoms, constants = {UNIT.name}, {"*"}
+    operations: dict[str, tuple[Type, Type]] = {}
+    env = Env(atoms, constants, operations)
+    declared: set[str] = set()
+    p = _Parser(src, env)
 
-    def taken(name: str) -> bool:
-        return (
-            name in decl.atoms
-            or name in decl.constants
-            or name in decl.operations
-            or any(name == d for d, _, _ in decl.defs)
-        )
+    def fresh_decl_name(what: str) -> str:
+        name = p.expect_ident(what)
+        if name in RESERVED:
+            p.fail_at(p.pos - 1, f"{name} is reserved")
+        if name in declared:
+            p.fail_at(p.pos - 1, f"{name} is already declared")
+        declared.add(name)
+        return name
 
-    def fresh_decl_name(tok: Token) -> str:
-        if tok.text in RESERVED:
-            raise ParseError(tok.line, tok.col, f"{tok.text} is reserved")
-        if taken(tok.text):
-            raise ParseError(tok.line, tok.col, f"{tok.text} is already declared")
-        return tok.text
-
-    while p.peek().kind != "eof":
-        head = p.next()
-        if head.kind != "kw":
-            raise ParseError(head.line, head.col, f"expected a declaration, found {head.text!r}")
-        if head.text == "atom":
-            name = fresh_decl_name(p.expect_ident("an atom name"))
+    while (head := p.peek()) != "":
+        if head not in KEYWORDS:
+            p.fail(f"expected a declaration, found {head!r}")
+        if head not in _DECLARATIONS:
+            p.fail(f"unexpected keyword {head!r}")
+        p.next()
+        if head == "atom":
+            name = fresh_decl_name("an atom name")
             decl.atoms.append(name)
-        elif head.text == "const":
-            name = fresh_decl_name(p.expect_ident("a constant name"))
+            atoms.add(name)
+        elif head == "const":
+            name = fresh_decl_name("a constant name")
             p.expect_sym(":")
             decl.constants[name] = p.type_()
-        elif head.text == "operation":
-            name = fresh_decl_name(p.expect_ident("an operation name"))
+            constants.add(name)
+        elif head == "operation":
+            name = fresh_decl_name("an operation name")
             p.expect_sym(":")
             inp = p.type_()
             p.expect_sym("~>")
             out = p.type_()
-            decl.operations = decl.operations.disjoint_union(
-                Signature.of({name: (inp, out)})
-            )
-        elif head.text == "def":
-            name = fresh_decl_name(p.expect_ident("a definition name"))
+            operations[name] = (inp, out)
+        elif head == "def":
+            name = fresh_decl_name("a definition name")
             ty: Type | None = None
             if p.at_sym(":"):
                 p.next()
                 ty = p.type_()
             p.expect_sym(":=")
             term = p.term()
-            decl.defs.append((name, ty, Ann(term, ty) if ty is not None else term))
-        elif head.text in ("check", "normalize", "trace"):
-            decl.directives.append((head.text, p.term()))
+            env.defs[name] = Ann(term, ty) if ty is not None else term
+            decl.defs.append((name, ty, env.defs[name]))
         else:
-            raise ParseError(head.line, head.col, f"unexpected keyword {head.text!r}")
+            decl.directives.append((head, p.term()))
         p.expect_sym(".")
-        p.env = decl.env()
+    decl.operations = Signature.of(operations)
     return decl
 
 

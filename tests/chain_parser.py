@@ -10,7 +10,7 @@ input.
 from __future__ import annotations
 
 from efflam.prelude import apply_both, apply_left, apply_right, bind, lift_binary
-from efflam.surface import Env, ParseError, Token, _lex, _Parser
+from efflam.surface import Env, _Parser
 from efflam.syntax import App, Const, Term
 
 
@@ -28,10 +28,10 @@ class ChainParser(_Parser):
     def imp_term(self) -> Term:
         left = self.conj_term()
         if self.at_sym("->"):
-            self.require_constant("imp", self.next())
+            self.require_constant("imp")
             return App(App(Const("imp"), left), self.imp_term())
         if self.at_sym("->~"):
-            self.require_constant("imp", self.next())
+            self.require_constant("imp")
             return lift_binary("imp", left, self.imp_term())
         return left
 
@@ -39,10 +39,10 @@ class ChainParser(_Parser):
         left = self.eq_term()
         while True:
             if self.at_sym("/\\"):
-                self.require_constant("and", self.next())
+                self.require_constant("and")
                 left = App(App(Const("and"), left), self.eq_term())
             elif self.at_sym("/\\~"):
-                self.require_constant("and", self.next())
+                self.require_constant("and")
                 left = lift_binary("and", left, self.eq_term())
             else:
                 return left
@@ -50,16 +50,18 @@ class ChainParser(_Parser):
     def eq_term(self) -> Term:
         left = self.lift_term()
         if self.at_sym("="):
-            self.require_constant("eq", self.next())
+            self.require_constant("eq")
             return App(App(Const("eq"), left), self.lift_term())
         if self.at_sym("=~"):
-            self.require_constant("eq", self.next())
+            self.require_constant("eq")
             return lift_binary("eq", left, self.lift_term())
         return left
 
-    def require_constant(self, name: str, tok: Token) -> None:
+    def require_constant(self, name: str) -> None:
+        """Consume the operator at hand, which needs the constant `name`."""
         if name not in self.env.constants:
-            raise ParseError(tok.line, tok.col, f"this sugar needs a declared constant {name}")
+            self.fail(f"this sugar needs a declared constant {name}")
+        self.next()
 
     def lift_term(self) -> Term:
         left = self.app_term()
@@ -79,9 +81,7 @@ class ChainParser(_Parser):
 
 def parse_term_by_chain(src: str, env: Env) -> Term:
     """`surface.parse_term`, with the infix operators parsed by the chain."""
-    p = ChainParser(_lex(src), env)
+    p = ChainParser(src, env)
     term = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.text!r} after the term")
+    p.end("term")
     return term

@@ -1,12 +1,16 @@
 """Exit-code contract, output formats, and subcommand behavior."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import efflam
 from efflam import cli
@@ -115,6 +119,31 @@ def test_status_for_input_nested_too_deeply(tmp_path, fmt, capsys):
         records = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["error"] for r in records] == ["tooDeep", "tooDeep"]
         assert all("too deeply nested" in r["message"] for r in records)
+
+
+_DEEP = 10_000
+
+# the shapes of deep input: each level is a parser frame or more
+_DEEP_TERMS = {
+    "parentheses": "(" * _DEEP + "j" + ")" * _DEEP,
+    "etas": "eta " * _DEEP + "j",
+    "lambdas": "".join(f"\\x{i}. " for i in range(_DEEP)) + "j",
+    "operations": "do speaker(*, \\y. " * _DEEP + "eta y" + ")" * _DEEP,
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_TERMS)
+@pytest.mark.parametrize("command", ["check", "normalize", "trace"])
+def test_input_ten_thousand_levels_deep_is_too_deeply_nested(tmp_path, command, shape, capsys):
+    path = tmp_path / "deep.lam"
+    path.write_text(shipped_source() + f"normalize {_DEEP_TERMS[shape]}.\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "too deeply nested" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if command != "check":
+        assert main([command, "-e", _DEEP_TERMS[shape]]) == 1
+        assert "too deeply nested" in capsys.readouterr().err
 
 
 def test_status_usage(capsys):
@@ -403,3 +432,56 @@ def test_a_reader_gone_before_any_output_ends_the_command_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any input ends in a documented status, with a message and no
+# traceback
+
+_STATUSES = {0, 1, 2, 3, 64}
+
+# pieces of declaration files and of terms over the built-in fragment,
+# so that some inputs get past the parser
+_PIECES = [
+    "atom a. ", "const c : a. ", "def d := ", "check ", "normalize ", "trace ", ". ",
+    "j", "m", "love", "eta", "extract", "commute", "do speaker(*, ", "handle {",
+    "speaker -> ", "eta -> ", "}", "\\x. ", "x", "k", "(", ")", ",", "*", " ", "\n",
+    ":", " : ", "iota", "F{speaker}(iota)", " -> ", " /\\ ", " >>= ", "#", "$",
+]
+_sources = st.one_of(st.text(), st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _assert_documented(status, out, err, fmt):
+    assert status in _STATUSES
+    assert "Traceback" not in out + err
+    if status == 1:
+        assert (out if fmt == "records" else err).strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["check", "normalize", "trace"]),
+    st.sampled_from(["text", "records"]),
+    st.one_of(_sources.map(str.encode), st.binary()),
+)
+def test_main_ends_any_file_in_a_documented_status(tmp_path_factory, command, fmt, content):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.lam"
+    path.write_bytes(content)
+    argv = [command, str(path), "--format", fmt]
+    if command != "check":
+        argv += ["--fuel", "50"]
+    _assert_documented(*_run(argv), fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["normalize", "trace"]), st.sampled_from(["text", "records"]), _sources)
+def test_main_ends_any_expression_in_a_documented_status(command, fmt, expr):
+    argv = [command, "-e", expr, "--format", fmt, "--fuel", "50"]
+    _assert_documented(*_run(argv), fmt)

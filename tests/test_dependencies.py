@@ -1,11 +1,16 @@
 """The package has no runtime dependencies beyond the standard library,
-and no function in it leaves a reference cycle behind per call."""
+its modules and tests are Python 3.10 syntax, as `pyproject.toml`
+promises, and no function in it leaves a reference cycle behind per
+call."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import efflam
 
@@ -31,6 +36,33 @@ def test_every_import_is_relative_or_from_the_standard_library():
         if module not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+# the oldest Python that `pyproject.toml` admits
+_OLDEST = tuple(
+    int(part)
+    for part in re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$',
+        (Path(__file__).parents[1] / "pyproject.toml").read_text(),
+        re.MULTILINE,
+    ).groups()
+)
+
+
+def test_every_module_and_test_parses_as_the_oldest_python_supported():
+    paths = SOURCES + sorted(Path(__file__).parent.glob("*.py"))
+    rejected = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=_OLDEST)
+        except SyntaxError as err:
+            rejected.append(f"{path.name}: {err}")
+    assert rejected == []
+
+
+def test_the_syntax_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=_OLDEST)
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
