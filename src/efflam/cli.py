@@ -257,23 +257,16 @@ def _cmd_normalize(args, out: _Emitter, traced: bool) -> int:
             out.error(str(err), error="confluence", message=str(err))
             return STATUS_MISMATCH
         if traced:
-            shown = print_term(erase(trace.initial))
-            out.line(
-                f"0 init @ root ⊢ {shown}",
-                kind="step",
-                step=0,
-                rule="init",
-                path="root",
-                term=shown,
-            )
-            for i, step in enumerate(trace.steps, start=1):
-                shown = print_term(erase(step.term))
+            rows = [("init", (), trace.initial)]
+            rows += [(step.rule.value, step.path, step.term) for step in trace.steps]
+            for i, (rule, path, term) in enumerate(rows):
+                shown, where = print_term(erase(term)), print_path(path)
                 out.line(
-                    f"{i} {step.rule.value} @ {print_path(step.path)} ⊢ {shown}",
+                    f"{i} {rule} @ {where} ⊢ {shown}",
                     kind="step",
                     step=i,
-                    rule=step.rule.value,
-                    path=print_path(step.path),
+                    rule=rule,
+                    path=where,
                     term=shown,
                 )
         status = max(status, _report_outcome(trace, out))

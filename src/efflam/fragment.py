@@ -253,16 +253,27 @@ def denote(tree: SynTree) -> Term:
 # Golden corpus
 
 
+# each golden's wrapper, by the name `fragment --format records` prints,
+# applied to a speaker and the sentence's denotation
+_WRAPPERS: dict[str, Callable[[Term, Term], Term]] = {
+    "": lambda _speaker, m: m,
+    "with_speaker": with_speaker,
+    "accommodate": lambda _speaker, m: accommodate(m),
+    "with_speaker . accommodate": lambda speaker, m: with_speaker(speaker, accommodate(m)),
+}
+
+
 @dataclass(frozen=True)
 class GoldenEntry:
     number: int
     phrase: str
-    wrapper: str  # "" for a bare sentence denotation
-    builder: Callable[[Term], Term]
+    wrapper: str  # a key of `_WRAPPERS`: "" for a bare sentence denotation
+    tree: SynTree
     expected_src: str
 
     def term(self, speaker: Term | None = None) -> Term:
-        return self.builder(speaker if speaker is not None else Const("s"))
+        speaker = speaker if speaker is not None else Const("s")
+        return _WRAPPERS[self.wrapper](speaker, denote(self.tree))
 
     @property
     def expected(self) -> Term:
@@ -299,86 +310,66 @@ _QUOTE = _tv(
 _T10 = Branch(Branch(Word("said-ds"), _QUOTE), Branch(Word("a"), Word("man")))
 
 
-def _bare(tree: SynTree) -> Callable[[Term], Term]:
-    return lambda _speaker: denote(tree)
-
-
-def _spoken(tree: SynTree) -> Callable[[Term], Term]:
-    return lambda speaker: with_speaker(speaker, denote(tree))
-
-
-def _accommodated(tree: SynTree) -> Callable[[Term], Term]:
-    return lambda _speaker: accommodate(denote(tree))
-
-
-def _closed(tree: SynTree) -> Callable[[Term], Term]:
-    return lambda speaker: with_speaker(speaker, accommodate(denote(tree)))
-
-
 GOLDENS: tuple[GoldenEntry, ...] = (
-    GoldenEntry(1, "John loves Mary", "", _bare(_T1), "eta (love j m)"),
-    GoldenEntry(
-        2, "Mary loves me", "", _bare(_T2), "do speaker(*, \\x. eta (love m x))"
-    ),
+    GoldenEntry(1, "John loves Mary", "", _T1, "eta (love j m)"),
+    GoldenEntry(2, "Mary loves me", "", _T2, "do speaker(*, \\x. eta (love m x))"),
     GoldenEntry(
         3,
         "John said Mary loves me",
         "",
-        _bare(_T3),
+        _T3,
         "do speaker(*, \\x. eta (say j (love m x)))",
     ),
     GoldenEntry(
         4,
         "John said, 'Mary loves me'",
         "",
-        _bare(_T4),
+        _T4,
         "eta (say j (love m j))",
     ),
     GoldenEntry(
         5,
         "every man loves a woman",
         "",
-        _bare(_T5),
+        _T5,
         "eta (forall (\\x. man x -> exists (\\y. woman y /\\ love x y)))",
     ),
     GoldenEntry(
         6,
         "John said every woman loves me",
         "with_speaker",
-        _spoken(_T6),
+        _T6,
         "eta (say j (forall (\\x. woman x -> love x s)))",
     ),
     GoldenEntry(
         7,
         "John said, 'Every woman loves me'",
         "",
-        _bare(_T7),
+        _T7,
         "eta (say j (forall (\\x. woman x -> love x j)))",
     ),
     GoldenEntry(
         8,
         "John, my best friend, loves every woman",
         "with_speaker . accommodate",
-        _closed(_T8),
+        _T8,
         "eta (j = best-friend s /\\ forall (\\x. woman x -> love j x))",
     ),
     GoldenEntry(
         9,
         "Mary, everyone's best friend, loves John",
         "accommodate",
-        _accommodated(_T9),
+        _T9,
         "eta (forall (\\x. m = best-friend x) /\\ love m j)",
     ),
     GoldenEntry(
         10,
         "a man said 'my best friend, Mary, loves me'",
         "",
-        _bare(_T10),
+        _T10,
         "eta (exists (\\x. man x /\\ say x (best-friend x = m /\\ love (best-friend x) x)))",
     ),
-    GoldenEntry(
-        11, "Mary loves me", "with_speaker", _spoken(_T2), "eta (love m s)"
-    ),
+    GoldenEntry(11, "Mary loves me", "with_speaker", _T2, "eta (love m s)"),
 )
 
 

@@ -11,6 +11,12 @@ contraction keeps the ascription of the position it rewrites, so traces
 of annotated terms stay checkable step by step.  Positions are child
 index paths that skip ascription nodes.
 
+One scan, `_search`, visits the nodes in leftmost-outermost order
+(pre-order, children left to right) and stops at the first one that a
+test accepts.  It finds the normalizer's next redex, every redex in the
+order in which `candidates` lists them and the random strategy numbers
+them, and the first stuck node.
+
 A leftmost-outermost step costs work near the redex, not work in the
 depth or size of the whole term.  The normalizer holds the term as a
 zipper: a focus plus one frame per ancestor (Huet, "The Zipper", JFP
@@ -68,7 +74,7 @@ from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .syntax import (
     Abs,
@@ -89,7 +95,6 @@ from .syntax import (
     Var,
     canonical_key,
     children,
-    free_vars,
     fresh_name,
     rebuild,
     subst,
@@ -302,33 +307,12 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
     raise AssertionError(f"unhandled rule {rule}")
 
 
-def _positions(t: Term) -> Iterator[tuple[Term, Path]]:
-    """Every ascription-free node of `t` with its position, in
-    leftmost-outermost order (pre-order, children left to right)."""
-    stack: list[tuple[Term, Path]] = [(t, ())]
-    while stack:
-        t, path = stack.pop()
-        s = _strip(t)
-        yield s, path
-        kids = children(s)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], path + (i,)))
-
-
-def candidates(t: Term) -> list[tuple[Rule, Path]]:
-    """Every redex of `t` as (rule, position), leftmost-outermost first."""
-    found: list[tuple[Rule, Path]] = []
-    fv = FreeVars()
-    for s, path in _positions(t):
-        rule = _rule_at(s, fv)
-        if rule is not None:
-            found.append((rule, path))
-    return found
-
-
-def _search(stack: list[tuple[Term, Path]], fv) -> tuple[Rule, Path] | None:
-    """The first redex in leftmost-outermost order among the subterms on
-    `stack` (the next one on top), with its position relative to them."""
+def _search(stack: list[tuple[Term, Path]], test, fv) -> tuple | None:
+    """The first node in leftmost-outermost order (pre-order, children
+    left to right) among the subterms on `stack`, the next one on top,
+    where `test(node, fv)` is not None: that value, and the node's
+    position relative to them.  The node's children are pushed before
+    it is tested, so `stack` is left where the scan resumes after it."""
     # the hot loop of normalization, hence the bound methods and the
     # inlined `_strip`
     pop, push = stack.pop, stack.append
@@ -336,15 +320,25 @@ def _search(stack: list[tuple[Term, Path]], fv) -> tuple[Rule, Path] | None:
         s, at = pop()
         while isinstance(s, Ann):
             s = s.term
-        rule = _rule_at(s, fv)
-        if rule is not None:
-            return rule, at
         kids = children(s)
         i = len(kids)
         while i:
             i -= 1
             push((kids[i], at + (i,)))
+        found = test(s, fv)
+        if found is not None:
+            return found, at
     return None
+
+
+def candidates(t: Term) -> list[tuple[Rule, Path]]:
+    """Every redex of `t` as (rule, position), leftmost-outermost first."""
+    found: list[tuple[Rule, Path]] = []
+    stack: list[tuple[Term, Path]] = [(t, ())]
+    fv = FreeVars()
+    while (hit := _search(stack, _rule_at, fv)) is not None:
+        found.append(hit)
+    return found
 
 
 # The free-variable memo of the normalization in progress, if any.
@@ -372,14 +366,15 @@ def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
     return [(rule, path, contract_at(t, path, rule)) for rule, path in candidates(t)]
 
 
-def _blocked(s: Term) -> str | None:
-    """Why the ascription-free node `s` is a stuck extraction or commute."""
+def _blocked(s: Term, fv) -> str | None:
+    """Why the ascription-free node `s` is a stuck extraction or commute;
+    `fv` gives free variables (a `FreeVars` memo)."""
     match s:
         case Exchange(fn):
             match _strip(fn):
                 case Abs(binder, body):
                     match _strip(body):
-                        case Op(op, param, _, _) if binder in free_vars(param):
+                        case Op(op, param, _, _) if binder in fv(param):
                             return (
                                 f"commute is stuck: the parameter of operation "
                                 f"{op} mentions the commuted variable {binder}"
@@ -393,11 +388,8 @@ def _blocked(s: Term) -> str | None:
 
 def blocked_at(t: Term) -> tuple[Path, str] | None:
     """First blocked extraction or commute in `t`, if any."""
-    for s, path in _positions(t):
-        reason = _blocked(s)
-        if reason is not None:
-            return path, reason
-    return None
+    hit = _search([(t, ())], _blocked, FreeVars())
+    return None if hit is None else (hit[1], hit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +460,7 @@ def normalize(
     short by the fuel reports FuelExhausted at the initial term).
 
     `fuel` bounds the number of steps: a term whose normal form is
-    `fuel` steps away reaches it.
+    `fuel` steps away reaches it.  A negative `fuel` is a ValueError.
 
     randomSeeded numbers the redexes of the term in `candidates` order
     before each step and takes number `rng.choice(range(n))` from a
@@ -478,6 +470,8 @@ def normalize(
     instead (see the module docstring), so a step costs work in the
     redex's depth, not in the term's size.
     """
+    if fuel < 0:
+        raise ValueError(f"fuel must not be negative, got {fuel}")
     if strategy == "exhaustiveCheck":
         graph = reduction_graph(t, fuel)
         if not graph.complete:
@@ -515,10 +509,12 @@ def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
 _KEPT: frozenset[str] = frozenset()
 
 
-def _ended(t: Term, steps: list[Step], final: Term, count: int) -> ReductionTrace:
-    """The trace of a normalization that found no redex in `final`."""
-    stuck = blocked_at(final)
-    return ReductionTrace(t, steps, Stuck(*stuck) if stuck else NormalForm(), final, count)
+def _ended(t: Term, steps: list[Step], final: Term, count: int, fv: FreeVars) -> ReductionTrace:
+    """The trace of a normalization that found no redex in `final`;
+    `fv` is its free-variable memo."""
+    hit = _search([(final, ())], _blocked, fv)
+    outcome = NormalForm() if hit is None else Stuck(hit[1], hit[0])
+    return ReductionTrace(t, steps, outcome, final, count)
 
 
 def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTrace:
@@ -534,7 +530,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
     focus = t
     steps: list[Step] = []
     count = 0
-    hit = _search([(t, ())], fv)
+    hit = _search([(t, ())], _rule_at, fv)
     while hit is not None:
         rule, path = hit
         focus = _descend(frames, focus, path)
@@ -577,12 +573,12 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
             continue
         # then the contractum, then the right siblings of each ancestor,
         # deepest first
-        hit = _search([(focus, ())], fv)
+        hit = _search([(focus, ())], _rule_at, fv)
         while hit is None and frames:
             frame = frames[-1]
-            tys, s, kids, i = frame
+            _, _, kids, i = frame
             if i + 1 < len(kids):
-                hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], fv)
+                hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], _rule_at, fv)
                 if hit is not None:
                     kids[i] = focus
                     rule, (j, *path) = hit
@@ -590,12 +586,8 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
                     focus = kids[j]
                     hit = (rule, path)
                     break
-            frames.pop()
-            if kids[i] is not focus:
-                kids[i] = focus
-                s = rebuild(s, kids)
-            focus = _rewrap(tys, s) if tys else s
-    return _ended(t, steps, focus, count)
+            focus = _whole([frames.pop()], focus)
+    return _ended(t, steps, focus, count, fv)
 
 
 def _descend(frames: list[list], focus: Term, path: Path) -> Term:
@@ -633,7 +625,7 @@ def _random_seeded(
     for spent in range(fuel + 1):
         n = counts.total(current)
         if not n:
-            return _ended(t, steps, current, spent)
+            return _ended(t, steps, current, spent, fv)
         if spent == fuel:
             break
         # draws from the RNG exactly as `rng.choice(candidates(current))`

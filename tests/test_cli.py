@@ -1,6 +1,7 @@
 """Exit-code contract, output formats, and subcommand behavior."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 import efflam
 from efflam import cli
 from efflam.cli import main
-from efflam.fragment import GoldenEntry, example, shipped_source
+from efflam.fragment import example, shipped_source
 from efflam.verify import SuiteReport
 
 GOOD_FILE = """
@@ -66,9 +67,7 @@ def test_status_mismatch_from_a_failing_suite(monkeypatch, capsys):
 
 def test_status_mismatch_from_a_golden_diff(monkeypatch, capsys):
     entry = example(1)
-    doctored = GoldenEntry(
-        entry.number, entry.phrase, entry.wrapper, entry.builder, "eta (love m j)"
-    )
+    doctored = dataclasses.replace(entry, expected_src="eta (love m j)")
     monkeypatch.setattr(cli, "example", lambda n: doctored)
     assert main(["fragment", "--example", "1"]) == 2
     out = capsys.readouterr().out

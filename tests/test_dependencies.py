@@ -1,7 +1,7 @@
 """The package has no runtime dependencies beyond the standard library,
 its modules and tests are Python 3.10 syntax, as `pyproject.toml`
-promises, and no function in it leaves a reference cycle behind per
-call."""
+promises, no function in it leaves a reference cycle behind per
+call, and every private module-level name in it is used."""
 
 from __future__ import annotations
 
@@ -132,3 +132,99 @@ def walk(t):
     return go(t), leaf()
 """
     assert set(_self_reaching(source)) == {("walk", "go"), ("walk", "even"), ("walk", "odd")}
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level function, class or
+    assignment target of `tree` named with a single leading underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [
+                node.id
+                for target in targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _referenced(node):
+    """Every name `node` refers to in code: names, attributes and
+    imported names, not the words of its comments or strings."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _unreferenced(sources):
+    """(module, name) for each private module-level name of the modules
+    in `sources` (a dict from module name to source) that no top-level
+    statement refers to but the ones defining it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = {stmt: set(_referenced(stmt)) for tree in trees.values() for stmt in tree.body}
+    defined = [
+        (module, name, stmt)
+        for module, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+    ]
+    defining: dict[str, set[ast.stmt]] = {}
+    for _, name, stmt in defined:
+        defining.setdefault(name, set()).add(stmt)
+    for module, name, _ in defined:
+        if not any(name in names for stmt, names in uses.items() if stmt not in defining[name]):
+            yield module, name
+
+
+def test_every_private_module_level_name_is_used():
+    assert SOURCES
+    found = set(_unreferenced({path.name: path.read_text() for path in SOURCES}))
+    assert found == set()
+
+
+def test_the_unused_name_check_sees_names_referenced_only_where_they_are_defined():
+    source = """
+import re as _re
+
+_USED = 1
+_UNUSED = 2  # _UNUSED in a comment is no use
+_counter = 0
+_counter += _USED
+
+
+def _recursive(n):
+    \"\"\"_unused_helper in a docstring is no use either.\"\"\"
+    return _recursive(n - 1) if n else _re
+
+
+class _Lonely:
+    instance: "_Lonely"
+
+
+def public():
+    return _counter, _helper()
+
+
+def _helper():
+    return "_unused_helper"
+
+
+def _unused_helper():
+    pass
+"""
+    assert set(_unreferenced({"a.py": source})) == {
+        ("a.py", "_UNUSED"),
+        ("a.py", "_recursive"),
+        ("a.py", "_Lonely"),
+        ("a.py", "_unused_helper"),
+    }

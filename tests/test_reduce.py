@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +16,8 @@ from efflam.reduce import (
     NormalForm,
     Rule,
     Stuck,
+    _blocked,
+    _rule_at,
     blocked_at,
     candidates,
     contract_at,
@@ -41,11 +44,13 @@ from efflam.syntax import (
     Op,
     Var,
     alpha_eq,
+    children,
     erase,
+    free_vars,
 )
 from efflam.typecheck import check_against, synthesize
 from efflam.verify import _ROWS, _sample_type, sample_typed
-from .conftest import terms
+from .conftest import NAMES, OPS, _compound, leaf_terms, terms, types
 
 DECLS = """
 atom iota. atom o.
@@ -343,6 +348,13 @@ def test_unknown_strategy_is_rejected():
         normalize(Const("j"), "innermost")
 
 
+@pytest.mark.parametrize("strategy", ["leftmostOutermost", "randomSeeded", "exhaustiveCheck"])
+def test_negative_fuel_is_rejected(strategy):
+    # a term that terminates, so a strategy that accepts the fuel returns
+    with pytest.raises(ValueError, match="fuel"):
+        normalize(t("(\\x. eta x) j"), strategy, fuel=-1)
+
+
 # ---------------------------------------------------------------------------
 # Generated terms: reduction is total and deterministic
 
@@ -366,6 +378,71 @@ def test_reducts_match_candidates(tm):
     for (rule, path), (rule2, path2, reduced) in zip(cands, everything):
         assert rule is rule2 and path == path2
         assert alpha_eq(reduced, contract_at(tm, path, rule))
+
+
+# ---------------------------------------------------------------------------
+# The redex and stuck-node scan agrees with a recursive reference
+
+
+def _preorder(t, path=()):
+    """Every ascription-free node of `t` with its position, parents
+    before children and children left to right: a recursive walk,
+    written apart from `reduce`'s explicit-stack scan."""
+    while isinstance(t, Ann):
+        t = t.term
+    yield t, path
+    for i, kid in enumerate(children(t)):
+        yield from _preorder(kid, path + (i,))
+
+
+def _assert_scan_agrees_with_reference(term):
+    redexes, stuck = [], []
+    for s, path in _preorder(term):
+        rule, reason = _rule_at(s, free_vars), _blocked(s, free_vars)
+        if rule is not None:
+            redexes.append((rule, path))
+        if reason is not None:
+            stuck.append((path, reason))
+    assert candidates(term) == redexes
+    assert blocked_at(term) == (stuck[0] if stuck else None)
+
+
+def _rule_shapes(kids):
+    """The left-hand side of each rule, a stuck extraction and commute,
+    and an ascription, over arbitrary subterms: random terms rarely hold
+    a redex inside another."""
+    name, op = st.sampled_from(NAMES), st.sampled_from(OPS)
+    clauses = st.lists(st.tuples(op, kids), max_size=2).map(
+        lambda pairs: tuple(sorted(dict(pairs).items()))
+    )
+    call = st.builds(Op, op, kids, name, kids)
+    return st.one_of(
+        st.builds(lambda x, body, arg: App(Abs(x, body), arg), name, kids, kids),
+        st.builds(lambda x, fn: Abs(x, App(fn, Var(x))), name, kids),
+        st.builds(Handler, clauses, kids, kids.map(Eta) | call),
+        st.builds(Cherry, kids.map(Eta) | call),
+        st.builds(lambda x, body: Exchange(Abs(x, body)), name, kids.map(Eta) | call),
+        st.builds(Ann, kids, types),
+    )
+
+
+redex_terms = st.recursive(
+    leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms | redex_terms)
+def test_the_scan_agrees_with_a_recursive_reference(tm):
+    _assert_scan_agrees_with_reference(tm)
+
+
+def test_the_scan_agrees_with_a_recursive_reference_along_golden_and_ladder_traces():
+    # every term of each trace: ascriptions, handlers and commutes in many shapes
+    for term in [entry.term(Const("s")) for entry in GOLDENS] + [_ladder(8)]:
+        _assert_scan_agrees_with_reference(term)
+        for step in normalize(term).steps:
+            _assert_scan_agrees_with_reference(step.term)
 
 
 # ---------------------------------------------------------------------------
