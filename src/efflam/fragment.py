@@ -45,7 +45,7 @@ from .syntax import (
     free_vars,
     fresh_name,
 )
-from .typecheck import Context, TypeCheckError, check_against, synthesize
+from .typecheck import Context, TypeCheckError, check_against, clause_type, synthesize
 
 
 def shipped_source() -> str:
@@ -96,8 +96,7 @@ def _handle(m: Term, op: str, p: str, k: str, body: Term, result: Comp) -> Handl
     """`m` under a handler for `op` alone whose clause is `\\p. \\k. body`,
     ascribed `inp -> (out -> result) -> result` for `op`'s declared
     input and output types."""
-    inp, out = CONTEXT.operations.get(op)
-    clause = Ann(Abs(p, Abs(k, body)), Fun(inp, Fun(Fun(out, result), result)))
+    clause = Ann(Abs(p, Abs(k, body)), clause_type(CONTEXT.operations.get(op), result))
     return Handler(((op, clause),), eta_identity(), m)
 
 

@@ -11,10 +11,13 @@ but they are accepted in every checking position: under an ascription,
 as an argument, as a handler clause, as an operation parameter, and in
 the function slot of an immediately applied redex.
 
-A handler's row is found by guessing and growing: the eta clause and
-the forwarded operations give the first guess; each round then types
-every operation clause once, resuming at the guess, and adds the rows
-they perform (an ascribed clause adds its ascription's row untyped).
+One rule types a handler, in both directions.  Checked against a
+wanted type, a handler that synthesizes no type has its clauses checked
+at the wanted type.  Synthesized, its row is found by guessing and
+growing: the eta clause and the forwarded operations give the first
+guess; each round then types every operation clause once, resuming at
+the guess, and adds the rows they perform (an ascribed clause adds its
+ascription's row untyped).
 The last round's typings are kept, and a clause is checked against the
 result only when it was not typed or its type does not fit; so nested
 handlers whose rows settle in one round are typed once per level.
@@ -32,8 +35,14 @@ it mentions a variable whose type the guess changes.  Reuse is exact:
 the atoms, constants and operations are fixed for the call, so a
 term's typing depends on the context only through the types of its
 free variables (Bauer & Pretnar, "An Effect System for Algebraic
-Effects and Handlers", LMCS 2014).  Only successes are reused; a
-failure is found afresh, so its error carries the path where it occurs.
+Effects and Handlers", LMCS 2014).  A handler's failure is recorded
+too, as its kind, message and path below the handler, and raised again
+at the path where the handler is reached next in a context that gives
+its free variables the same types.  So a handler nested in a failing
+one is not synthesized again before it is checked against the wanted
+type: checking d failing one-clause handlers, each in the clause of the
+next, enters the handler rule (d^2 + 3d)/2 times, not exponentially
+often.  An ascription is recorded only where it held.
 """
 
 from __future__ import annotations
@@ -147,10 +156,7 @@ def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
             well_formed(ctx, cod, path)
         case Comp(effects, value):
             for name, inp, out in effects:
-                declared = ctx.operations.get(name)
-                if declared is None:
-                    _fail("unknownName", path, "operation %s is not declared", name)
-                if declared != (inp, out):
+                if _operation(ctx, name, path) != (inp, out):
                     _fail(
                         "mismatch",
                         path,
@@ -158,6 +164,21 @@ def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
                         name,
                     )
             well_formed(ctx, value, path)
+
+
+def _operation(ctx: Context, op: str, path: Path) -> tuple[Type, Type]:
+    """The declared input and output types of `op`."""
+    entry = ctx.operations.get(op)
+    if entry is None:
+        _fail("unknownName", path, "operation %s is not declared", op)
+    return entry
+
+
+def clause_type(entry: tuple[Type, Type], result: Type) -> Fun:
+    """`inp -> (out -> result) -> result`: the type of a clause handling
+    an operation declared `(inp, out)` in a handler of type `result`."""
+    inp, out = entry
+    return Fun(inp, Fun(Fun(out, result), result))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +202,15 @@ class _Checker:
     for only when it is reached again in another context, so a node
     typed once costs one entry.  The memo is made on the first `Ann` or
     `Handler` reached, so a call that meets neither pays nothing for it,
-    and it goes with the checker when the call returns.  Only successes
-    are recorded: a failure is raised afresh, with its own path.
+    and it goes with the checker when the call returns.  A handler whose
+    synthesis failed is recorded as `(kind, path below it, template,
+    args)`, and the failure is raised again at the current path; an
+    ascription that failed is not recorded, and is checked afresh.
     """
 
     # id -> [node, variables of the first context it was reached in, its
-    # type there, its free variables, {types of those: type}]
+    # type or failure there, its free variables, {types of those: type or
+    # failure}]
     _memo: dict[int, list] | None = None
     _free_vars: FreeVars | None = None
 
@@ -256,10 +280,7 @@ class _Checker:
             case Eta(value):
                 return Comp(EMPTY_ROW, self._synth(ctx, value, path + (0,)))
             case Op(op, param, binder, cont):
-                entry = ctx.operations.get(op)
-                if entry is None:
-                    _fail("unknownName", path, "operation %s is not declared", op)
-                inp, out = entry
+                inp, out = entry = _operation(ctx, op, path)
                 self._check(ctx, param, inp, path + (0,))
                 cont_ty = self._synth(ctx.bind(binder, out), cont, path + (1,))
                 if not isinstance(cont_ty, Comp):
@@ -274,8 +295,17 @@ class _Checker:
             case Handler(_, _, _):
                 got, entry = self._recall(ctx, t)
                 if got is None:
-                    got = _synth_handler(self, ctx, t, path)
+                    try:
+                        got = _handler_rule(self, ctx, t, path)
+                    except TypeCheckError as e:
+                        # kept relative: the same error passes every enclosing handler
+                        got = (e.kind, e.path[len(path) :], e.template, e.args[3:])
+                        self._record(entry, ctx, got)
+                        raise
                     self._record(entry, ctx, got)
+                if isinstance(got, tuple):  # failed before in this context
+                    kind, below, template, args = got
+                    _fail(kind, path + below, template, *args)
                 return got
             case Cherry(comp):
                 comp_ty = self._synth(ctx, comp, path + (0,))
@@ -340,9 +370,7 @@ class _Checker:
                 self._check(ctx, value, want.value, path + (0,))
                 return
             case Op(op, param, binder, cont) if isinstance(want, Comp):
-                entry = ctx.operations.get(op)
-                if entry is None:
-                    _fail("unknownName", path, "operation %s is not declared", op)
+                entry = _operation(ctx, op, path)
                 if want.effects.get(op) != entry:
                     _fail(
                         "mismatch",
@@ -354,42 +382,16 @@ class _Checker:
                 self._check(ctx, param, entry[0], path + (0,))
                 self._check(ctx.bind(binder, entry[1]), cont, want, path + (1,))
                 return
-            case Handler(clauses, eta_clause, scrutinee) if isinstance(want, Comp):
-                # A synthesized result is exact; the structural push below
-                # would force the wanted row into the resumption types,
-                # where it sits contravariantly and may not fit.
+            case Handler(_, _, _) if isinstance(want, Comp):
+                # A synthesized result is exact, and recorded for the
+                # subsumption check below; pushing the wanted row into the
+                # resumption types, where it sits contravariantly, may
+                # reject a handler whose synthesized type fits.
                 try:
-                    got = self._synth(ctx, t, path)
+                    self._synth(ctx, t, path)
                 except TypeCheckError:
-                    pass
-                else:
-                    if not subtype(got, want):
-                        _fail("mismatch", path, "expected %s, found %s", want, got)
+                    _handler_rule(self, ctx, t, path, want)
                     return
-                n = len(clauses)
-                scrut_path = path + (n + 1,)
-                scrut_ty = self._synth(ctx, scrutinee, scrut_path)
-                if not isinstance(scrut_ty, Comp):
-                    _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
-                handled = {op for op, _ in clauses}
-                residual = scrut_ty.effects.without(handled)
-                if not residual.subset_of(want.effects):
-                    missing = set(residual.names()) - set(want.effects.names())
-                    _fail(
-                        "mismatch",
-                        scrut_path,
-                        "unhandled operations {%s} do not appear in row {%s}",
-                        ", ".join(sorted(missing)),
-                        ", ".join(want.effects.names()),
-                    )
-                for i, (op, clause) in enumerate(clauses):
-                    entry = ctx.operations.get(op)
-                    if entry is None:
-                        _fail("unknownName", path + (i,), "operation %s is not declared", op)
-                    inp, out = entry
-                    self._check(ctx, clause, Fun(inp, Fun(Fun(out, want), want)), path + (i,))
-                self._check(ctx, eta_clause, Fun(scrut_ty.value, want), path + (n,))
-                return
             case Cherry(comp):
                 self._check(ctx, comp, Comp(EMPTY_ROW, want), path + (0,))
                 return
@@ -407,59 +409,70 @@ class _Checker:
             _fail("mismatch", path, "expected %s, found %s", want, got)
 
 
-def _synth_handler(checker: _Checker, ctx: Context, t: Handler, path: Path) -> Type:
+def _handler_rule(
+    checker: _Checker, ctx: Context, t: Handler, path: Path, want: Comp | None = None
+) -> Comp:
+    """The handler's type: `want` if given and the handler checks against
+    it, else the least type found by guessing and growing its row."""
     n = len(t.clauses)
     scrut_path = path + (n + 1,)
     scrut_ty = checker._synth(ctx, t.scrutinee, scrut_path)
     if not isinstance(scrut_ty, Comp):
         _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
-    entries: list[tuple[Type, Type]] = []
-    for i, (op, _) in enumerate(t.clauses):
-        entry = ctx.operations.get(op)
-        if entry is None:
-            _fail("unknownName", path + (i,), "operation %s is not declared", op)
-        entries.append(entry)
-    handled = {op for op, _ in t.clauses}
-    residual = scrut_ty.effects.without(handled)
+    residual = scrut_ty.effects.without({op for op, _ in t.clauses})
     gamma = scrut_ty.value
+    typed: list[Type | None] = [None] * n
+    if want is not None:
+        if not residual.subset_of(want.effects):
+            missing = set(residual.names()) - set(want.effects.names())
+            _fail(
+                "mismatch",
+                scrut_path,
+                "unhandled operations {%s} do not appear in row {%s}",
+                ", ".join(sorted(missing)),
+                ", ".join(want.effects.names()),
+            )
+        result = want
+    else:
+        entries = [_operation(ctx, op, path + (i,)) for i, (op, _) in enumerate(t.clauses)]
 
-    # the eta clause fixes the result value type and seeds the row
-    delta, row = checker._fun_to_comp(ctx, t.eta_clause, gamma, path + (n,))
-    row = residual.union(row)
+        # the eta clause fixes the result value type and seeds the row
+        delta, row = checker._fun_to_comp(ctx, t.eta_clause, gamma, path + (n,))
+        row = residual.union(row)
 
-    # operation clauses may perform further operations: each round types
-    # every clause once at the current guess and grows it, to a fixpoint
-    while True:
-        grown, typed = row, []
-        for (_, clause), (inp, out) in zip(t.clauses, entries):
-            ty = None
-            with suppress(TypeCheckError):
-                match clause:
-                    case Ann(_, Fun(_, Fun(_, Comp(effects, _)))):
-                        grown = grown.union(effects)  # read off; checked below
-                    case Abs(x, Abs(k, body)):
-                        resume = Fun(out, Comp(row, delta))
-                        body_ty = checker._synth(ctx.bind(x, inp).bind(k, resume), body, ())
-                        ty = Fun(inp, Fun(resume, body_ty))
-                    case _:
-                        ty = checker._synth(ctx, clause, ())
-            match ty:
-                case Fun(_, Fun(_, Comp(effects, _))):
-                    grown = grown.union(effects)
-            typed.append(ty)
-        if grown == row:
-            break
-        row = grown
+        # operation clauses may perform further operations: each round types
+        # every clause once at the current guess and grows it, to a fixpoint
+        while True:
+            grown, typed = row, []
+            for (_, clause), (inp, out) in zip(t.clauses, entries):
+                ty = None
+                with suppress(TypeCheckError):
+                    match clause:
+                        case Ann(_, Fun(_, Fun(_, Comp(effects, _)))):
+                            grown = grown.union(effects)  # read off; checked below
+                        case Abs(x, Abs(k, body)):
+                            resume = Fun(out, Comp(row, delta))
+                            body_ty = checker._synth(ctx.bind(x, inp).bind(k, resume), body, ())
+                            ty = Fun(inp, Fun(resume, body_ty))
+                        case _:
+                            ty = checker._synth(ctx, clause, ())
+                match ty:
+                    case Fun(_, Fun(_, Comp(effects, _))):
+                        grown = grown.union(effects)
+                typed.append(ty)
+            if grown == row:
+                break
+            row = grown
+        result = Comp(row, delta)
 
     # If _synth(t) gives T, _check(t, W) succeeds iff subtype(T, W) (by
     # induction over _check's cases).  The last round resumed at the final
     # row, so a clause it typed is checked only to raise its error.
-    result = Comp(row, delta)
-    for i, ((_, clause), (inp, out), ty) in enumerate(zip(t.clauses, entries, typed)):
-        want = Fun(inp, Fun(Fun(out, result), result))
-        if ty is None or not subtype(ty, want):
-            checker._check(ctx, clause, want, path + (i,))
-    # _fun_to_comp typed any other eta clause, and its type fits result
-    if isinstance(t.eta_clause, Ann):
+    for i, ((op, clause), ty) in enumerate(zip(t.clauses, typed)):
+        clause_want = clause_type(_operation(ctx, op, path + (i,)), result)
+        if ty is None or not subtype(ty, clause_want):
+            checker._check(ctx, clause, clause_want, path + (i,))
+    # without `want`, _fun_to_comp typed any other eta clause, and its type fits
+    if want is not None or isinstance(t.eta_clause, Ann):
         checker._check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
     return result

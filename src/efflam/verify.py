@@ -56,7 +56,7 @@ from .syntax import (
     Var,
     alpha_eq,
 )
-from .typecheck import Context, TypeCheckError, check_against, subtype, synthesize
+from .typecheck import Context, TypeCheckError, check_against, clause_type, subtype, synthesize
 
 A = Atom("A")
 B = Atom("B")
@@ -213,8 +213,8 @@ class _Enumeration:
                         continue
                     result = Comp(row, delta)
                     pools = [
-                        self.check(size, scope, Fun(inp, Fun(Fun(out, result), result)))
-                        for size, (_, (inp, out)) in zip(sizes, clause_set)
+                        self.check(size, scope, clause_type(entry, result))
+                        for size, (_, entry) in zip(sizes, clause_set)
                     ]
                     for chosen in itertools.product(*pools):
                         t = Handler(tuple(zip(names, chosen)), eta_clause, scrutinee)
@@ -270,8 +270,8 @@ class _Enumeration:
                 continue
             names = tuple(op for op, _ in clause_set)
             pools = [
-                self.check(size, scope, Fun(inp, Fun(Fun(out, want), want)))
-                for size, (_, (inp, out)) in zip(sizes, clause_set)
+                self.check(size, scope, clause_type(entry, want))
+                for size, (_, entry) in zip(sizes, clause_set)
             ]
             eta_clauses = self.check(eta_size, scope, Fun(scrut_ty.value, want))
             for chosen in itertools.product(*pools):
@@ -467,11 +467,8 @@ def termination(
 
 def _resuming_handler(op: str, body: Term, result: Comp) -> Term:
     """A handler for `op` whose clause just resumes with the parameter."""
-    inp, out = OPERATIONS.get(op)
-    clause = Ann(
-        Abs("p", Abs("k", App(Var("k"), Var("p")))),
-        Fun(inp, Fun(Fun(out, result), result)),
-    )
+    resume = Abs("p", Abs("k", App(Var("k"), Var("p"))))
+    clause = Ann(resume, clause_type(OPERATIONS.get(op), result))
     return Handler(((op, clause),), eta_identity(), body)
 
 

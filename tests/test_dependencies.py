@@ -1,7 +1,8 @@
 """The package has no runtime dependencies beyond the standard library,
 its modules and tests are Python 3.10 syntax, as `pyproject.toml`
 promises, no function in it leaves a reference cycle behind per
-call, and every private module-level name in it is used."""
+call, every private module-level name in it is used, and the typing
+errors it raises are of the documented kinds."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import efflam
+from efflam.typecheck import TypeCheckError
 
 SOURCES = sorted(Path(efflam.__file__).parent.glob("*.py"))
 
@@ -228,3 +230,39 @@ def _unused_helper():
         ("a.py", "_Lonely"),
         ("a.py", "_unused_helper"),
     }
+
+
+def _error_kinds(source):
+    """Each literal kind that `source` passes to `_fail(...)` or
+    `TypeCheckError(...)`, however the call is laid out."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        kind = node.args[0]
+        if name in ("_fail", "TypeCheckError") and isinstance(kind, ast.Constant):
+            yield kind.value
+
+
+def test_every_error_kind_raised_is_documented_and_every_documented_kind_raised():
+    # `check --format records` prints the kinds, so they are an output contract
+    documented = re.search(r"Kinds:([^.]*)\.", TypeCheckError.__doc__).group(1)
+    raised = {kind for path in SOURCES for kind in _error_kinds(path.read_text())}
+    assert raised == set(re.findall(r"\w+", documented))
+    assert len(raised) == 7
+
+
+def test_the_kind_scan_sees_calls_over_several_lines():
+    source = """
+def f(path, kind):
+    _fail(
+        "rowNotEmpty",
+        path,
+        "extraction requires an empty effect row, found {%s}",
+        "op1",
+    )
+    _fail(kind, path, "not a literal kind")
+    raise typecheck.TypeCheckError("notAComputation", (), "%s", "m")
+"""
+    assert list(_error_kinds(source)) == ["rowNotEmpty", "notAComputation"]

@@ -359,6 +359,30 @@ def test_negative_fuel_is_rejected(strategy):
 # Generated terms: reduction is total and deterministic
 
 
+def _rule_shapes(kids):
+    """The left-hand side of each rule, a stuck extraction and commute,
+    and an ascription, over arbitrary subterms: random terms rarely hold
+    a redex inside another."""
+    name, op = st.sampled_from(NAMES), st.sampled_from(OPS)
+    clauses = st.lists(st.tuples(op, kids), max_size=2).map(
+        lambda pairs: tuple(sorted(dict(pairs).items()))
+    )
+    call = st.builds(Op, op, kids, name, kids)
+    return st.one_of(
+        st.builds(lambda x, body, arg: App(Abs(x, body), arg), name, kids, kids),
+        st.builds(lambda x, fn: Abs(x, App(fn, Var(x))), name, kids),
+        st.builds(Handler, clauses, kids, kids.map(Eta) | call),
+        st.builds(Cherry, kids.map(Eta) | call),
+        st.builds(lambda x, body: Exchange(Abs(x, body)), name, kids.map(Eta) | call),
+        st.builds(Ann, kids, types),
+    )
+
+
+redex_terms = st.recursive(
+    leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(terms)
 def test_normalize_never_crashes_and_is_deterministic(tm):
@@ -370,7 +394,7 @@ def test_normalize_never_crashes_and_is_deterministic(tm):
 
 
 @settings(max_examples=150, deadline=None)
-@given(terms)
+@given(terms | redex_terms)
 def test_reducts_match_candidates(tm):
     cands = candidates(tm)
     everything = reducts(tm)
@@ -405,30 +429,6 @@ def _assert_scan_agrees_with_reference(term):
             stuck.append((path, reason))
     assert candidates(term) == redexes
     assert blocked_at(term) == (stuck[0] if stuck else None)
-
-
-def _rule_shapes(kids):
-    """The left-hand side of each rule, a stuck extraction and commute,
-    and an ascription, over arbitrary subterms: random terms rarely hold
-    a redex inside another."""
-    name, op = st.sampled_from(NAMES), st.sampled_from(OPS)
-    clauses = st.lists(st.tuples(op, kids), max_size=2).map(
-        lambda pairs: tuple(sorted(dict(pairs).items()))
-    )
-    call = st.builds(Op, op, kids, name, kids)
-    return st.one_of(
-        st.builds(lambda x, body, arg: App(Abs(x, body), arg), name, kids, kids),
-        st.builds(lambda x, fn: Abs(x, App(fn, Var(x))), name, kids),
-        st.builds(Handler, clauses, kids, kids.map(Eta) | call),
-        st.builds(Cherry, kids.map(Eta) | call),
-        st.builds(lambda x, body: Exchange(Abs(x, body)), name, kids.map(Eta) | call),
-        st.builds(Ann, kids, types),
-    )
-
-
-redex_terms = st.recursive(
-    leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
-)
 
 
 @settings(max_examples=300, deadline=None)
@@ -527,7 +527,7 @@ def test_resumed_search_on_sampled_typed_terms():
 
 
 @settings(max_examples=150, deadline=None)
-@given(terms)
+@given(terms | redex_terms)
 def test_resumed_search_on_untyped_terms(tm):
     _assert_agrees_with_rescan(tm, fuel=60)
 
@@ -724,7 +724,7 @@ def test_random_strategy_on_sampled_typed_terms():
 
 
 @settings(max_examples=150, deadline=None)
-@given(terms)
+@given(terms | redex_terms)
 def test_random_strategy_on_untyped_terms(tm):
     for seed in range(3):
         _assert_random_agrees_with_rescan(tm, seed, fuel=60)

@@ -17,10 +17,12 @@ from efflam.syntax import (
     Ann,
     App,
     Atom,
+    Cherry,
     Comp,
     Const,
     EMPTY_ROW,
     Eta,
+    Exchange,
     Fun,
     Handler,
     Op,
@@ -332,17 +334,24 @@ def _nested_handler(depth: int, innermost: Term = Eta(Const("a0"))) -> Term:
     return body
 
 
-def _handler_rule_calls(monkeypatch, t: Term) -> tuple[Type, int]:
-    """The type `t` synthesizes, and how often the handler rule ran."""
+def _handler_rule_calls(monkeypatch, t: Term, want: Type | None = None) -> tuple[object, int]:
+    """The type `t` synthesizes, or with `want` the outcome of checking
+    it against `want`, and how often the handler rule ran."""
     calls = []
-    rule = typecheck._synth_handler
+    rule = typecheck._handler_rule
 
     def counted(*args):
         calls.append(args)
         return rule(*args)
 
-    monkeypatch.setattr(typecheck, "_synth_handler", counted)
-    return synthesize(verify.CONTEXT, t), len(calls)
+    monkeypatch.setattr(typecheck, "_handler_rule", counted)
+    if want is None:
+        return synthesize(verify.CONTEXT, t), len(calls)
+    try:
+        check_against(verify.CONTEXT, t, want)
+    except TypeCheckError as e:
+        return str(e), len(calls)
+    return None, len(calls)
 
 
 def test_nested_handlers_are_typed_once_per_level(monkeypatch):
@@ -360,6 +369,20 @@ def test_two_round_nests_are_typed_once_per_level(monkeypatch):
     # re-typing the nested handler in every round made it 4,095
     row = Signature.of({"op2": (verify.A, verify.B)})
     assert _handler_rule_calls(monkeypatch, two_round_nest(12)) == (Comp(row, verify.A), 12)
+
+
+@pytest.mark.parametrize("depth", [10, 16, 24])
+def test_a_failing_nest_is_checked_in_polynomial_time(monkeypatch, depth):
+    # `commute (\\z. eta z)` at the bottom cannot be an `A -> A`, so no
+    # level synthesizes and each is checked against the wanted type too;
+    # synthesizing every failed level again took 10,945 calls at depth 10;
+    # remembering the failures takes (d^2 + 3d)/2, 65 at depth 10
+    nest = _nested_handler(depth, Exchange(Abs("z", Eta(Var("z")))))
+    want = Comp(EMPTY_ROW, Fun(verify.A, verify.A))
+    error, calls = _handler_rule_calls(monkeypatch, nest, want)
+    path = ".".join(["0"] * (3 * depth - 3) + ["1", "0", "0"])
+    assert error == f"mismatch at {path}: expected A -> A, found A"
+    assert calls <= depth * depth
 
 
 def test_check_agrees_with_subtyping_on_synthesized_types():
@@ -517,6 +540,135 @@ def test_a_shared_ascription_is_typed_again_under_a_new_binder_type():
     t = App(Abs("u", fails), holds)  # the argument is typed first
     assert _outcome(verify.CONTEXT, t) == ("mismatch", (0, 0, 0, 0, 0), "expected A, found B")
     _assert_blind_to_sharing(verify.CONTEXT, t)
+
+
+# op3 is not declared, so some handlers fail on the lookup
+_DRAWN_OPS = ("op1", "op2") * 3 + ("op3",)
+
+
+def _drawn_row(rng: random.Random) -> Comp:
+    return Comp(rng.choice(verify._ROWS), rng.choice((verify.A, verify.A, verify.B)))
+
+
+def random_handler_term(
+    rng: random.Random,
+    depth: int,
+    values: tuple[str, ...] = (),
+    resumptions: tuple[str, ...] = (),
+    pool: list[Term] | None = None,
+    comp: bool = True,
+) -> Term:
+    """A random term over the verify signature, `depth` levels deep at
+    most and mostly a computation when `comp`: handlers with 0-2 clauses,
+    bare or ascribed, and bare or ascribed eta clauses, operation calls,
+    resumptions, extractions, commutes and ascriptions.  `values` and
+    `resumptions` name the variables in scope; some subterms are reused
+    from `pool`, the terms drawn so far, so that nodes are shared."""
+    if pool is None:
+        pool = []
+    if pool and rng.random() < 0.08:
+        return rng.choice(pool)
+    fresh = f"v{len(values) + len(resumptions)}"
+
+    def sub(comp=True, values=values, resumptions=resumptions):
+        return random_handler_term(rng, depth - 1, values, resumptions, pool, comp)
+
+    roll = rng.random() if depth > 0 else 1.0
+    if not comp:
+        if roll < 0.2:
+            t = App(Const("f0"), sub(False))
+        elif roll < 0.35:
+            t = Cherry(sub())
+        elif roll < 0.45:
+            t = Ann(sub(False), rng.choice((verify.A, verify.B)))
+        else:
+            t = rng.choice([Var(v) for v in values[-2:]] + [Const("a0")] * 2 + [Const("*")])
+    elif roll < 0.4:
+        clauses = []
+        for op in sorted({rng.choice(_DRAWN_OPS) for _ in range(rng.randrange(3))}):
+            p, k = fresh + "p", fresh + "k"
+            body = sub(values=(*values, p), resumptions=(*resumptions, k))
+            if rng.random() < 0.3:
+                body = App(Var(k), sub(False, values=(*values, p)))
+            clause = Abs(p, Abs(k, body))
+            if rng.random() < 0.25:
+                entry = verify.OPERATIONS.get(op) or (verify.A, verify.A)
+                clause = Ann(clause, typecheck.clause_type(entry, _drawn_row(rng)))
+            elif rng.random() < 0.04:
+                clause = sub(False)
+            clauses.append((op, clause))
+        x = fresh + "x"
+        eta = Abs(x, sub(values=(*values, x)) if rng.random() < 0.4 else Eta(Var(x)))
+        if rng.random() < 0.2:
+            eta = Ann(eta, Fun(rng.choice((verify.A, verify.A, verify.B)), _drawn_row(rng)))
+        t = Handler(tuple(clauses), eta, sub())
+    elif roll < 0.6:
+        y = fresh + "y"
+        t = Op(rng.choice(_DRAWN_OPS), sub(False), y, sub(values=(*values, y)))
+    elif roll < 0.65 and resumptions:
+        t = App(Var(rng.choice(resumptions)), sub(False))
+    elif roll < 0.7:
+        z = fresh + "z"
+        f = Abs(z, sub(values=(*values, z)))
+        if rng.random() < 0.7:
+            f = Ann(f, Fun(verify.A, _drawn_row(rng)))
+        t = Exchange(f)
+    elif roll < 0.75:
+        t = Cherry(Eta(sub()))
+    elif roll < 0.82:
+        t = Ann(sub(), _drawn_row(rng))
+    elif roll < 0.88:
+        x = fresh + "a"
+        t = App(Abs(x, sub(values=(*values, x))), sub(False))
+    else:
+        t = Eta(sub(False))
+    pool.append(t)
+    return t
+
+
+_CHECKED_AGAINST = (
+    Comp(EMPTY_ROW, verify.A),
+    Comp(Signature.of({"op1": (verify.A, verify.A)}), verify.A),
+    Comp(verify.OPERATIONS, verify.B),
+    Comp(EMPTY_ROW, Fun(verify.A, verify.A)),
+)
+
+
+def _outcomes(t: Term) -> list:
+    """What `synthesize` gives `t`, then what `check_against` gives it at
+    each of `_CHECKED_AGAINST`: a type, None, or (kind, path, message)."""
+    runs = [lambda: synthesize(verify.CONTEXT, t)]
+    runs += [lambda want=want: check_against(verify.CONTEXT, t, want) for want in _CHECKED_AGAINST]
+    outcomes = []
+    for run in runs:
+        try:
+            outcomes.append(run())
+        except TypeCheckError as e:
+            outcomes.append((e.kind, e.path, e.message))
+    return outcomes
+
+
+def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monkeypatch):
+    """Every type and every error, with its path, is what a checker that
+    types each node afresh gives.  Unlike the unshared copies above, the
+    reference shares no memo code, so it also sees a remembered failure
+    raised at the wrong path."""
+    rng = random.Random(15)
+    terms = [random_handler_term(rng, rng.randrange(1, 6)) for _ in range(2000)]
+    remembered = [_outcomes(t) for t in terms]
+
+    def never_recall(self, ctx, t):
+        return None, [t, ctx.vars, None, None, None]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(typecheck._Checker, "_recall", never_recall)
+        afresh = [_outcomes(t) for t in terms]
+    for t, got, want in zip(terms, remembered, afresh):
+        assert got == want, print_term(t)
+    # the terms reach both sides of the rules
+    flat = [o for outcomes in remembered for o in outcomes]
+    assert sum(isinstance(o, tuple) for o in flat) > len(flat) // 2
+    assert sum(not isinstance(o, tuple) for o in flat) > len(flat) // 10
 
 
 def test_a_lexical_entry_is_checked_once_per_call(monkeypatch):
