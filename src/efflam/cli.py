@@ -26,7 +26,6 @@ import sys
 from dataclasses import replace
 
 from .fragment import CONTEXT as FRAGMENT_CONTEXT
-from .fragment import ENV as FRAGMENT_ENV
 from .fragment import GOLDENS, IOTA, example
 from .reduce import (
     ConfluenceError,
@@ -203,7 +202,7 @@ def _gather_terms(args, out: _Emitter) -> list[Term] | int:
         return STATUS_USAGE
     if args.expr is not None:
         try:
-            return [parse_term(args.expr, FRAGMENT_ENV)]
+            return [parse_term(args.expr, FRAGMENT_CONTEXT)]
         except ParseError as err:
             out.error(str(err), error="parse", message=str(err))
             return STATUS_BAD_TERM
@@ -290,7 +289,7 @@ def _cmd_fragment(args, out: _Emitter) -> int:
     entries = [example(args.example)] if args.example else GOLDENS
     single = args.example is not None
     # the expected forms name the default speaker s; read s as the chosen one
-    expected_env = replace(FRAGMENT_ENV, defs={"s": Const(name)})
+    expected_ctx = replace(FRAGMENT_CONTEXT, defs={"s": Const(name)})
     status = STATUS_OK
     for entry in entries:
         trace = normalize(entry.term(Const(name)), record_steps=False)
@@ -299,7 +298,7 @@ def _cmd_fragment(args, out: _Emitter) -> int:
             status = max(status, outcome)
             continue
         actual = erase(trace.final)
-        expected = erase(parse_term(entry.expected_src, expected_env))
+        expected = erase(parse_term(entry.expected_src, expected_ctx))
         ok = alpha_eq(actual, expected)
         shown = print_term(actual)
         prefix = "" if single else f"({entry.number}) "

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .prelude import bind, eta_identity
-from .surface import DeclFile, Env, parse_file, parse_term
+from .surface import DeclFile, parse_file, parse_term
 from .syntax import (
     Abs,
     Ann,
@@ -61,8 +61,9 @@ def shipped_source() -> str:
 
 FILE: DeclFile = parse_file(shipped_source())
 # the signature only: inline terms and expected forms never see the defs
-ENV: Env = replace(FILE.env(), defs={})
-CONTEXT: Context = FILE.context()
+CONTEXT: Context = replace(FILE.context(), defs={})
+# the same object, for callers that parse against `ENV`
+ENV: Context = CONTEXT
 
 IOTA = Atom("iota")
 O = Atom("o")
@@ -276,7 +277,7 @@ class GoldenEntry:
 
     @property
     def expected(self) -> Term:
-        return parse_term(self.expected_src, ENV)
+        return parse_term(self.expected_src, CONTEXT)
 
 
 def _tv(verb: str, obj: SynTree, subj: SynTree) -> SynTree:

@@ -95,8 +95,9 @@ from .syntax import (
     Var,
     canonical_key,
     children,
-    fresh_name,
     rebuild,
+    rename,
+    strip,
     subst,
 )
 
@@ -154,12 +155,6 @@ class ConfluenceError(Exception):
     """Exhaustive checking found two distinct normal forms."""
 
 
-def _strip(t: Term) -> Term:
-    while isinstance(t, Ann):
-        t = t.term
-    return t
-
-
 def _peel(t: Term) -> tuple[Sequence, Term]:
     """Ascription types outermost-first, and the term under them."""
     if type(t) is not Ann:
@@ -189,17 +184,17 @@ def _rule_at(s: Term, fv) -> Rule | None:
     """The rule contracting the ascription-free node `s`, if any; `fv`
     gives free variables (a `FreeVars` memo)."""
     match s:
-        case App(fn, _) if isinstance(_strip(fn), Abs):
+        case App(fn, _) if isinstance(strip(fn), Abs):
             return Rule.beta
         case Abs(binder, body):
-            match _strip(body):
-                case App(fn, arg) if isinstance(_strip(arg), Var) and _strip(
+            match strip(body):
+                case App(fn, arg) if isinstance(strip(arg), Var) and strip(
                     arg
                 ).name == binder and binder not in fv(fn):
                     return Rule.eta
             return None
         case Handler(clauses, _, scrutinee):
-            match _strip(scrutinee):
+            match strip(scrutinee):
                 case Eta(_):
                     return Rule.bananaEta
                 case Op(op, _, _, _):
@@ -207,11 +202,11 @@ def _rule_at(s: Term, fv) -> Rule | None:
                     return Rule.bananaOp if handled else Rule.bananaOpForward
             return None
         case Cherry(comp):
-            return Rule.cherry if isinstance(_strip(comp), Eta) else None
+            return Rule.cherry if isinstance(strip(comp), Eta) else None
         case Exchange(fn):
-            match _strip(fn):
+            match strip(fn):
                 case Abs(binder, body):
-                    match _strip(body):
+                    match strip(body):
                         case Eta(_):
                             return Rule.cEta
                         case Op(_, param, _, _) if binder not in fv(param):
@@ -246,26 +241,24 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             return contractum
         case Rule.eta:
             assert isinstance(s, Abs)
-            body = _strip(s.body)
+            body = strip(s.body)
             assert isinstance(body, App)
             return body.fn
         case Rule.bananaEta:
             assert isinstance(s, Handler)
-            injected = _strip(s.scrutinee)
+            injected = strip(s.scrutinee)
             assert isinstance(injected, Eta)
             return App(s.eta_clause, injected.value)
         case Rule.bananaOp | Rule.bananaOpForward:
             assert isinstance(s, Handler)
-            call = _strip(s.scrutinee)
+            call = strip(s.scrutinee)
             assert isinstance(call, Op)
             binder, cont = call.binder, call.cont
             clause_fv = fv(s.eta_clause)
             for _, clause in s.clauses:
                 clause_fv |= fv(clause)
             if binder in clause_fv:
-                renamed = fresh_name(binder, clause_fv | fv(cont) | {binder})
-                cont = subst(cont, binder, Var(renamed), fv)
-                binder = renamed
+                binder, cont = rename(binder, cont, clause_fv, fv)
             pushed = Handler(s.clauses, s.eta_clause, cont)
             if rule is Rule.bananaOp:
                 clause = s.clause_for(call.op)
@@ -274,14 +267,14 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             return Op(call.op, call.param, binder, pushed)
         case Rule.cherry:
             assert isinstance(s, Cherry)
-            injected = _strip(s.comp)
+            injected = strip(s.comp)
             assert isinstance(injected, Eta)
             return injected.value
         case Rule.cEta:
             assert isinstance(s, Exchange)
             fn_anns, lam = _peel(s.fn)
             assert isinstance(lam, Abs)
-            injected = _strip(lam.body)
+            injected = strip(lam.body)
             assert isinstance(injected, Eta)
             usable = _commute_ann(fn_anns)
             result_fn = Abs(lam.binder, injected.value)
@@ -292,13 +285,11 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             assert isinstance(s, Exchange)
             fn_anns, lam = _peel(s.fn)
             assert isinstance(lam, Abs)
-            call = _strip(lam.body)
+            call = strip(lam.body)
             assert isinstance(call, Op)
             binder, cont = call.binder, call.cont
             if binder == lam.binder:
-                renamed = fresh_name(binder, fv(cont) | {binder, lam.binder})
-                cont = subst(cont, binder, Var(renamed), fv)
-                binder = renamed
+                binder, cont = rename(binder, cont, frozenset(), fv)
             usable = _commute_ann(fn_anns)
             inner_fn: Term = Abs(lam.binder, cont)
             if usable is not None:
@@ -312,9 +303,11 @@ def _search(stack: list[tuple[Term, Path]], test, fv) -> tuple | None:
     left to right) among the subterms on `stack`, the next one on top,
     where `test(node, fv)` is not None: that value, and the node's
     position relative to them.  The node's children are pushed before
-    it is tested, so `stack` is left where the scan resumes after it."""
+    it is tested, so `stack` is left where the scan resumes after it;
+    a bare variable or constant child is not pushed, as no test accepts
+    a leaf."""
     # the hot loop of normalization, hence the bound methods and the
-    # inlined `_strip`
+    # inlined `strip`
     pop, push = stack.pop, stack.append
     while stack:
         s, at = pop()
@@ -324,7 +317,10 @@ def _search(stack: list[tuple[Term, Path]], test, fv) -> tuple | None:
         i = len(kids)
         while i:
             i -= 1
-            push((kids[i], at + (i,)))
+            kid = kids[i]
+            cls = type(kid)
+            if cls is not Var and cls is not Const:
+                push((kid, at + (i,)))
         found = test(s, fv)
         if found is not None:
             return found, at
@@ -371,16 +367,16 @@ def _blocked(s: Term, fv) -> str | None:
     `fv` gives free variables (a `FreeVars` memo)."""
     match s:
         case Exchange(fn):
-            match _strip(fn):
+            match strip(fn):
                 case Abs(binder, body):
-                    match _strip(body):
+                    match strip(body):
                         case Op(op, param, _, _) if binder in fv(param):
                             return (
                                 f"commute is stuck: the parameter of operation "
                                 f"{op} mentions the commuted variable {binder}"
                             )
         case Cherry(comp):
-            match _strip(comp):
+            match strip(comp):
                 case Op(op, _, _, _):
                     return f"extract is stuck: the computation performs operation {op}"
     return None
@@ -495,14 +491,14 @@ def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
     """The free variables of the redex `s` that its contractum lacks:
     those of a dropped beta argument or of dropped handler clauses."""
     if rule is Rule.beta:
-        lam = _strip(s.fn)
+        lam = strip(s.fn)
         body_fv = fv(lam.body)
         if lam.binder in body_fv:
             return _KEPT
         return fv(s.arg) - body_fv
     if rule is Rule.bananaEta and s.clauses:
         dropped = frozenset().union(*(fv(clause) for _, clause in s.clauses))
-        return dropped - fv(s.eta_clause) - fv(_strip(s.scrutinee).value)
+        return dropped - fv(s.eta_clause) - fv(strip(s.scrutinee).value)
     return _KEPT
 
 
@@ -540,7 +536,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
         # nearest, or a binder further up whose variable the step drops
         top = len(frames) - 2
         if top > 0:
-            discarded = _discarded_vars(_strip(focus), rule, fv)
+            discarded = _discarded_vars(strip(focus), rule, fv)
             if discarded:
                 # frames[top] too: it may be the Abs of an Exchange above it
                 for j in range(top + 1):

@@ -1,7 +1,11 @@
 """Concrete syntax: lexer, parser, pretty-printer, declaration files.
 
-Terms parse against an environment of declared names, so unknown
-identifiers fail at parse time with a position.  The printer emits
+Terms parse against a `Context` of declared names, so unknown
+identifiers fail at parse time with a position.  It is the record the
+checker types against: the parser reads its atoms, constants,
+operations and the definitions (`defs`) that it inlines, never the
+variable types.  `parse_file` reads a declaration file into a
+`DeclFile`, whose `context()` holds the file's names.  The printer emits
 minimal parentheses and round-trips: reparsing printed output yields an
 alpha-equivalent term whenever the names it mentions are declared.
 
@@ -23,8 +27,7 @@ source again up to the index of the token the error blames.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping
-from collections.abc import Set as AbstractSet
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -39,6 +42,7 @@ from .syntax import (
     Cherry,
     Comp,
     Const,
+    Context,
     Eta,
     Exchange,
     Fun,
@@ -50,7 +54,7 @@ from .syntax import (
     Type,
     UNIT,
     Var,
-    alpha_eq,
+    strip,
 )
 
 KEYWORDS = {
@@ -157,18 +161,7 @@ def _position(src: str, index: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Environments and declaration files
-
-
-@dataclass
-class Env:
-    """Names a term is parsed against."""
-
-    atoms: AbstractSet[str] = frozenset({UNIT.name})
-    constants: AbstractSet[str] = frozenset({"*"})
-    # read only through `get`, so `parse_file` can pass its growing table
-    operations: Signature | Mapping[str, tuple[Type, Type]] = Signature()
-    defs: dict[str, Term] = field(default_factory=dict)
+# Declaration files
 
 
 @dataclass
@@ -181,18 +174,10 @@ class DeclFile:
     defs: list[tuple[str, Type | None, Term]] = field(default_factory=list)
     directives: list[tuple[str, Term]] = field(default_factory=list)
 
-    def env(self) -> Env:
-        return Env(
-            atoms=frozenset(self.atoms) | {UNIT.name},
-            constants=frozenset(self.constants) | {"*"},
-            operations=self.operations,
-            defs={name: term for name, _, term in self.defs},
-        )
-
-    def context(self):
-        from .typecheck import Context
-
-        return Context.initial(set(self.atoms), dict(self.constants), self.operations)
+    def context(self) -> Context:
+        """The file's atoms, constants, operations and definitions."""
+        defs = {name: term for name, _, term in self.defs}
+        return Context.initial(self.atoms, self.constants, self.operations, defs)
 
 
 class _Parser:
@@ -200,11 +185,11 @@ class _Parser:
     follows from its text, and an error finds its position from the index
     of the token it blames."""
 
-    def __init__(self, src: str, env: Env):
+    def __init__(self, src: str, ctx: Context):
         self.src = src
         self.toks = _lex(src)
         self.pos = 0
-        self.env = env
+        self.ctx = ctx
         self.bound: list[str] = []
 
     # -- token plumbing
@@ -271,7 +256,7 @@ class _Parser:
             while not self.at_sym("}"):
                 at = self.pos
                 name = self.expect_ident("an operation name")
-                entry = self.env.operations.get(name)
+                entry = self.ctx.operations.get(name)
                 if entry is None:
                     self.fail_at(at, f"unknown operation {name}")
                 if name in table:
@@ -287,7 +272,7 @@ class _Parser:
             self.expect_sym(")")
             return Comp(Signature.of(table), value)
         if tok not in _NON_IDENTS:
-            if tok not in self.env.atoms:
+            if tok not in self.ctx.atoms:
                 self.fail(f"unknown atomic type {tok}")
             self.next()
             return Atom(tok)
@@ -307,7 +292,7 @@ class _Parser:
             op = _INFIX.get(self.peek())
             if op is None or not level <= op.level <= limit:
                 return left
-            if op.constant is not None and op.constant not in self.env.constants:
+            if op.constant is not None and op.constant not in self.ctx.constants:
                 self.fail(f"this sugar needs a declared constant {op.constant}")
             self.next()
             right = self.term(op.level if op.assoc == "right" else op.level + 1)
@@ -378,9 +363,9 @@ class _Parser:
         if tok not in _NON_IDENTS:
             if tok in self.bound:
                 term = Var(tok)
-            elif tok in self.env.defs:
-                term = self.env.defs[tok]
-            elif tok in self.env.constants:
+            elif tok in self.ctx.defs:
+                term = self.ctx.defs[tok]
+            elif tok in self.ctx.constants:
                 term = Const(tok)
             else:
                 self.fail(f"unknown identifier {tok}")
@@ -434,15 +419,15 @@ class _Parser:
         return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)
 
 
-def parse_term(src: str, env: Env) -> Term:
-    p = _Parser(src, env)
+def parse_term(src: str, ctx: Context) -> Term:
+    p = _Parser(src, ctx)
     term = p.term()
     p.end("term")
     return term
 
 
-def parse_type(src: str, env: Env) -> Type:
-    p = _Parser(src, env)
+def parse_type(src: str, ctx: Context) -> Type:
+    p = _Parser(src, ctx)
     ty = p.type_()
     p.end("type")
     return ty
@@ -455,11 +440,10 @@ def parse_file(src: str) -> DeclFile:
     decl = DeclFile()
     # the names a term is parsed against: each declaration adds its own
     # once it is read, so a declaration cannot mention itself
-    atoms, constants = {UNIT.name}, {"*"}
     operations: dict[str, tuple[Type, Type]] = {}
-    env = Env(atoms, constants, operations)
+    ctx = Context.initial((), {}, operations)
     declared: set[str] = set()
-    p = _Parser(src, env)
+    p = _Parser(src, ctx)
 
     def fresh_decl_name(what: str) -> str:
         name = p.expect_ident(what)
@@ -479,12 +463,11 @@ def parse_file(src: str) -> DeclFile:
         if head == "atom":
             name = fresh_decl_name("an atom name")
             decl.atoms.append(name)
-            atoms.add(name)
+            ctx.atoms.add(name)
         elif head == "const":
             name = fresh_decl_name("a constant name")
             p.expect_sym(":")
-            decl.constants[name] = p.type_()
-            constants.add(name)
+            decl.constants[name] = ctx.constants[name] = p.type_()
         elif head == "operation":
             name = fresh_decl_name("an operation name")
             p.expect_sym(":")
@@ -500,8 +483,8 @@ def parse_file(src: str) -> DeclFile:
                 ty = p.type_()
             p.expect_sym(":=")
             term = p.term()
-            env.defs[name] = Ann(term, ty) if ty is not None else term
-            decl.defs.append((name, ty, env.defs[name]))
+            ctx.defs[name] = Ann(term, ty) if ty is not None else term
+            decl.defs.append((name, ty, ctx.defs[name]))
         else:
             decl.directives.append((head, p.term()))
         p.expect_sym(".")
@@ -578,7 +561,7 @@ def _render(t: Term) -> tuple[int, str]:
             return _UNIT, f"do {op}({_print(param, _BIND)}, \\{binder}. {_print(cont, _BIND)})"
         case Handler(clauses, eta_clause, scrutinee):
             parts = [f"{name} -> {_print(clause, _BIND)}" for name, clause in clauses]
-            if not alpha_eq(eta_clause, eta_identity()):
+            if not _is_eta_identity(eta_clause):
                 parts.append(f"eta -> {_print(eta_clause, _BIND)}")
             inner = ", ".join(parts)
             braces = f"{{ {inner} }}" if inner else "{ }"
@@ -586,6 +569,19 @@ def _render(t: Term) -> tuple[int, str]:
         case Ann(term, ty):
             return _UNIT, f"({_print(term, _BIND)} : {print_type(ty)})"
     raise TypeError(f"not a term: {t!r}")
+
+
+def _is_eta_identity(t: Term) -> bool:
+    """Whether `t` is `\\b. eta b`, the eta clause a handler gets when
+    none is written, skipping ascriptions at each level as
+    `canonical_key` does.  A test of shape, so printing a handler does
+    not cost the size of its eta clause."""
+    match strip(t):
+        case Abs(binder, body):
+            match strip(body):
+                case Eta(value):
+                    return strip(value) == Var(binder)
+    return False
 
 
 def print_path(path: Path) -> str:

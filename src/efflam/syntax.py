@@ -8,7 +8,8 @@ term identity everywhere; structural equality (`==`) is only incidental.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 
@@ -125,6 +126,39 @@ Type = Union[Atom, Fun, Comp]
 UNIT = Atom("1")
 
 
+@dataclass
+class Context:
+    """The names a term is read and typed against: declared atoms,
+    constants and operations, the definitions the parser inlines, and
+    the types of the bound variables in scope.
+
+    `defs` is read at parse time only, by the parser; `vars` at check
+    time only, by the checker.
+    """
+
+    atoms: set[str]
+    constants: dict[str, Type]
+    # read only through `get`, so `parse_file` can pass its growing table
+    operations: Signature | Mapping[str, tuple[Type, Type]]
+    defs: dict[str, "Term"] = field(default_factory=dict)
+    vars: dict[str, Type] = field(default_factory=dict)
+
+    @staticmethod
+    def initial(
+        atoms: Iterable[str],
+        constants: Mapping[str, Type],
+        operations: Signature | Mapping[str, tuple[Type, Type]],
+        defs: dict[str, "Term"] | None = None,
+    ) -> "Context":
+        """Context with the ambient unit type and unit value included."""
+        return Context({UNIT.name, *atoms}, {"*": UNIT, **constants}, operations, defs or {})
+
+    def bind(self, name: str, ty: Type) -> "Context":
+        return Context(
+            self.atoms, self.constants, self.operations, self.defs, {**self.vars, name: ty}
+        )
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -238,6 +272,13 @@ Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
 
 # a position in a term: child indices, in `children` order, from the root
 Path = tuple[int, ...]
+
+
+def strip(t: Term) -> Term:
+    """`t` without its outer ascriptions."""
+    while isinstance(t, Ann):
+        t = t.term
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +543,16 @@ def _subst_under(binder: str, body: Term, name, repl, repl_fv, fv, known) -> tup
     """The binder and body after substituting in the body."""
     if binder == name:
         return binder, body
-    if binder in repl_fv:
-        body_fv = fv(body)
-        if name in body_fv:
-            renamed = fresh_name(binder, repl_fv | body_fv | {name})
-            body = subst(body, binder, Var(renamed), fv)
-            return renamed, _subst(body, name, repl, repl_fv, fv, known)
+    if binder in repl_fv and name in fv(body):
+        binder, body = rename(binder, body, repl_fv | {name}, fv)
     return binder, _subst(body, name, repl, repl_fv, fv, known)
+
+
+def rename(binder: str, body: Term, avoid: frozenset[str], fv: FreeVars) -> tuple[str, Term]:
+    """`binder` renamed away from `avoid` and from the free variables of
+    its `body`, with the body to match; `fv` gives free variables."""
+    renamed = fresh_name(binder, avoid | fv(body) | {binder})
+    return renamed, subst(body, binder, Var(renamed), fv)
 
 
 def erase(t: Term) -> Term:

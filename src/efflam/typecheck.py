@@ -48,7 +48,6 @@ often.  An ascription is recorded only where it held.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 
 from .syntax import (
     Abs,
@@ -57,6 +56,7 @@ from .syntax import (
     Atom,
     Cherry,
     Comp,
+    Context,
     EMPTY_ROW,
     Eta,
     Exchange,
@@ -68,7 +68,6 @@ from .syntax import (
     Signature,
     Term,
     Type,
-    UNIT,
     Var,
 )
 from .surface import print_path
@@ -102,32 +101,6 @@ class TypeCheckError(Exception):
 
 def _fail(kind: str, path: Path, template: str, *args: object) -> "TypeCheckError":
     raise TypeCheckError(kind, path, template, *args)
-
-
-@dataclass
-class Context:
-    """Declared atoms, constants, and operations, plus bound variables."""
-
-    atoms: frozenset[str]
-    constants: dict[str, Type]
-    operations: Signature
-    vars: dict[str, Type] = field(default_factory=dict)
-
-    @staticmethod
-    def initial(
-        atoms: set[str] | frozenset[str],
-        constants: dict[str, Type],
-        operations: Signature,
-    ) -> "Context":
-        """Context with the ambient unit type and unit value included."""
-        return Context(
-            atoms=frozenset(atoms) | {UNIT.name},
-            constants={"*": UNIT, **constants},
-            operations=operations,
-        )
-
-    def bind(self, name: str, ty: Type) -> "Context":
-        return Context(self.atoms, self.constants, self.operations, {**self.vars, name: ty})
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ input.
 from __future__ import annotations
 
 from efflam.prelude import apply_both, apply_left, apply_right, bind, lift_binary
-from efflam.surface import Env, _Parser
-from efflam.syntax import App, Const, Term
+from efflam.surface import _Parser
+from efflam.syntax import App, Const, Context, Term
 
 
 class ChainParser(_Parser):
@@ -59,7 +59,7 @@ class ChainParser(_Parser):
 
     def require_constant(self, name: str) -> None:
         """Consume the operator at hand, which needs the constant `name`."""
-        if name not in self.env.constants:
+        if name not in self.ctx.constants:
             self.fail(f"this sugar needs a declared constant {name}")
         self.next()
 
@@ -79,9 +79,9 @@ class ChainParser(_Parser):
                 return left
 
 
-def parse_term_by_chain(src: str, env: Env) -> Term:
+def parse_term_by_chain(src: str, ctx: Context) -> Term:
     """`surface.parse_term`, with the infix operators parsed by the chain."""
-    p = ChainParser(src, env)
+    p = ChainParser(src, ctx)
     term = p.term()
     p.end("term")
     return term

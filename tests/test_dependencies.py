@@ -1,7 +1,8 @@
 """The package has no runtime dependencies beyond the standard library,
 its modules and tests are Python 3.10 syntax, as `pyproject.toml`
 promises, no function in it leaves a reference cycle behind per
-call, every private module-level name in it is used, and the typing
+call, no function imports one of its modules unless listed with a
+reason, every private module-level name in it is used, and the typing
 errors it raises are of the documented kinds."""
 
 from __future__ import annotations
@@ -68,6 +69,87 @@ def test_the_syntax_check_rejects_newer_syntax():
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _package_modules(node):
+    """The modules of the package that the import statement `node`
+    names, without the package's name."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        package, _, module = node.module.partition(".")
+        modules = [module] if module else [alias.name for alias in node.names]
+    else:
+        package, modules = "efflam", []
+        for alias in node.names:
+            head, _, module = alias.name.partition(".")
+            if head == "efflam" and module:
+                modules.append(module)
+    return modules if package == "efflam" else []
+
+
+def _imports_in_functions(source):
+    """(function, module) for each module of the package imported in a
+    function's body, the function named with the classes and functions
+    around it.  An import there hides a dependency from the module's
+    header, and often a cycle."""
+    todo = [(node, "", False) for node in ast.parse(source).body]
+    while todo:
+        node, scope, in_function = todo.pop()
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_function = in_function or isinstance(node, _FUNCTIONS)
+        elif in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in _package_modules(node):
+                yield scope, module
+        todo.extend((child, scope, in_function) for child in ast.iter_child_nodes(node))
+
+
+# every import of a package module made in a function, with its reason
+_IMPORTS_IN_FUNCTIONS = {
+    ("cli.py", "_cmd_verify", "verify"): "start-up time: only `efflam verify` loads the suites",
+    ("syntax.py", "Fun.__str__", "surface"): "a cycle: the printer's module imports syntax",
+    ("syntax.py", "Comp.__str__", "surface"): "a cycle: the printer's module imports syntax",
+}
+
+
+def test_every_import_in_a_function_is_listed_with_its_reason():
+    assert SOURCES
+    found = {
+        (path.name, function, module)
+        for path in SOURCES
+        for function, module in _imports_in_functions(path.read_text())
+    }
+    assert found == set(_IMPORTS_IN_FUNCTIONS)
+
+
+def test_the_import_scan_sees_imports_in_functions_and_methods():
+    source = """
+from .top import name
+import efflam.header
+
+
+class C:
+    from .in_class import name
+
+    def method(self):
+        from .x import y
+        import os
+
+
+def outer():
+    def inner():
+        from efflam.z import w
+        import efflam.u
+    from . import v
+    from importlib import resources
+"""
+    assert set(_imports_in_functions(source)) == {
+        ("C.method", "x"),
+        ("outer.inner", "z"),
+        ("outer.inner", "u"),
+        ("outer", "v"),
+    }
 
 
 def _defined_in(fn):

@@ -266,11 +266,16 @@ def test_shipped_file_declares_the_same_signature():
     from efflam.fragment import shipped_source
     from efflam.surface import parse_file
 
-    want = parse_file(REFERENCE_SIGNATURE).env()
-    for got in (parse_file(shipped_source()).env(), ENV):
+    want = parse_file(REFERENCE_SIGNATURE).context()
+    for got in (parse_file(shipped_source()).context(), ENV):
         assert got.atoms == want.atoms
         assert got.constants == want.constants
         assert got.operations == want.operations
+
+
+def test_the_parser_and_the_checker_read_one_signature_without_the_defs():
+    assert ENV is CONTEXT
+    assert CONTEXT.defs == {} and CONTEXT.vars == {}
 
 
 def test_shipped_file_defines_the_whole_lexicon():

@@ -33,7 +33,7 @@ operation implicate : o ~> 1.
 def me := do speaker(*, \\x. eta x).
 """
 
-ENV = parse_file(DECLS).env()
+ENV = parse_file(DECLS).context()
 
 
 def t(src: str):

@@ -64,7 +64,7 @@ def me := do speaker(*, \\x. eta x).
 
 FILE = parse_file(DECLS)
 A = Atom("A")
-ENV = FILE.env()
+ENV = FILE.context()
 CTX = FILE.context()
 
 
@@ -148,6 +148,13 @@ def test_forwarding_renames_the_continuation_binder():
     inner = reduced.cont
     assert isinstance(inner, Handler)
     assert alpha_eq(inner.clauses[0][1], clause)
+
+
+def test_commuting_renames_an_operation_binder_that_shadows_the_commuted_one():
+    # unrenamed, the commuted x would capture the continuation's x:
+    # do speaker(*, \x. eta (\x. x))
+    got = nf("commute (\\x. do speaker(*, \\x. eta x))")
+    assert alpha_eq(got, t("do speaker(*, \\x'. eta (\\x. x'))"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import timeit
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from efflam import surface
-from efflam.prelude import apply_both, apply_left, apply_right, bind, lift_binary
+from efflam import surface, syntax
+from efflam.prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
 from efflam.surface import (
     KEYWORDS,
-    Env,
     ParseError,
     _SYMBOLS,
+    _is_eta_identity,
     _lex,
     _position,
     parse_file,
@@ -31,6 +33,7 @@ from efflam.syntax import (
     Atom,
     Comp,
     Const,
+    Context,
     EMPTY_ROW,
     Eta,
     Fun,
@@ -43,7 +46,7 @@ from efflam.syntax import (
     free_vars,
 )
 from .chain_parser import parse_term_by_chain
-from .conftest import terms
+from .conftest import NAMES, leaf_terms, terms, types
 
 DECLS = """
 atom iota. atom o.
@@ -57,11 +60,11 @@ def me := do speaker(*, \\x. eta x).
 """
 
 FILE = parse_file(DECLS)
-ENV = FILE.env()
+ENV = FILE.context()
 
-GEN_ENV = Env(
-    atoms=frozenset({"1", "A", "B"}),
-    constants=frozenset({"*", "c0", "c1"}),
+GEN_ENV = Context.initial(
+    atoms={"A", "B"},
+    constants={"c0": Atom("A"), "c1": Atom("A")},
     operations=Signature.of({"opa": (Atom("A"), Atom("A")), "opb": (Atom("A"), Atom("B"))}),
 )
 
@@ -214,7 +217,7 @@ def test_multiline_error_positions():
 
 
 def test_infix_needs_its_constant_declared():
-    env = Env(constants=frozenset({"*", "p"}))
+    env = Context.initial((), {"p": UNIT}, Signature())
     with pytest.raises(ParseError) as exc:
         parse_term("p /\\ p", env)
     assert "needs a declared constant and" in str(exc.value)
@@ -279,6 +282,15 @@ def test_reserved_names_cannot_be_declared():
         parse_file("atom F.")
 
 
+def test_a_file_context_holds_its_names_and_the_unit_type_and_value():
+    ctx = parse_file("atom a. const c : a. operation o : a ~> a. def d := c.").context()
+    assert ctx.atoms == {"1", "a"}
+    assert ctx.constants == {"*": UNIT, "c": Atom("a")}
+    assert ctx.operations == Signature.of({"o": (Atom("a"), Atom("a"))})
+    assert ctx.defs == {"d": Const("c")}
+    assert ctx.vars == {}
+
+
 def test_directives_are_collected_in_order():
     f = parse_file("atom a. const c : a. check c. normalize eta c. trace eta c.")
     assert [kind for kind, _ in f.directives] == ["check", "normalize", "trace"]
@@ -335,6 +347,58 @@ def test_type_printing_round_trips():
 
 
 # ---------------------------------------------------------------------------
+# The printer omits the default eta clause, found by its shape
+
+
+def _ascribed(term):
+    """`term` under up to two ascriptions."""
+    return st.lists(types, max_size=2).map(lambda tys: functools.reduce(Ann, tys, term))
+
+
+# `\b. eta v` with ascriptions at each level; v is b one time in eight
+_near_identities = st.builds(
+    Abs, st.sampled_from(NAMES), leaf_terms.flatmap(_ascribed).map(Eta).flatmap(_ascribed)
+).flatmap(_ascribed)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_near_identities, terms))
+def test_the_eta_identity_shape_test_agrees_with_alpha_equivalence(tm):
+    assert _is_eta_identity(tm) == alpha_eq(tm, eta_identity())
+
+
+@pytest.mark.parametrize(
+    "term, identity",
+    [
+        (Abs("b", Eta(Var("b"))), True),
+        (Ann(Abs("b", Eta(Var("b"))), Fun(UNIT, Comp(EMPTY_ROW, UNIT))), True),
+        (Abs("b", Ann(Eta(Var("b")), Comp(EMPTY_ROW, UNIT))), True),
+        (Abs("b", Eta(Ann(Var("b"), UNIT))), True),
+        (Abs("x", Eta(Var("y"))), False),
+        (Abs("x", Abs("y", Eta(Var("x")))), False),
+        (Abs("x", Eta(Const("x"))), False),
+        (Eta(Var("x")), False),
+    ],
+)
+def test_the_eta_identity_shape_test_by_hand(term, identity):
+    assert _is_eta_identity(term) is identity
+    assert alpha_eq(term, eta_identity()) is identity
+
+
+def test_printing_a_long_chain_of_binds_never_builds_a_canonical_key():
+    chain = Eta(Const("c"))
+    for i in range(200):
+        chain = bind(Eta(Const(f"a{i}")), Abs("x", chain))
+    with mock.patch.object(syntax, "canonical_key", wraps=syntax.canonical_key) as key:
+        printed = print_term(chain)
+        assert key.call_count == 0
+        # the patch sees the keys that alpha-equivalence builds
+        alpha_eq(chain, chain)
+        assert key.call_count == 2
+    assert printed.count("eta ->") == 200
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing: the parser either succeeds or raises ParseError
 
 
@@ -369,7 +433,11 @@ _infix_soup = st.lists(
 ).map(" ".join)
 # the connectives' constants, each one possibly undeclared
 _infix_envs = st.sampled_from(
-    [ENV] + [Env(ENV.atoms, ENV.constants - {c}, ENV.operations, ENV.defs) for c in ("and", "imp", "eq")]
+    [ENV]
+    + [
+        replace(ENV, constants={k: v for k, v in ENV.constants.items() if k != c})
+        for c in ("and", "imp", "eq")
+    ]
 )
 
 

@@ -59,7 +59,7 @@ def me := do speaker(*, \\x. eta x).
 """
 
 FILE = parse_file(DECLS)
-ENV = FILE.env()
+ENV = FILE.context()
 CTX = FILE.context()
 
 IOTA = Atom("iota")
@@ -438,7 +438,7 @@ def test_synthesis_matches_the_recorded_results():
 # which must give what typing every occurrence afresh gives
 
 FRAGMENT = parse_file(shipped_source())
-FRAGMENT_ENV = FRAGMENT.env()
+FRAGMENT_ENV = FRAGMENT.context()
 FRAGMENT_CTX = FRAGMENT.context()
 
 
