@@ -183,35 +183,34 @@ def subterm_at(t: Term, path: Path) -> Term:
 def _rule_at(s: Term, fv) -> Rule | None:
     """The rule contracting the ascription-free node `s`, if any; `fv`
     gives free variables (a `FreeVars` memo)."""
-    match s:
-        case App(fn, _) if isinstance(strip(fn), Abs):
-            return Rule.beta
-        case Abs(binder, body):
-            match strip(body):
-                case App(fn, arg) if isinstance(strip(arg), Var) and strip(
-                    arg
-                ).name == binder and binder not in fv(fn):
-                    return Rule.eta
-            return None
-        case Handler(clauses, _, scrutinee):
-            match strip(scrutinee):
-                case Eta(_):
-                    return Rule.bananaEta
-                case Op(op, _, _, _):
-                    handled = any(op == name for name, _ in clauses)
-                    return Rule.bananaOp if handled else Rule.bananaOpForward
-            return None
-        case Cherry(comp):
-            return Rule.cherry if isinstance(strip(comp), Eta) else None
-        case Exchange(fn):
-            match strip(fn):
-                case Abs(binder, body):
-                    match strip(body):
-                        case Eta(_):
-                            return Rule.cEta
-                        case Op(_, param, _, _) if binder not in fv(param):
-                            return Rule.cOp
-            return None
+    cls = type(s)
+    if cls is App:
+        return Rule.beta if type(strip(s.fn)) is Abs else None
+    if cls is Abs:
+        body = strip(s.body)
+        if type(body) is App:
+            arg = strip(body.arg)
+            if type(arg) is Var and arg.name == s.binder and s.binder not in fv(body.fn):
+                return Rule.eta
+        return None
+    if cls is Handler:
+        call = strip(s.scrutinee)
+        if type(call) is Eta:
+            return Rule.bananaEta
+        if type(call) is Op:
+            handled = any(call.op == name for name, _ in s.clauses)
+            return Rule.bananaOp if handled else Rule.bananaOpForward
+        return None
+    if cls is Cherry:
+        return Rule.cherry if type(strip(s.comp)) is Eta else None
+    if cls is Exchange:
+        lam = strip(s.fn)
+        if type(lam) is Abs:
+            body = strip(lam.body)
+            if type(body) is Eta:
+                return Rule.cEta
+            if type(body) is Op and lam.binder not in fv(body.param):
+                return Rule.cOp
     return None
 
 
@@ -365,20 +364,20 @@ def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
 def _blocked(s: Term, fv) -> str | None:
     """Why the ascription-free node `s` is a stuck extraction or commute;
     `fv` gives free variables (a `FreeVars` memo)."""
-    match s:
-        case Exchange(fn):
-            match strip(fn):
-                case Abs(binder, body):
-                    match strip(body):
-                        case Op(op, param, _, _) if binder in fv(param):
-                            return (
-                                f"commute is stuck: the parameter of operation "
-                                f"{op} mentions the commuted variable {binder}"
-                            )
-        case Cherry(comp):
-            match strip(comp):
-                case Op(op, _, _, _):
-                    return f"extract is stuck: the computation performs operation {op}"
+    cls = type(s)
+    if cls is Exchange:
+        lam = strip(s.fn)
+        if type(lam) is Abs:
+            call = strip(lam.body)
+            if type(call) is Op and lam.binder in fv(call.param):
+                return (
+                    f"commute is stuck: the parameter of operation "
+                    f"{call.op} mentions the commuted variable {lam.binder}"
+                )
+    elif cls is Cherry:
+        call = strip(s.comp)
+        if type(call) is Op:
+            return f"extract is stuck: the computation performs operation {call.op}"
     return None
 
 

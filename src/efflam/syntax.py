@@ -4,6 +4,13 @@ Terms are immutable trees.  Binders are named; capture is avoided by
 renaming with primes, so fresh names depend only on the terms involved
 and never on global state.  Alpha-equivalence is the semantic notion of
 term identity everywhere; structural equality (`==`) is only incidental.
+
+The walkers on the hot paths of checking, reduction and sampling
+dispatch on the exact class, `cls = type(t); if cls is App: ...`, not
+on class patterns (`match t: case App(fn, arg): ...`), which cost
+several times as much per node.  No term or type class has subclasses,
+so `type(t) is C` is `isinstance(t, C)`.  Cold code, such as the
+command line, the parser and the printer, matches patterns.
 """
 
 from __future__ import annotations
@@ -83,10 +90,17 @@ class Signature:
 
     def subset_of(self, other: "Signature") -> bool:
         """True when every entry here appears in `other` at the same types."""
+        if self is other or not self.entries:
+            return True
         return all(other.get(name) == (inp, out) for name, inp, out in self.entries)
 
     def union(self, other: "Signature") -> "Signature":
-        """Union of two signatures that agree on shared names."""
+        """Union of two signatures that agree on shared names; an operand
+        itself when the other is empty or the same object."""
+        if self is other or not other.entries:
+            return self
+        if not self.entries:
+            return other
         table = {name: (inp, out) for name, inp, out in self.entries}
         for name, inp, out in other.entries:
             if name in table and table[name] != (inp, out):
@@ -293,8 +307,7 @@ def children(t: Term) -> tuple[Term, ...]:
     it ascribes; variables and constants have none.  Binders are not
     reported: walkers that need them match `Abs` and `Op` themselves.
     """
-    # the normalizer's hot path: dispatch on the exact class, most
-    # frequent first, rather than through class patterns
+    # the normalizer's hot path: the most frequent class first
     cls = type(t)
     if cls is App:
         return (t.fn, t.arg)

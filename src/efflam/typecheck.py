@@ -38,11 +38,12 @@ free variables (Bauer & Pretnar, "An Effect System for Algebraic
 Effects and Handlers", LMCS 2014).  A handler's failure is recorded
 too, as its kind, message and path below the handler, and raised again
 at the path where the handler is reached next in a context that gives
-its free variables the same types.  So a handler nested in a failing
-one is not synthesized again before it is checked against the wanted
-type: checking d failing one-clause handlers, each in the clause of the
-next, enters the handler rule (d^2 + 3d)/2 times, not exponentially
-often.  An ascription is recorded only where it held.
+its free variables the same types.  A handler checked against a wanted
+type, after its synthesis failed, is recorded the same way under that
+type.  So a handler nested in a failing one is neither synthesized nor
+checked again: checking d failing one-clause handlers, each in the
+clause of the next, enters the handler rule 3d - 1 times, not
+exponentially often.  An ascription is recorded only where it held.
 """
 
 from __future__ import annotations
@@ -108,35 +109,37 @@ def _fail(kind: str, path: Path, template: str, *args: object) -> "TypeCheckErro
 
 
 def subtype(s: Type, t: Type) -> bool:
-    match s, t:
-        case (Atom(a), Atom(b)):
-            return a == b
-        case (Fun(d1, c1), Fun(d2, c2)):
-            return subtype(d2, d1) and subtype(c1, c2)
-        case (Comp(e1, v1), Comp(e2, v2)):
-            return e1.subset_of(e2) and subtype(v1, v2)
-    return False
+    if s is t:
+        return True
+    cls = type(s)
+    if cls is not type(t):
+        return False
+    if cls is Atom:
+        return s.name == t.name
+    if cls is Fun:
+        return subtype(t.dom, s.dom) and subtype(s.cod, t.cod)
+    return cls is Comp and s.effects.subset_of(t.effects) and subtype(s.value, t.value)
 
 
 def well_formed(ctx: Context, ty: Type, path: Path = ()) -> None:
     """Reject types naming undeclared atoms or misdeclared operations."""
-    match ty:
-        case Atom(name):
-            if name not in ctx.atoms:
-                _fail("unknownName", path, "atom %s is not declared", name)
-        case Fun(dom, cod):
-            well_formed(ctx, dom, path)
-            well_formed(ctx, cod, path)
-        case Comp(effects, value):
-            for name, inp, out in effects:
-                if _operation(ctx, name, path) != (inp, out):
-                    _fail(
-                        "mismatch",
-                        path,
-                        "operation %s used at a type other than its declaration",
-                        name,
-                    )
-            well_formed(ctx, value, path)
+    cls = type(ty)
+    if cls is Atom:
+        if ty.name not in ctx.atoms:
+            _fail("unknownName", path, "atom %s is not declared", ty.name)
+    elif cls is Fun:
+        well_formed(ctx, ty.dom, path)
+        well_formed(ctx, ty.cod, path)
+    elif cls is Comp:
+        for name, inp, out in ty.effects:
+            if _operation(ctx, name, path) != (inp, out):
+                _fail(
+                    "mismatch",
+                    path,
+                    "operation %s used at a type other than its declaration",
+                    name,
+                )
+        well_formed(ctx, ty.value, path)
 
 
 def _operation(ctx: Context, op: str, path: Path) -> tuple[Type, Type]:
@@ -175,28 +178,30 @@ class _Checker:
     for only when it is reached again in another context, so a node
     typed once costs one entry.  The memo is made on the first `Ann` or
     `Handler` reached, so a call that meets neither pays nothing for it,
-    and it goes with the checker when the call returns.  A handler whose
-    synthesis failed is recorded as `(kind, path below it, template,
-    args)`, and the failure is raised again at the current path; an
-    ascription that failed is not recorded, and is checked afresh.
+    and it goes with the checker when the call returns.  A handler that
+    failed is recorded as `(kind, path below it, template, args)`, and
+    the failure is raised again at the current path; an ascription that
+    failed is not recorded, and is checked afresh.
     """
 
-    # id -> [node, variables of the first context it was reached in, its
-    # type or failure there, its free variables, {types of those: type or
-    # failure}]
+    # id, or (id, wanted type) for a handler checked against it -> [node,
+    # variables of the first context it was reached in, its type or
+    # failure there, its free variables, {types of those: type or failure}]
     _memo: dict[int, list] | None = None
     _free_vars: FreeVars | None = None
 
-    def _recall(self, ctx: Context, t: Term) -> tuple[Type | None, list]:
-        """The type recorded for `t` under the types that `ctx` gives its
-        free variables, or None; and `t`'s entry, to record in."""
+    def _recall(self, ctx: Context, t: Term, want: Type | None = None) -> tuple[Type | None, list]:
+        """The type recorded for `t`, checked against `want` if given,
+        under the types that `ctx` gives its free variables, or None; and
+        `t`'s entry, to record in."""
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
-        entry = memo.get(id(t))
+        key = id(t) if want is None else (id(t), want)
+        entry = memo.get(key)
         if entry is None:
             # the entry holds its node, so the id is not reused while it lives
-            entry = memo[id(t)] = [t, ctx.vars, None, None, None]
+            entry = memo[key] = [t, ctx.vars, None, None, None]
             return None, entry
         _, first, first_ty, names, later = entry
         bound = ctx.vars
@@ -219,143 +224,159 @@ class _Checker:
         else:  # _recall has listed the free variables
             entry[4][tuple([bound.get(name) for name in entry[3]])] = ty
 
+    def _handler(self, ctx: Context, t: Handler, path: Path, want: Comp | None = None) -> Comp:
+        """`_handler_rule`, run once per context and wanted type."""
+        got, entry = self._recall(ctx, t, want)
+        if got is None:
+            try:
+                got = _handler_rule(self, ctx, t, path, want)
+            except TypeCheckError as e:
+                # kept relative: the same error passes every enclosing handler
+                got = (e.kind, e.path[len(path) :], e.template, e.args[3:])
+                self._record(entry, ctx, got)
+                raise
+            self._record(entry, ctx, got)
+        if isinstance(got, tuple):  # failed before in this context
+            kind, below, template, args = got
+            _fail(kind, path + below, template, *args)
+        return got
+
     def _synth(self, ctx: Context, t: Term, path: Path) -> Type:
-        match t:
-            case Var(name):
-                if name in ctx.vars:
-                    return ctx.vars[name]
-                _fail("unknownName", path, "unbound variable %s", name)
-            case ConstTerm(name):
-                if name in ctx.constants:
-                    return ctx.constants[name]
-                _fail("unknownName", path, "unknown constant %s", name)
-            case Ann(inner, ty):
-                # a recorded ascription is well formed: that depends only
-                # on the call's atoms and operations
-                held, entry = self._recall(ctx, t)
-                if held is None:
-                    well_formed(ctx, ty, path)
-                    self._check(ctx, inner, ty, path)
-                    self._record(entry, ctx, ty)
-                return ty
-            case Abs(_, _):
-                _fail("annotationRequired", path, "cannot synthesize a type for a bare lambda")
-            case App(fn, arg):
-                if isinstance(fn, Abs):
-                    # immediately applied lambda: type the argument, then the body
-                    arg_ty = self._synth(ctx, arg, path + (1,))
-                    return self._synth(ctx.bind(fn.binder, arg_ty), fn.body, path + (0, 0))
-                fn_ty = self._synth(ctx, fn, path + (0,))
-                if not isinstance(fn_ty, Fun):
-                    _fail("notAFunction", path + (0,), "applied term has type %s", fn_ty)
-                self._check(ctx, arg, fn_ty.dom, path + (1,))
-                return fn_ty.cod
-            case Eta(value):
-                return Comp(EMPTY_ROW, self._synth(ctx, value, path + (0,)))
-            case Op(op, param, binder, cont):
-                inp, out = entry = _operation(ctx, op, path)
-                self._check(ctx, param, inp, path + (0,))
-                cont_ty = self._synth(ctx.bind(binder, out), cont, path + (1,))
-                if not isinstance(cont_ty, Comp):
-                    _fail(
-                        "notAComputation",
-                        path + (1,),
-                        "operation continuation has type %s",
-                        cont_ty,
-                    )
-                row = cont_ty.effects.union(Signature.of({op: entry}))
-                return Comp(row, cont_ty.value)
-            case Handler(_, _, _):
-                got, entry = self._recall(ctx, t)
-                if got is None:
-                    try:
-                        got = _handler_rule(self, ctx, t, path)
-                    except TypeCheckError as e:
-                        # kept relative: the same error passes every enclosing handler
-                        got = (e.kind, e.path[len(path) :], e.template, e.args[3:])
-                        self._record(entry, ctx, got)
-                        raise
-                    self._record(entry, ctx, got)
-                if isinstance(got, tuple):  # failed before in this context
-                    kind, below, template, args = got
-                    _fail(kind, path + below, template, *args)
-                return got
-            case Cherry(comp):
-                comp_ty = self._synth(ctx, comp, path + (0,))
-                if not isinstance(comp_ty, Comp):
-                    _fail("notAComputation", path + (0,), "extraction from type %s", comp_ty)
-                if not comp_ty.effects.is_empty():
-                    _fail(
-                        "rowNotEmpty",
-                        path + (0,),
-                        "extraction requires an empty effect row, found {%s}",
-                        ", ".join(comp_ty.effects.names()),
-                    )
-                return comp_ty.value
-            case Exchange(fn):
-                fn_ty = self._synth(ctx, fn, path + (0,))
-                if not isinstance(fn_ty, Fun):
-                    _fail("notAFunction", path + (0,), "commuted term has type %s", fn_ty)
-                if not isinstance(fn_ty.cod, Comp):
-                    _fail(
-                        "notAComputation",
-                        path + (0,),
-                        "commuted function returns %s",
-                        fn_ty.cod,
-                    )
-                return Comp(fn_ty.cod.effects, Fun(fn_ty.dom, fn_ty.cod.value))
+        cls = type(t)
+        if cls is Var:
+            if t.name in ctx.vars:
+                return ctx.vars[t.name]
+            _fail("unknownName", path, "unbound variable %s", t.name)
+        if cls is App:
+            fn = t.fn
+            if type(fn) is Abs:
+                # immediately applied lambda: type the argument, then the body
+                arg_ty = self._synth(ctx, t.arg, path + (1,))
+                return self._synth(ctx.bind(fn.binder, arg_ty), fn.body, path + (0, 0))
+            fn_ty = self._synth(ctx, fn, path + (0,))
+            if type(fn_ty) is not Fun:
+                _fail("notAFunction", path + (0,), "applied term has type %s", fn_ty)
+            self._check(ctx, t.arg, fn_ty.dom, path + (1,))
+            return fn_ty.cod
+        if cls is ConstTerm:
+            if t.name in ctx.constants:
+                return ctx.constants[t.name]
+            _fail("unknownName", path, "unknown constant %s", t.name)
+        if cls is Ann:
+            # a recorded ascription is well formed: that depends only
+            # on the call's atoms and operations
+            held, entry = self._recall(ctx, t)
+            if held is None:
+                well_formed(ctx, t.ty, path)
+                self._check(ctx, t.term, t.ty, path)
+                self._record(entry, ctx, t.ty)
+            return t.ty
+        if cls is Eta:
+            return Comp(EMPTY_ROW, self._synth(ctx, t.value, path + (0,)))
+        if cls is Op:
+            inp, out = entry = _operation(ctx, t.op, path)
+            self._check(ctx, t.param, inp, path + (0,))
+            cont_ty = self._synth(ctx.bind(t.binder, out), t.cont, path + (1,))
+            if type(cont_ty) is not Comp:
+                _fail(
+                    "notAComputation",
+                    path + (1,),
+                    "operation continuation has type %s",
+                    cont_ty,
+                )
+            row = cont_ty.effects.union(Signature.of({t.op: entry}))
+            return Comp(row, cont_ty.value)
+        if cls is Handler:
+            return self._handler(ctx, t, path)
+        if cls is Abs:
+            _fail("annotationRequired", path, "cannot synthesize a type for a bare lambda")
+        if cls is Cherry:
+            comp_ty = self._synth(ctx, t.comp, path + (0,))
+            if type(comp_ty) is not Comp:
+                _fail("notAComputation", path + (0,), "extraction from type %s", comp_ty)
+            if not comp_ty.effects.is_empty():
+                _fail(
+                    "rowNotEmpty",
+                    path + (0,),
+                    "extraction requires an empty effect row, found {%s}",
+                    ", ".join(comp_ty.effects.names()),
+                )
+            return comp_ty.value
+        if cls is Exchange:
+            fn_ty = self._synth(ctx, t.fn, path + (0,))
+            if type(fn_ty) is not Fun:
+                _fail("notAFunction", path + (0,), "commuted term has type %s", fn_ty)
+            if type(fn_ty.cod) is not Comp:
+                _fail(
+                    "notAComputation",
+                    path + (0,),
+                    "commuted function returns %s",
+                    fn_ty.cod,
+                )
+            return Comp(fn_ty.cod.effects, Fun(fn_ty.dom, fn_ty.cod.value))
         raise TypeError(f"not a term: {t!r}")
 
     def _fun_to_comp(self, ctx: Context, f: Term, dom: Type, path: Path) -> tuple[Type, Signature]:
         """Value type and row of `f dom` for a clause-position function term."""
-        match f:
-            case Ann(_, Fun(d, Comp(effects, value))) if subtype(dom, d):
-                return value, effects
-            case Abs(binder, body):
-                body_ty = self._synth(ctx.bind(binder, dom), body, path + (0,))
-                if not isinstance(body_ty, Comp):
-                    _fail("clauseShape", path, "clause returns %s, not a computation", body_ty)
-                return body_ty.value, body_ty.effects
-            case _:
-                f_ty = self._synth(ctx, f, path)
-                if not (isinstance(f_ty, Fun) and isinstance(f_ty.cod, Comp) and subtype(dom, f_ty.dom)):
-                    _fail("clauseShape", path, "clause has type %s", f_ty)
-                return f_ty.cod.value, f_ty.cod.effects
+        cls = type(f)
+        if cls is Ann:
+            ty = f.ty
+            if type(ty) is Fun and type(ty.cod) is Comp and subtype(dom, ty.dom):
+                return ty.cod.value, ty.cod.effects
+        elif cls is Abs:
+            body_ty = self._synth(ctx.bind(f.binder, dom), f.body, path + (0,))
+            if type(body_ty) is not Comp:
+                _fail("clauseShape", path, "clause returns %s, not a computation", body_ty)
+            return body_ty.value, body_ty.effects
+        f_ty = self._synth(ctx, f, path)
+        if not (type(f_ty) is Fun and type(f_ty.cod) is Comp and subtype(dom, f_ty.dom)):
+            _fail("clauseShape", path, "clause has type %s", f_ty)
+        return f_ty.cod.value, f_ty.cod.effects
 
     def _check(self, ctx: Context, t: Term, want: Type, path: Path) -> None:
-        match t:
-            case Ann(inner, ty):
-                held, entry = self._recall(ctx, t)
-                if held is None:
-                    well_formed(ctx, ty, path)
-                if not subtype(ty, want):
-                    _fail("mismatch", path, "ascription %s does not fit %s", ty, want)
-                if held is None:
-                    self._check(ctx, inner, ty, path)
-                    self._record(entry, ctx, ty)
+        # a guarded rule whose guard fails falls through to subsumption
+        cls = type(t)
+        if cls is Ann:
+            held, entry = self._recall(ctx, t)
+            if held is None:
+                well_formed(ctx, t.ty, path)
+            if not subtype(t.ty, want):
+                _fail("mismatch", path, "ascription %s does not fit %s", t.ty, want)
+            if held is None:
+                self._check(ctx, t.term, t.ty, path)
+                self._record(entry, ctx, t.ty)
+            return
+        if cls is Abs:
+            if type(want) is not Fun:
+                _fail("mismatch", path, "lambda checked against %s", want)
+            self._check(ctx.bind(t.binder, want.dom), t.body, want.cod, path + (0,))
+            return
+        if cls is App:
+            fn = t.fn
+            if type(fn) is Abs:
+                arg_ty = self._synth(ctx, t.arg, path + (1,))
+                self._check(ctx.bind(fn.binder, arg_ty), fn.body, want, path + (0, 0))
                 return
-            case Abs(binder, body):
-                if not isinstance(want, Fun):
-                    _fail("mismatch", path, "lambda checked against %s", want)
-                self._check(ctx.bind(binder, want.dom), body, want.cod, path + (0,))
+        elif cls is Eta:
+            if type(want) is Comp:
+                self._check(ctx, t.value, want.value, path + (0,))
                 return
-            case Eta(value) if isinstance(want, Comp):
-                self._check(ctx, value, want.value, path + (0,))
-                return
-            case Op(op, param, binder, cont) if isinstance(want, Comp):
-                entry = _operation(ctx, op, path)
-                if want.effects.get(op) != entry:
+        elif cls is Op:
+            if type(want) is Comp:
+                entry = _operation(ctx, t.op, path)
+                if want.effects.get(t.op) != entry:
                     _fail(
                         "mismatch",
                         path,
                         "operation %s is not available in row {%s}",
-                        op,
+                        t.op,
                         ", ".join(want.effects.names()),
                     )
-                self._check(ctx, param, entry[0], path + (0,))
-                self._check(ctx.bind(binder, entry[1]), cont, want, path + (1,))
+                self._check(ctx, t.param, entry[0], path + (0,))
+                self._check(ctx.bind(t.binder, entry[1]), t.cont, want, path + (1,))
                 return
-            case Handler(_, _, _) if isinstance(want, Comp):
+        elif cls is Handler:
+            if type(want) is Comp:
                 # A synthesized result is exact, and recorded for the
                 # subsumption check below; pushing the wanted row into the
                 # resumption types, where it sits contravariantly, may
@@ -363,23 +384,26 @@ class _Checker:
                 try:
                     self._synth(ctx, t, path)
                 except TypeCheckError:
-                    _handler_rule(self, ctx, t, path, want)
+                    self._handler(ctx, t, path, want)
                     return
-            case Cherry(comp):
-                self._check(ctx, comp, Comp(EMPTY_ROW, want), path + (0,))
-                return
-            case Exchange(fn) if isinstance(want, Comp) and isinstance(want.value, Fun):
-                self._check(
-                    ctx, fn, Fun(want.value.dom, Comp(want.effects, want.value.cod)), path + (0,)
-                )
-                return
-            case App(fn, arg) if isinstance(fn, Abs):
-                arg_ty = self._synth(ctx, arg, path + (1,))
-                self._check(ctx.bind(fn.binder, arg_ty), fn.body, want, path + (0, 0))
+        elif cls is Cherry:
+            self._check(ctx, t.comp, Comp(EMPTY_ROW, want), path + (0,))
+            return
+        elif cls is Exchange:
+            if type(want) is Comp and type(want.value) is Fun:
+                inner = Fun(want.value.dom, Comp(want.effects, want.value.cod))
+                self._check(ctx, t.fn, inner, path + (0,))
                 return
         got = self._synth(ctx, t, path)
         if not subtype(got, want):
             _fail("mismatch", path, "expected %s, found %s", want, got)
+
+
+def _performs(ty: Type | None) -> Signature | None:
+    """The row of a clause-shaped type `_ -> _ -> F{row}(_)`, else None."""
+    if type(ty) is Fun and type(ty.cod) is Fun and type(ty.cod.cod) is Comp:
+        return ty.cod.cod.effects
+    return None
 
 
 def _handler_rule(
@@ -390,7 +414,7 @@ def _handler_rule(
     n = len(t.clauses)
     scrut_path = path + (n + 1,)
     scrut_ty = checker._synth(ctx, t.scrutinee, scrut_path)
-    if not isinstance(scrut_ty, Comp):
+    if type(scrut_ty) is not Comp:
         _fail("notAComputation", scrut_path, "handled term has type %s", scrut_ty)
     residual = scrut_ty.effects.without({op for op, _ in t.clauses})
     gamma = scrut_ty.value
@@ -419,19 +443,21 @@ def _handler_rule(
             grown, typed = row, []
             for (_, clause), (inp, out) in zip(t.clauses, entries):
                 ty = None
-                with suppress(TypeCheckError):
-                    match clause:
-                        case Ann(_, Fun(_, Fun(_, Comp(effects, _)))):
-                            grown = grown.union(effects)  # read off; checked below
-                        case Abs(x, Abs(k, body)):
+                stated = _performs(clause.ty) if type(clause) is Ann else None
+                if stated is not None:
+                    grown = grown.union(stated)  # read off; checked below
+                else:
+                    with suppress(TypeCheckError):
+                        body = clause.body if type(clause) is Abs else None
+                        if type(body) is Abs:
                             resume = Fun(out, Comp(row, delta))
-                            body_ty = checker._synth(ctx.bind(x, inp).bind(k, resume), body, ())
-                            ty = Fun(inp, Fun(resume, body_ty))
-                        case _:
+                            inner = ctx.bind(clause.binder, inp).bind(body.binder, resume)
+                            ty = Fun(inp, Fun(resume, checker._synth(inner, body.body, ())))
+                        else:
                             ty = checker._synth(ctx, clause, ())
-                match ty:
-                    case Fun(_, Fun(_, Comp(effects, _))):
-                        grown = grown.union(effects)
+                    performed = _performs(ty)
+                    if performed is not None:
+                        grown = grown.union(performed)
                 typed.append(ty)
             if grown == row:
                 break
@@ -446,6 +472,6 @@ def _handler_rule(
         if ty is None or not subtype(ty, clause_want):
             checker._check(ctx, clause, clause_want, path + (i,))
     # without `want`, _fun_to_comp typed any other eta clause, and its type fits
-    if want is not None or isinstance(t.eta_clause, Ann):
+    if want is not None or type(t.eta_clause) is Ann:
         checker._check(ctx, t.eta_clause, Fun(gamma, result), path + (n,))
     return result

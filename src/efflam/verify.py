@@ -308,17 +308,18 @@ def _sample_type(rng: random.Random, depth: int) -> Type:
 
 def _inhabit(ty: Type) -> Term:
     """A canonical closed inhabitant of any verify-signature type."""
-    match ty:
-        case Atom("A"):
+    cls = type(ty)
+    if cls is Atom:
+        if ty.name == "A":
             return Const("a0")
-        case Atom("B"):
+        if ty.name == "B":
             return App(Const("f0"), Const("a0"))
-        case Atom("1"):
+        if ty.name == "1":
             return Const("*")
-        case Fun(dom, cod):
-            return Abs("w", _inhabit(cod))
-        case Comp(_, value):
-            return Eta(_inhabit(value))
+    elif cls is Fun:
+        return Abs("w", _inhabit(ty.cod))
+    elif cls is Comp:
+        return Eta(_inhabit(ty.value))
     raise ValueError(f"uninhabited {ty!r}")
 
 
@@ -334,43 +335,43 @@ def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) ->
     usable = [n for n, t in scope.items() if subtype(t, ty)]
     if usable and rng.random() < 0.3:
         return Var(rng.choice(usable))
-    match ty:
-        case Fun(dom, cod):
+    cls = type(ty)
+    if cls is Fun:
+        name = f"v{len(scope)}"
+        return Abs(name, _sample(rng, ty.cod, {**scope, name: ty.dom}, depth - 1))
+    if cls is Comp:
+        effects, value = ty.effects, ty.value
+        roll = rng.random()
+        available = list(effects.names())
+        if available and roll < 0.35:
+            op = rng.choice(available)
+            inp, out = effects.get(op)
             name = f"v{len(scope)}"
-            return Abs(name, _sample(rng, cod, {**scope, name: dom}, depth - 1))
-        case Comp(effects, value):
-            roll = rng.random()
-            available = list(effects.names())
-            if available and roll < 0.35:
-                op = rng.choice(available)
-                inp, out = effects.get(op)
-                name = f"v{len(scope)}"
-                return Op(
-                    op,
-                    _sample(rng, inp, scope, depth - 1),
-                    name,
-                    _sample(rng, ty, {**scope, name: out}, depth - 1),
-                )
-            if roll < 0.55:
-                inner_value = rng.choice((A, B, UNIT))
-                name = f"v{len(scope)}"
-                scrutinee = _sample(rng, Comp(effects, inner_value), scope, depth - 1)
-                eta_clause = Abs(name, _sample(rng, ty, {**scope, name: inner_value}, depth - 1))
-                return Handler((), eta_clause, scrutinee)
-            if roll < 0.65 and isinstance(value, Fun):
-                inner = Fun(value.dom, Comp(effects, value.cod))
-                return Exchange(Ann(_sample(rng, inner, scope, depth - 1), inner))
-            return Eta(_sample(rng, value, scope, depth - 1))
-        case _:
-            if rng.random() < 0.35:
-                cut = rng.choice((A, B, UNIT))
-                fn = _sample(rng, Fun(cut, ty), scope, depth - 1)
-                if isinstance(fn, Var):
-                    return App(fn, _sample(rng, cut, scope, depth - 1))
-                return App(Ann(fn, Fun(cut, ty)), _sample(rng, cut, scope, depth - 1))
-            if ty == B and rng.random() < 0.5:
-                return App(Const("f0"), _sample(rng, A, scope, depth - 1))
-            return _inhabit(ty)
+            return Op(
+                op,
+                _sample(rng, inp, scope, depth - 1),
+                name,
+                _sample(rng, ty, {**scope, name: out}, depth - 1),
+            )
+        if roll < 0.55:
+            inner_value = rng.choice((A, B, UNIT))
+            name = f"v{len(scope)}"
+            scrutinee = _sample(rng, Comp(effects, inner_value), scope, depth - 1)
+            eta_clause = Abs(name, _sample(rng, ty, {**scope, name: inner_value}, depth - 1))
+            return Handler((), eta_clause, scrutinee)
+        if roll < 0.65 and isinstance(value, Fun):
+            inner = Fun(value.dom, Comp(effects, value.cod))
+            return Exchange(Ann(_sample(rng, inner, scope, depth - 1), inner))
+        return Eta(_sample(rng, value, scope, depth - 1))
+    if rng.random() < 0.35:
+        cut = rng.choice((A, B, UNIT))
+        fn = _sample(rng, Fun(cut, ty), scope, depth - 1)
+        if isinstance(fn, Var):
+            return App(fn, _sample(rng, cut, scope, depth - 1))
+        return App(Ann(fn, Fun(cut, ty)), _sample(rng, cut, scope, depth - 1))
+    if ty == B and rng.random() < 0.5:
+        return App(Const("f0"), _sample(rng, A, scope, depth - 1))
+    return _inhabit(ty)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Declarative typing as a bounded search: the oracle for the checker.
 
 An independent reading of the typing rules: subsumption is a rule of
-its own, and the rules for eliminations guess the cut type from a
+its own, with its own subtyping (`subsumes`, rows read as sets of
+entries), and the rules for eliminations guess the cut type from a
 finite universe.  The tests check the algorithmic checker against it.
 """
 
@@ -11,6 +12,7 @@ from efflam.syntax import (
     Abs,
     Ann,
     App,
+    Atom,
     Cherry,
     Comp,
     Const,
@@ -25,7 +27,7 @@ from efflam.syntax import (
     UNIT,
     Var,
 )
-from efflam.typecheck import Context, subtype
+from efflam.typecheck import Context
 from efflam.verify import _ROWS as ROWS
 from efflam.verify import A, B
 
@@ -43,6 +45,21 @@ UNIVERSE: tuple[Type, ...] = (
 )
 
 
+def subsumes(s: Type, t: Type) -> bool:
+    """`s <: t`, declaratively: an atom only below itself, a function
+    type below another when its domain is above and its codomain below
+    the other's, and a computation type below another when its row's
+    entries are among the other's and its value type is below."""
+    match s, t:
+        case (Atom(a), Atom(b)):
+            return a == b
+        case (Fun(d1, c1), Fun(d2, c2)):
+            return subsumes(d2, d1) and subsumes(c1, c2)
+        case (Comp(r1, v1), Comp(r2, v2)):
+            return set(r1.entries) <= set(r2.entries) and subsumes(v1, v2)
+    return False
+
+
 def derivable(ctx: Context, t: Term, ty: Type, depth: int = 4) -> bool:
     """Bounded search for a declarative typing derivation of t : ty."""
     if depth < 0:
@@ -50,12 +67,12 @@ def derivable(ctx: Context, t: Term, ty: Type, depth: int = 4) -> bool:
     match t:
         case Var(name):
             have = ctx.vars.get(name)
-            return have is not None and subtype(have, ty)
+            return have is not None and subsumes(have, ty)
         case Const(name):
             have = ctx.constants.get(name)
-            return have is not None and subtype(have, ty)
+            return have is not None and subsumes(have, ty)
         case Ann(inner, stated):
-            return subtype(stated, ty) and derivable(ctx, inner, stated, depth - 1)
+            return subsumes(stated, ty) and derivable(ctx, inner, stated, depth - 1)
         case Abs(binder, body):
             if not isinstance(ty, Fun):
                 return False

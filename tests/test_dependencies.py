@@ -348,3 +348,80 @@ def f(path, kind):
     raise typecheck.TypeCheckError("notAComputation", (), "%s", "m")
 """
     assert list(_error_kinds(source)) == ["rowNotEmpty", "notAComputation"]
+
+
+# the walkers that visit every node or type: each dispatches on the exact
+# class (`cls = type(t); if cls is App: ...`), a fraction of the cost of
+# a class-pattern `match`
+_EXACT_DISPATCH = {
+    ("typecheck.py", "subtype"),
+    ("typecheck.py", "well_formed"),
+    ("typecheck.py", "_Checker._synth"),
+    ("typecheck.py", "_Checker._check"),
+    ("typecheck.py", "_Checker._fun_to_comp"),
+    ("typecheck.py", "_handler_rule"),
+    ("reduce.py", "_rule_at"),
+    ("reduce.py", "_blocked"),
+    ("verify.py", "_sample"),
+    ("verify.py", "_inhabit"),
+}
+
+
+def _functions_matching(source):
+    """{function: whether its body holds a `match` statement}, for every
+    function of `source`, named with the classes and functions around
+    it; a `match` in a nested function counts for the enclosing ones too."""
+    found = {}
+    todo = [(node, "") for node in ast.parse(source).body]
+    while todo:
+        node, scope = todo.pop()
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, _FUNCTIONS):
+                found[scope] = any(isinstance(sub, ast.Match) for sub in ast.walk(node))
+        todo.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_hot_walkers_dispatch_on_the_exact_class():
+    functions = {
+        (path.name, name): matching
+        for path in SOURCES
+        for name, matching in _functions_matching(path.read_text()).items()
+    }
+    assert _EXACT_DISPATCH <= set(functions)
+    assert sorted(key for key in _EXACT_DISPATCH if functions[key]) == []
+
+
+def test_the_match_scan_sees_match_statements_in_functions_and_methods():
+    source = """
+class C:
+    def method(self, t):
+        match t:
+            case int():
+                return 1
+
+    def plain(self, t):
+        return type(t) is int
+
+
+def outer(t):
+    def inner(t):
+        if True:
+            match t:
+                case _:
+                    pass
+    return inner
+
+
+def dispatch(t):
+    cls = type(t)
+    return "match" if cls is int else None
+"""
+    assert _functions_matching(source) == {
+        "C.method": True,
+        "C.plain": False,
+        "outer": True,
+        "outer.inner": True,
+        "dispatch": False,
+    }

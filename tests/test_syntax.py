@@ -521,6 +521,19 @@ def test_empty_row():
     assert EMPTY_ROW.subset_of(Signature.of({"opa": (A, A)}))
 
 
+def test_a_union_with_an_empty_or_the_same_row_is_an_operand_itself():
+    r = Signature.of({"opa": (A, A), "opb": (A, B)})
+    assert r.union(EMPTY_ROW) is r
+    assert EMPTY_ROW.union(r) is r
+    assert r.union(r) is r
+    assert EMPTY_ROW.union(Signature()) is EMPTY_ROW
+    # an equal but distinct row is merged, to an equal row
+    twin = Signature.of({"opa": (A, A), "opb": (A, B)})
+    assert r.union(twin) == r and r.union(twin) is not r
+    with pytest.raises(RowError):
+        r.disjoint_union(r)
+
+
 def test_size_counts_nodes():
     assert size(Var("x")) == 1
     assert size(Eta(Const("c0"))) == 2

@@ -45,7 +45,7 @@ from efflam.typecheck import (
     well_formed,
 )
 from .conftest import OP_TABLE, types
-from .oracle import UNIVERSE
+from .oracle import UNIVERSE, subsumes
 from .shapes import closed_shapes
 
 DECLS = """
@@ -261,6 +261,59 @@ def test_subtype_is_transitive_along_widening_chains(t):
     assert subtype(t, mid) and subtype(mid, top) and subtype(t, top)
 
 
+def _twin(t: Type, retype: bool = False) -> Type:
+    """A type equal to `t` that shares no type or row object with it; with
+    `retype`, each row entry's output type is swapped (A for B, B for A),
+    so the rows keep their names and differ in their entries."""
+    if isinstance(t, Fun):
+        return Fun(_twin(t.dom, retype), _twin(t.cod, retype))
+    if isinstance(t, Comp):
+        entries = tuple(
+            (name, _twin(inp), Atom({"A": "B", "B": "A"}[out.name]) if retype else _twin(out))
+            for name, inp, out in t.effects
+        )
+        return Comp(Signature(entries), _twin(t.value, retype))
+    return Atom(t.name)
+
+
+# rows that may declare an operation at either of two types, so that
+# comparing rows by their names alone would be seen
+_any_rows = st.dictionaries(
+    st.sampled_from(["opa", "opb"]), st.sampled_from([(Atom("A"), Atom("A")), (Atom("A"), Atom("B"))])
+).map(Signature.of)
+_any_types = st.recursive(
+    st.sampled_from([Atom("A"), Atom("B")]),
+    lambda kids: st.one_of(st.builds(Fun, kids, kids), st.builds(Comp, _any_rows, kids)),
+    max_leaves=6,
+)
+
+
+@given(
+    st.one_of(types, _any_types),
+    st.one_of(types, _any_types),
+    st.sampled_from(["drawn", "itself", "twin", "widened twin", "retyped twin"]),
+    st.integers(),
+)
+def test_subtype_agrees_with_the_oracle(s, drawn, pick, seed):
+    """On independent pairs, on a type and itself, and on a type and an
+    equal, wider or retyped one built from new objects, both ways."""
+    if pick == "drawn":
+        t = drawn
+    elif pick == "itself":
+        t = s
+    elif pick == "retyped twin":
+        t = _twin(s, retype=True)
+    else:
+        t = _twin(s)
+        if pick == "widened twin":
+            t = _widen(t, random.Random(seed))
+    assert subtype(s, t) == subsumes(s, t)
+    assert subtype(t, s) == subsumes(t, s)
+    # equal parts as distinct objects, one level down
+    arrow, back = Fun(t, s), Fun(_twin(s), _twin(t))
+    assert subtype(arrow, back) == subsumes(arrow, back)
+
+
 def test_function_domains_are_contravariant():
     takes_effectful = Fun(Comp(OP_TABLE, Atom("A")), Atom("B"))
     takes_pure = Fun(Comp(EMPTY_ROW, Atom("A")), Atom("B"))
@@ -371,18 +424,19 @@ def test_two_round_nests_are_typed_once_per_level(monkeypatch):
     assert _handler_rule_calls(monkeypatch, two_round_nest(12)) == (Comp(row, verify.A), 12)
 
 
-@pytest.mark.parametrize("depth", [10, 16, 24])
+@pytest.mark.parametrize("depth", [10, 16, 24, 48])
 def test_a_failing_nest_is_checked_in_polynomial_time(monkeypatch, depth):
     # `commute (\\z. eta z)` at the bottom cannot be an `A -> A`, so no
     # level synthesizes and each is checked against the wanted type too;
     # synthesizing every failed level again took 10,945 calls at depth 10;
-    # remembering the failures takes (d^2 + 3d)/2, 65 at depth 10
+    # remembering the synthesis failures took (d^2 + 3d)/2, 65 at depth 10;
+    # remembering the check failures too takes 3d - 1, 29 at depth 10
     nest = _nested_handler(depth, Exchange(Abs("z", Eta(Var("z")))))
     want = Comp(EMPTY_ROW, Fun(verify.A, verify.A))
     error, calls = _handler_rule_calls(monkeypatch, nest, want)
     path = ".".join(["0"] * (3 * depth - 3) + ["1", "0", "0"])
     assert error == f"mismatch at {path}: expected A -> A, found A"
-    assert calls <= depth * depth
+    assert calls <= 3 * depth
 
 
 def test_check_agrees_with_subtyping_on_synthesized_types():
@@ -431,6 +485,58 @@ def test_synthesis_matches_the_recorded_results():
     """
     recorded = (Path(__file__).parent / "expected" / "synthesis-size6.txt").read_text()
     assert synthesis_digests(6) == recorded
+
+
+# wanted types for the check-mode record: atoms, a function, and
+# computations with empty and non-empty rows, one of them over a
+# function (so `commute` checks structurally)
+_ROW1 = Signature.of({"op1": (verify.A, verify.A)})
+_RECORDED_WANTS: tuple[Type, ...] = (
+    verify.A,
+    verify.B,
+    UNIT,
+    Fun(verify.A, verify.A),
+    Comp(EMPTY_ROW, verify.A),
+    Comp(_ROW1, verify.A),
+    Comp(verify.OPERATIONS, verify.B),
+    Comp(_ROW1, Fun(verify.A, Comp(EMPTY_ROW, verify.A))),
+)
+
+
+def checking_digests(max_size: int) -> str:
+    """One line per size up to `max_size`: the number of (closed shape,
+    wanted type) pairs from `_RECORDED_WANTS`, how many check, and a
+    SHA-256 over the sorted lines `shape<TAB>type<TAB>outcome`, the
+    outcome `ok` or the error (kind, path and message)."""
+    by_size: dict[int, list[str]] = {}
+    for t in closed_shapes(max_size):
+        shape = print_term(t)
+        for want in _RECORDED_WANTS:
+            try:
+                check_against(verify.CONTEXT, t, want)
+                shown = "ok"
+            except TypeCheckError as e:
+                shown = "error " + str(e)
+            line = f"{shape}\t{print_type(want)}\t{shown}\n"
+            by_size.setdefault(size(t), []).append(line)
+    out = []
+    for n, lines in sorted(by_size.items()):
+        held = sum(line.endswith("\tok\n") for line in lines)
+        digest = hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+        out.append(f"{n} {len(lines)} {held} {digest}\n")
+    return "".join(out)
+
+
+def test_checking_matches_the_recorded_results():
+    """Every closed shape up to size 5 checks, or fails with the same
+    error, against each type of `_RECORDED_WANTS` as when recorded.
+    After an intended change, re-record from the repository root:
+
+        python -c "from tests.test_typecheck import checking_digests; \\
+            print(checking_digests(5), end='')" > tests/expected/checking-size5.txt
+    """
+    recorded = (Path(__file__).parent / "expected" / "checking-size5.txt").read_text()
+    assert checking_digests(5) == recorded
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +763,7 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
     terms = [random_handler_term(rng, rng.randrange(1, 6)) for _ in range(2000)]
     remembered = [_outcomes(t) for t in terms]
 
-    def never_recall(self, ctx, t):
+    def never_recall(self, ctx, t, want=None):
         return None, [t, ctx.vars, None, None, None]
 
     with monkeypatch.context() as patch:
