@@ -148,6 +148,14 @@ class Context:
 
     `defs` is read at parse time only, by the parser; `vars` at check
     time only, by the checker.
+
+    `typings` is the checker's record of what it found for the terms
+    checked against this context (see `typecheck`), made by the first
+    check that needs it and freed with the context.  It is reused by
+    every later check, so a context's atoms, constants, operations and
+    `vars` must not change once a term has been checked against it
+    (`parse_file` grows a context that is never checked).  Equality and
+    `repr` ignore it, and `dataclasses.replace` starts a new one.
     """
 
     atoms: set[str]
@@ -156,6 +164,7 @@ class Context:
     operations: Signature | Mapping[str, tuple[Type, Type]]
     defs: dict[str, "Term"] = field(default_factory=dict)
     vars: dict[str, Type] = field(default_factory=dict)
+    typings: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def initial(
@@ -595,36 +604,45 @@ def canonical_key(t: Term) -> str:
 
 def _key(t: Term, env: dict[str, int], depth: int, parts: list[str]) -> None:
     """Append `t`'s key to `parts`; `env` maps each binder in scope to
-    the depth it was bound at, `depth` being the number in scope."""
-    while isinstance(t, Ann):
+    the depth it was bound at, `depth` being the number in scope.  A
+    binder's entry is set on the way in and restored on the way out, so
+    one map serves the whole walk."""
+    cls = type(t)
+    while cls is Ann:
         t = t.term
-    match t:
-        case Var(name):
-            if name in env:
-                parts.append(f"#{depth - 1 - env[name]}")
-            else:
-                parts.append(f"${name}")
-        case Const(name):
-            parts.append(f"!{name}")
-        case Abs(binder, body):
+        cls = type(t)
+    if cls is Var:
+        bound = env.get(t.name)
+        parts.append(f"${t.name}" if bound is None else f"#{depth - 1 - bound}")
+    elif cls is Const:
+        parts.append(f"!{t.name}")
+    elif cls is Abs or cls is Op:
+        if cls is Abs:
             parts.append("(\\")
-            _key(body, {**env, binder: depth}, depth + 1, parts)
-            parts.append(")")
-        case Op(op, param, binder, cont):
-            parts.append(f"(do {op} ")
-            _key(param, env, depth, parts)
+            body = t.body
+        else:
+            parts.append(f"(do {t.op} ")
+            _key(t.param, env, depth, parts)
             parts.append(" .")
-            _key(cont, {**env, binder: depth}, depth + 1, parts)
-            parts.append(")")
-        case _:
-            # a handler's clause names are part of its shape
-            parts.append(f"({type(t).__name__}")
-            if isinstance(t, Handler):
-                parts.append("".join(f" {name}=" for name, _ in t.clauses))
-            for child in children(t):
-                parts.append(" ")
-                _key(child, env, depth, parts)
-            parts.append(")")
+            body = t.cont
+        binder = t.binder
+        outer = env.get(binder)
+        env[binder] = depth
+        _key(body, env, depth + 1, parts)
+        if outer is None:
+            del env[binder]
+        else:
+            env[binder] = outer
+        parts.append(")")
+    else:
+        # a handler's clause names are part of its shape
+        parts.append(f"({cls.__name__}")
+        if cls is Handler:
+            parts.append("".join(f" {name}=" for name, _ in t.clauses))
+        for child in children(t):
+            parts.append(" ")
+            _key(child, env, depth, parts)
+        parts.append(")")
 
 
 def size(t: Term) -> int:

@@ -22,20 +22,24 @@ The last round's typings are kept, and a clause is checked against the
 result only when it was not typed or its type does not fit; so nested
 handlers whose rows settle in one round are typed once per level.
 
-Within one `synthesize` or `check_against` call, each ascription and
-each handler is typed once per context.  The checker records, by node
-identity, every ascription that held and every handler type it
-synthesized, with the types the context gave the node's free
-variables, and reuses the result where the same node is reached again
-and those types are the same.  The parser inlines every use of a `def`
-as one shared ascription, so a lexical entry used at every level of a
-deep sentence is checked once; and a handler nested in a clause body
-is typed once, not once per round of the enclosing row guess, unless
-it mentions a variable whose type the guess changes.  Reuse is exact:
-the atoms, constants and operations are fixed for the call, so a
-term's typing depends on the context only through the types of its
-free variables (Bauer & Pretnar, "An Effect System for Algebraic
-Effects and Handlers", LMCS 2014).  A handler's failure is recorded
+Each ascription and each handler is typed once per context, across
+every `synthesize` and `check_against` call against it.  The context
+keeps a record (`Context.typings`) of every ascription that held and
+every handler type the checker synthesized, by node identity, with the
+types the context gave the node's free variables, and the checker reuses
+the result where the same node is reached again and those types are the
+same.  The parser inlines every use of a `def` as one shared ascription,
+so a lexical entry is checked once per context, however many deep
+sentences and later defs use it, and a file of defs that build on each
+other checks in time linear in its size; and a handler nested in a
+clause body is typed once, not once per round of the enclosing row
+guess, unless it mentions a variable whose type the guess changes.
+Reuse is exact: a context's atoms, constants and operations do not
+change once a term is checked against it, so a term's typing depends on
+the context only through the types of its free variables (Bauer &
+Pretnar, "An Effect System for Algebraic Effects and Handlers", LMCS
+2014).  An entry holds its node weakly and goes when the node does, so
+the record keeps no term alive.  A handler's failure is recorded
 too, as its kind, message and path below the handler, and raised again
 at the path where the handler is reached next in a context that gives
 its free variables the same types.  A handler checked against a wanted
@@ -48,6 +52,7 @@ exponentially often.  An ascription is recorded only where it held.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import suppress
 
 from .syntax import (
@@ -162,67 +167,121 @@ def clause_type(entry: tuple[Type, Type], result: Type) -> Fun:
 
 
 def synthesize(ctx: Context, t: Term) -> Type:
-    return _Checker()._synth(ctx, t, ())
+    return _Checker(ctx)._synth(ctx, t, ())
 
 
 def check_against(ctx: Context, t: Term, ty: Type) -> None:
-    _Checker()._check(ctx, t, ty, ())
+    _Checker(ctx)._check(ctx, t, ty, ())
+
+
+class _Entry(weakref.ref):
+    """What the checker found for one node: a weak reference to the node,
+    whose death drops the entry from its record.
+
+    `key` is the entry's key in the record; `first` the variables of the
+    first context the node was reached in, and `found` its type or
+    failure there; `names` its free variables and `later` {the types
+    of those: type or failure}, both set once it is reached in another
+    context (`later` is None until then).
+    """
+
+    __slots__ = ("key", "first", "found", "names", "later")
+
+
+class _Typings(dict):
+    """A context's record: each entry under its key, id or (id, wanted
+    type).  `drop` is the callback that removes a dead node's entry."""
+
+    __slots__ = ("__weakref__", "drop")
+
+    def __init__(self) -> None:
+        # reached weakly, so the entries' callback keeps no cycle alive
+        # and the record is freed with its context by reference counting
+        alive = weakref.ref(self)
+
+        def drop(entry: _Entry) -> None:
+            record = alive()
+            if record is not None:
+                record.pop(entry.key, None)
+
+        self.drop = drop
+
+
+class _FreeVars(FreeVars):
+    """Free variables for one call, taken from the record where an entry
+    lists them: a node's free variables are found by walking down only
+    to the entries below it that list theirs, so a file of defs that
+    each use the one before checks in linear time."""
+
+    def __init__(self, record: _Typings):
+        super().__init__()
+        self._record = record
+
+    def __call__(self, t: Term) -> frozenset[str]:
+        entry = self._record.get(id(t))
+        if entry is not None and entry.later is not None:
+            return entry.names
+        return FreeVars.__call__(self, t)
 
 
 class _Checker:
     """The typing rules, for one `synthesize` or `check_against` call.
 
-    `_memo` holds, by node identity, each ascription that held and each
-    handler type that was synthesized, under the types that the context
-    gave the node's free variables.  A node's free variables are asked
-    for only when it is reached again in another context, so a node
-    typed once costs one entry.  The memo is made on the first `Ann` or
-    `Handler` reached, so a call that meets neither pays nothing for it,
-    and it goes with the checker when the call returns.  A handler that
-    failed is recorded as `(kind, path below it, template, args)`, and
-    the failure is raised again at the current path; an ascription that
-    failed is not recorded, and is checked afresh.
+    `_memo` is the record of the call's context, `Context.typings`,
+    made on the first call against the context and kept by it across
+    calls.  It holds, by node identity, each ascription that held and
+    each handler type that was synthesized, under the types that the
+    context gave the node's free variables.  A node's free variables are
+    asked for only when it is reached again in another context, so a
+    node typed once costs one entry; the entry holds the node weakly and
+    goes when the node does.  A handler that failed is recorded as
+    `(kind, path below it, template, args)`, and the failure is raised
+    again at the current path; an ascription that failed is not
+    recorded, and is checked afresh.  The free-variable memo holds nodes
+    strongly, so it is the call's own.
     """
 
-    # id, or (id, wanted type) for a handler checked against it -> [node,
-    # variables of the first context it was reached in, its type or
-    # failure there, its free variables, {types of those: type or failure}]
-    _memo: dict[int, list] | None = None
-    _free_vars: FreeVars | None = None
+    def __init__(self, ctx: Context):
+        memo = ctx.typings
+        if memo is None:
+            memo = ctx.typings = _Typings()
+        self._memo: _Typings = memo
+        self._free_vars: _FreeVars | None = None
 
-    def _recall(self, ctx: Context, t: Term, want: Type | None = None) -> tuple[Type | None, list]:
+    def _recall(self, ctx: Context, t: Term, want: Type | None = None) -> tuple[Type | None, _Entry]:
         """The type recorded for `t`, checked against `want` if given,
         under the types that `ctx` gives its free variables, or None; and
         `t`'s entry, to record in."""
         memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
         key = id(t) if want is None else (id(t), want)
         entry = memo.get(key)
         if entry is None:
-            # the entry holds its node, so the id is not reused while it lives
-            entry = memo[key] = [t, ctx.vars, None, None, None]
+            # the entry goes with its node, so the id is not reused while it lives
+            entry = memo[key] = _Entry(t, memo.drop)
+            entry.key = key
+            entry.first = ctx.vars
+            entry.found = entry.later = None
             return None, entry
-        _, first, first_ty, names, later = entry
         bound = ctx.vars
-        if bound is first:
-            return first_ty, entry
-        if names is None:
+        if bound is entry.first:
+            return entry.found, entry
+        later = entry.later
+        if later is None:
             if self._free_vars is None:
-                self._free_vars = FreeVars()
-            names = entry[3] = tuple(self._free_vars(t))
-            later = entry[4] = {}
-            if first_ty is not None:
-                later[tuple([first.get(name) for name in names])] = first_ty
-        return later.get(tuple([bound.get(name) for name in names])), entry
+                self._free_vars = _FreeVars(memo)
+            names = entry.names = self._free_vars(t)
+            later = entry.later = {}
+            if entry.found is not None:
+                later[tuple([entry.first.get(name) for name in names])] = entry.found
+        return later.get(tuple([bound.get(name) for name in entry.names])), entry
 
     @staticmethod
-    def _record(entry: list, ctx: Context, ty: Type) -> None:
+    def _record(entry: _Entry, ctx: Context, ty: Type) -> None:
         bound = ctx.vars
-        if bound is entry[1]:
-            entry[2] = ty
+        if bound is entry.first:
+            entry.found = ty
         else:  # _recall has listed the free variables
-            entry[4][tuple([bound.get(name) for name in entry[3]])] = ty
+            entry.later[tuple([bound.get(name) for name in entry.names])] = ty
 
     def _handler(self, ctx: Context, t: Handler, path: Path, want: Comp | None = None) -> Comp:
         """`_handler_rule`, run once per context and wanted type."""

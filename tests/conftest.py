@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from efflam.syntax import (
     Abs,
+    Ann,
     App,
     Atom,
     Cherry,
@@ -71,3 +72,27 @@ def _compound(children: st.SearchStrategy) -> st.SearchStrategy:
 
 
 terms = st.recursive(leaf_terms, _compound, max_leaves=12)
+
+
+def _rule_shapes(kids):
+    """The left-hand side of each rule, a stuck extraction and commute,
+    and an ascription, over arbitrary subterms: random terms rarely hold
+    a redex inside another."""
+    name, op = st.sampled_from(NAMES), st.sampled_from(OPS)
+    clauses = st.lists(st.tuples(op, kids), max_size=2).map(
+        lambda pairs: tuple(sorted(dict(pairs).items()))
+    )
+    call = st.builds(Op, op, kids, name, kids)
+    return st.one_of(
+        st.builds(lambda x, body, arg: App(Abs(x, body), arg), name, kids, kids),
+        st.builds(lambda x, fn: Abs(x, App(fn, Var(x))), name, kids),
+        st.builds(Handler, clauses, kids, kids.map(Eta) | call),
+        st.builds(Cherry, kids.map(Eta) | call),
+        st.builds(lambda x, body: Exchange(Abs(x, body)), name, kids.map(Eta) | call),
+        st.builds(Ann, kids, types),
+    )
+
+
+redex_terms = st.recursive(
+    leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
+)

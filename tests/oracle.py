@@ -4,6 +4,10 @@ An independent reading of the typing rules: subsumption is a rule of
 its own, with its own subtyping (`subsumes`, rows read as sets of
 entries), and the rules for eliminations guess the cut type from a
 finite universe.  The tests check the algorithmic checker against it.
+
+`canonical_key` is the alpha-equivalence key as first written, by
+class patterns and a binder map copied at every binder: the reference
+for `syntax.canonical_key`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from efflam.syntax import (
     Type,
     UNIT,
     Var,
+    children,
 )
 from efflam.typecheck import Context
 from efflam.verify import _ROWS as ROWS
@@ -130,3 +135,43 @@ def derivable(ctx: Context, t: Term, ty: Type, depth: int = 4) -> bool:
                     return True
             return False
     return False
+
+
+def canonical_key(t: Term) -> str:
+    """`syntax.canonical_key`'s serialization: bound variables as
+    binder-depth indices, ascriptions ignored."""
+    parts: list[str] = []
+    _key(t, {}, 0, parts)
+    return "".join(parts)
+
+
+def _key(t: Term, env: dict[str, int], depth: int, parts: list[str]) -> None:
+    while isinstance(t, Ann):
+        t = t.term
+    match t:
+        case Var(name):
+            if name in env:
+                parts.append(f"#{depth - 1 - env[name]}")
+            else:
+                parts.append(f"${name}")
+        case Const(name):
+            parts.append(f"!{name}")
+        case Abs(binder, body):
+            parts.append("(\\")
+            _key(body, {**env, binder: depth}, depth + 1, parts)
+            parts.append(")")
+        case Op(op, param, binder, cont):
+            parts.append(f"(do {op} ")
+            _key(param, env, depth, parts)
+            parts.append(" .")
+            _key(cont, {**env, binder: depth}, depth + 1, parts)
+            parts.append(")")
+        case _:
+            # a handler's clause names are part of its shape
+            parts.append(f"({type(t).__name__}")
+            if isinstance(t, Handler):
+                parts.append("".join(f" {name}=" for name, _ in t.clauses))
+            for child in children(t):
+                parts.append(" ")
+                _key(child, env, depth, parts)
+            parts.append(")")

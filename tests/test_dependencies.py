@@ -360,6 +360,7 @@ _EXACT_DISPATCH = {
     ("typecheck.py", "_Checker._check"),
     ("typecheck.py", "_Checker._fun_to_comp"),
     ("typecheck.py", "_handler_rule"),
+    ("syntax.py", "_key"),
     ("reduce.py", "_rule_at"),
     ("reduce.py", "_blocked"),
     ("verify.py", "_sample"),

@@ -50,7 +50,7 @@ from efflam.syntax import (
 )
 from efflam.typecheck import check_against, synthesize
 from efflam.verify import _ROWS, _sample_type, sample_typed
-from .conftest import NAMES, OPS, _compound, leaf_terms, terms, types
+from .conftest import redex_terms, terms
 
 DECLS = """
 atom iota. atom o.
@@ -364,30 +364,6 @@ def test_negative_fuel_is_rejected(strategy):
 
 # ---------------------------------------------------------------------------
 # Generated terms: reduction is total and deterministic
-
-
-def _rule_shapes(kids):
-    """The left-hand side of each rule, a stuck extraction and commute,
-    and an ascription, over arbitrary subterms: random terms rarely hold
-    a redex inside another."""
-    name, op = st.sampled_from(NAMES), st.sampled_from(OPS)
-    clauses = st.lists(st.tuples(op, kids), max_size=2).map(
-        lambda pairs: tuple(sorted(dict(pairs).items()))
-    )
-    call = st.builds(Op, op, kids, name, kids)
-    return st.one_of(
-        st.builds(lambda x, body, arg: App(Abs(x, body), arg), name, kids, kids),
-        st.builds(lambda x, fn: Abs(x, App(fn, Var(x))), name, kids),
-        st.builds(Handler, clauses, kids, kids.map(Eta) | call),
-        st.builds(Cherry, kids.map(Eta) | call),
-        st.builds(lambda x, body: Exchange(Abs(x, body)), name, kids.map(Eta) | call),
-        st.builds(Ann, kids, types),
-    )
-
-
-redex_terms = st.recursive(
-    leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
-)
 
 
 @settings(max_examples=150, deadline=None)

@@ -34,7 +34,8 @@ from efflam.syntax import (
     size,
     subst,
 )
-from .conftest import NAMES, terms
+from . import oracle
+from .conftest import NAMES, redex_terms, terms
 
 A = Atom("A")
 B = Atom("B")
@@ -353,6 +354,16 @@ def test_alpha_eq_after_binder_rename(t, x):
     fresh = fresh_name(x, free_vars(t) | {x})
     renamed = Abs(fresh, subst(t, x, Var(fresh)))
     assert alpha_eq(Abs(x, t), renamed)
+
+
+@settings(max_examples=300)
+@given(terms | redex_terms)
+def test_canonical_key_is_the_reference_key(t):
+    assert canonical_key(t) == oracle.canonical_key(t)
+    # and under a nest of binders that shadow each other
+    for x in ("x", "y", "x", "z", "y"):
+        t = Op("opa", Var(x), x, Abs(x, t))
+    assert canonical_key(t) == oracle.canonical_key(t)
 
 
 @given(terms)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from efflam import typecheck, verify
-from efflam.fragment import shipped_source
+from efflam import cli, fragment, typecheck, verify
+from efflam.fragment import Branch, Word, shipped_source
 from efflam.syntax import (
     Abs,
     Ann,
@@ -740,11 +743,12 @@ _CHECKED_AGAINST = (
 )
 
 
-def _outcomes(t: Term) -> list:
-    """What `synthesize` gives `t`, then what `check_against` gives it at
-    each of `_CHECKED_AGAINST`: a type, None, or (kind, path, message)."""
-    runs = [lambda: synthesize(verify.CONTEXT, t)]
-    runs += [lambda want=want: check_against(verify.CONTEXT, t, want) for want in _CHECKED_AGAINST]
+def _outcomes(t: Term, ctx: Context = verify.CONTEXT) -> list:
+    """What `synthesize` gives `t` under `ctx`, then what `check_against`
+    gives it at each of `_CHECKED_AGAINST`: a type, None, or (kind,
+    path, message)."""
+    runs = [lambda: synthesize(ctx, t)]
+    runs += [lambda want=want: check_against(ctx, t, want) for want in _CHECKED_AGAINST]
     outcomes = []
     for run in runs:
         try:
@@ -758,26 +762,145 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
     """Every type and every error, with its path, is what a checker that
     types each node afresh gives.  Unlike the unshared copies above, the
     reference shares no memo code, so it also sees a remembered failure
-    raised at the wrong path."""
+    raised at the wrong path.  The terms go through one shared context,
+    shuffled and then in reverse, so each call also reuses what earlier
+    calls recorded, failures included."""
     rng = random.Random(15)
     terms = [random_handler_term(rng, rng.randrange(1, 6)) for _ in range(2000)]
-    remembered = [_outcomes(t) for t in terms]
-
-    def never_recall(self, ctx, t, want=None):
-        return None, [t, ctx.vars, None, None, None]
-
     with monkeypatch.context() as patch:
-        patch.setattr(typecheck._Checker, "_recall", never_recall)
+        patch.setattr(typecheck._Checker, "_recall", lambda self, ctx, t, want=None: (None, None))
+        patch.setattr(typecheck._Checker, "_record", staticmethod(lambda entry, ctx, ty: None))
         afresh = [_outcomes(t) for t in terms]
-    for t, got, want in zip(terms, remembered, afresh):
-        assert got == want, print_term(t)
+    shared = replace(verify.CONTEXT)
+    order = list(range(len(terms)))
+    rng.shuffle(order)
+    for indices in (order, order[::-1]):
+        remembered = {i: _outcomes(terms[i], shared) for i in indices}
+        for i in indices:
+            assert remembered[i] == afresh[i], print_term(terms[i])
+    assert len(shared.typings) > len(terms)
     # the terms reach both sides of the rules
-    flat = [o for outcomes in remembered for o in outcomes]
+    flat = [o for outcomes in afresh for o in outcomes]
     assert sum(isinstance(o, tuple) for o in flat) > len(flat) // 2
     assert sum(not isinstance(o, tuple) for o in flat) > len(flat) // 10
 
 
-def test_a_lexical_entry_is_checked_once_per_call(monkeypatch):
+# ---------------------------------------------------------------------------
+# A context's record lives as long as the context, and an entry in it as
+# long as its term
+
+
+def test_an_entry_goes_with_its_term():
+    ctx = replace(verify.CONTEXT)
+    t = _nested_handler(3, Ann(Eta(Const("a0")), Comp(EMPTY_ROW, verify.A)))
+    gc.disable()
+    try:
+        assert synthesize(ctx, t) == Comp(EMPTY_ROW, verify.A)
+        assert len(ctx.typings) == 4  # three handlers and the ascription
+        del t
+        assert len(ctx.typings) == 0
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_file_context_frees_its_record():
+    decl = parse_file(shipped_source())
+    ctx = decl.context()
+    for _, _, t in decl.defs:
+        synthesize(ctx, t)
+    assert ctx.typings
+    record = weakref.ref(ctx.typings)
+    gc.disable()
+    try:
+        del ctx  # the defs' terms live on in `decl`
+        assert record() is None
+    finally:
+        gc.enable()
+
+
+def test_a_replaced_context_starts_an_empty_record():
+    ctx = FRAGMENT.context()
+    synthesize(ctx, parse_term(ladder_source(2), FRAGMENT_ENV))
+    assert ctx.typings
+    copy = replace(ctx)
+    assert copy.typings is None
+    assert copy == ctx and repr(copy) == repr(ctx)
+
+
+def _report_tree(depth: int, kind: str):
+    """"every woman loves me" under `depth` reports of one kind."""
+    tree = Branch(Branch(Word("loves"), Word("me")), Branch(Word("every"), Word("woman")))
+    for level in range(depth):
+        tree = Branch(Branch(Word(kind), tree), Word(("john", "mary")[level % 2]))
+    return tree
+
+
+def test_sentence_requests_leave_no_entries_in_the_fragment_context():
+    # each request as the sentences benchmark makes it: the speaker's
+    # handler is checked with the denotation, then the whole term
+    trees = [_report_tree(depth, kind) for depth in range(5) for kind in ("said-is", "said-ds")]
+    for i in range(2000):
+        term = fragment.with_speaker(Const("s"), fragment.denote(trees[i % len(trees)]))
+        assert print_type(synthesize(fragment.CONTEXT, term)) == "F{implicate, scope}(o)"
+        record = fragment.CONTEXT.typings
+        during = len(record)
+        del term
+        if i == 9:
+            after_ten = len(record)
+            assert 0 < after_ten < during
+    assert len(record) <= after_ten
+
+
+def chained_defs(n: int) -> str:
+    """A file of `n` defs, each after the first using the one before it
+    twice, and a directive that uses the last."""
+    lines = ["atom A.", "const a : A.", "def d0 : A -> A := \\x. x."]
+    lines += [f"def d{k} : A -> A := \\x. d{k - 1} (d{k - 1} x)." for k in range(1, n)]
+    lines.append(f"check d{n - 1} a.")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, capsys, n):
+    # typing every earlier def again in each later one made it n(n + 3)/2,
+    # and ran out of stack at n = 800; listing the free variables of
+    # every earlier def made it quadratic too
+    bodies = set()
+
+    def parsed(src):
+        decl = parse_file(src)
+        bodies.update(id(term.term) for _, _, term in decl.defs)  # under `def`'s ascription
+        return decl
+
+    calls = 0
+    check = typecheck._Checker._check
+
+    def counted(self, ctx, t, want, path):
+        nonlocal calls
+        calls += id(t) in bodies
+        return check(self, ctx, t, want, path)
+
+    walks = []
+
+    class Listed(typecheck._FreeVars):
+        def __init__(self, record):
+            super().__init__(record)
+            walks.append(self)
+
+    monkeypatch.setattr(cli, "parse_file", parsed)
+    monkeypatch.setattr(typecheck._Checker, "_check", counted)
+    monkeypatch.setattr(typecheck, "_FreeVars", Listed)
+    path = tmp_path / "chain.lam"
+    path.write_text(chained_defs(n))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "check directive 1 : A"
+    assert len(bodies) == n
+    assert calls == n
+    # each def's free variables are listed once, down to the def before it
+    assert sum(len(fv.memo) for fv in walks) <= 4 * n
+
+
+def test_a_lexical_entry_is_checked_once_per_context(monkeypatch):
     body = FRAGMENT_ENV.defs["said-is"].term  # under the ascription `def` adds
     calls = []
     check = typecheck._Checker._check
@@ -788,17 +911,20 @@ def test_a_lexical_entry_is_checked_once_per_call(monkeypatch):
         return check(self, ctx, t, want, path)
 
     monkeypatch.setattr(typecheck._Checker, "_check", counted)
-    counts = {}
-    for depth in (8, 64):
+    counts = []
+    # once across both ladders, and once more in a second new context
+    for ctx in (FRAGMENT.context(), FRAGMENT.context()):
         calls.clear()
-        t = parse_term(ladder_source(depth), FRAGMENT_ENV)
-        assert print_type(synthesize(FRAGMENT_CTX, t)) == "F{implicate, scope, speaker}(o)"
-        counts[depth] = len(calls)
-    assert counts == {8: 1, 64: 1}
+        for depth in (8, 64):
+            t = parse_term(ladder_source(depth), FRAGMENT_ENV)
+            assert print_type(synthesize(ctx, t)) == "F{implicate, scope, speaker}(o)"
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
-def test_a_shared_ascription_is_checked_well_formed_once_per_call(monkeypatch):
-    # every level of a report reuses the lexical entries' ascriptions
+def test_a_shared_ascription_is_checked_well_formed_once_per_context(monkeypatch):
+    # every level of a report reuses the lexical entries' ascriptions,
+    # and a later report in the same context reuses the earlier ones
     calls = 0
     plain = typecheck.well_formed
 
@@ -809,9 +935,11 @@ def test_a_shared_ascription_is_checked_well_formed_once_per_call(monkeypatch):
 
     monkeypatch.setattr(typecheck, "well_formed", counted)
     counts = {}
-    for depth in (8, 64):
+    for depths in ((8,), (64,), (8, 64)):
+        ctx = FRAGMENT.context()
         calls = 0
-        t = parse_term(ladder_source(depth), FRAGMENT_ENV)
-        assert print_type(synthesize(FRAGMENT_CTX, t)) == "F{implicate, scope, speaker}(o)"
-        counts[depth] = calls
-    assert counts[64] == counts[8], counts
+        for depth in depths:
+            t = parse_term(ladder_source(depth), FRAGMENT_ENV)
+            assert print_type(synthesize(ctx, t)) == "F{implicate, scope, speaker}(o)"
+        counts[depths] = calls
+    assert counts[(8,)] == counts[(64,)] == counts[(8, 64)] > 0, counts
