@@ -41,17 +41,15 @@ only three places can hold the next redex:
 - the contractum;
 - the right siblings of each ancestor, deepest first.
 
-Free variables come from a memo keyed by node identity (`FreeVars`).
-There is one per normalization, made by `normalize` and dropped after
-it, and both strategies prune it to the current term whenever a memo
-has doubled, so its size, and the peak memory of a normalization, does not
-grow with the steps.  It answers the side conditions above, and it
-tells whether a beta step below the two nearest ancestors drops its
-argument.  Substitution asks it too, and enters only the subterms
-that mention the substituted variable, so a step rebuilds only the
-paths to its occurrences, and a subterm that later steps pass on
-unchanged, such as the rest of a long chain of handled operations, is
-walked once per normalization, not once per step.
+Free variables come from `free_vars`, which computes them once per
+node and keeps them on the node, so they live exactly as long as the
+term does.  They answer the side conditions above, and tell whether a
+beta step below the two nearest ancestors drops its argument.
+Substitution asks them too, and enters only the subterms that mention
+the substituted variable, so a step rebuilds only the paths to its
+occurrences, and a subterm that later steps pass on unchanged, such as
+the rest of a long chain of handled operations, is walked once, not
+once per step.
 
 A random-strategy step also costs work in the depth of its redex, not
 in the size of the term.  It draws one of the term's redexes uniformly,
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -85,16 +82,16 @@ from .syntax import (
     Const,
     Eta,
     Exchange,
-    FreeVars,
     Fun,
     Handler,
-    NodeMemo,
     Op,
     Path,
     Term,
     Var,
     canonical_key,
     children,
+    free_vars,
+    nodes,
     rebuild,
     rename,
     strip,
@@ -180,9 +177,8 @@ def subterm_at(t: Term, path: Path) -> Term:
 # Redex recognition and contraction
 
 
-def _rule_at(s: Term, fv) -> Rule | None:
-    """The rule contracting the ascription-free node `s`, if any; `fv`
-    gives free variables (a `FreeVars` memo)."""
+def _rule_at(s: Term) -> Rule | None:
+    """The rule contracting the ascription-free node `s`, if any."""
     cls = type(s)
     if cls is App:
         return Rule.beta if type(strip(s.fn)) is Abs else None
@@ -190,7 +186,7 @@ def _rule_at(s: Term, fv) -> Rule | None:
         body = strip(s.body)
         if type(body) is App:
             arg = strip(body.arg)
-            if type(arg) is Var and arg.name == s.binder and s.binder not in fv(body.fn):
+            if type(arg) is Var and arg.name == s.binder and s.binder not in free_vars(body.fn):
                 return Rule.eta
         return None
     if cls is Handler:
@@ -209,7 +205,7 @@ def _rule_at(s: Term, fv) -> Rule | None:
             body = strip(lam.body)
             if type(body) is Eta:
                 return Rule.cEta
-            if type(body) is Op and lam.binder not in fv(body.param):
+            if type(body) is Op and lam.binder not in free_vars(body.param):
                 return Rule.cOp
     return None
 
@@ -223,17 +219,14 @@ def _commute_ann(fn_anns: Sequence) -> Fun | None:
     return None
 
 
-def _contract(s: Term, rule: Rule, fv=None) -> Term:
-    """Contract the ascription-free redex `s` by `rule`, asking the memo
-    `fv` (if given, else a fresh one) every free-variable question."""
-    if fv is None:
-        fv = FreeVars()
+def _contract(s: Term, rule: Rule) -> Term:
+    """Contract the ascription-free redex `s` by `rule`."""
     match rule:
         case Rule.beta:
             assert isinstance(s, App)
             fn_anns, lam = _peel(s.fn)
             assert isinstance(lam, Abs)
-            contractum = subst(lam.body, lam.binder, s.arg, fv)
+            contractum = subst(lam.body, lam.binder, s.arg)
             for ty in reversed(fn_anns):
                 if isinstance(ty, Fun):
                     return Ann(contractum, ty.cod)
@@ -253,11 +246,11 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             call = strip(s.scrutinee)
             assert isinstance(call, Op)
             binder, cont = call.binder, call.cont
-            clause_fv = fv(s.eta_clause)
+            clause_fv = free_vars(s.eta_clause)
             for _, clause in s.clauses:
-                clause_fv |= fv(clause)
+                clause_fv |= free_vars(clause)
             if binder in clause_fv:
-                binder, cont = rename(binder, cont, clause_fv, fv)
+                binder, cont = rename(binder, cont, clause_fv)
             pushed = Handler(s.clauses, s.eta_clause, cont)
             if rule is Rule.bananaOp:
                 clause = s.clause_for(call.op)
@@ -288,7 +281,7 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
             assert isinstance(call, Op)
             binder, cont = call.binder, call.cont
             if binder == lam.binder:
-                binder, cont = rename(binder, cont, frozenset(), fv)
+                binder, cont = rename(binder, cont, frozenset())
             usable = _commute_ann(fn_anns)
             inner_fn: Term = Abs(lam.binder, cont)
             if usable is not None:
@@ -297,10 +290,10 @@ def _contract(s: Term, rule: Rule, fv=None) -> Term:
     raise AssertionError(f"unhandled rule {rule}")
 
 
-def _search(stack: list[tuple[Term, Path]], test, fv) -> tuple | None:
+def _search(stack: list[tuple[Term, Path]], test) -> tuple | None:
     """The first node in leftmost-outermost order (pre-order, children
     left to right) among the subterms on `stack`, the next one on top,
-    where `test(node, fv)` is not None: that value, and the node's
+    where `test(node)` is not None: that value, and the node's
     position relative to them.  The node's children are pushed before
     it is tested, so `stack` is left where the scan resumes after it;
     a bare variable or constant child is not pushed, as no test accepts
@@ -320,7 +313,7 @@ def _search(stack: list[tuple[Term, Path]], test, fv) -> tuple | None:
             cls = type(kid)
             if cls is not Var and cls is not Const:
                 push((kid, at + (i,)))
-        found = test(s, fv)
+        found = test(s)
         if found is not None:
             return found, at
     return None
@@ -330,19 +323,9 @@ def candidates(t: Term) -> list[tuple[Rule, Path]]:
     """Every redex of `t` as (rule, position), leftmost-outermost first."""
     found: list[tuple[Rule, Path]] = []
     stack: list[tuple[Term, Path]] = [(t, ())]
-    fv = FreeVars()
-    while (hit := _search(stack, _rule_at, fv)) is not None:
+    while (hit := _search(stack, _rule_at)) is not None:
         found.append(hit)
     return found
-
-
-# The free-variable memo of the normalization in progress, if any.
-# `normalize` sets it for the duration of one call and resets it after,
-# so it never outlives the call.  `contract_at` hands it to the
-# contraction, which keeps each step a plain `contract_at(t, path, rule)`
-# call: the call that the per-rule step counters of the benchmark's
-# tracer observe.
-_MEMO: ContextVar[FreeVars | None] = ContextVar("_MEMO", default=None)
 
 
 def contract_at(t: Term, path: Path, rule: Rule) -> Term:
@@ -353,7 +336,7 @@ def contract_at(t: Term, path: Path, rule: Rule) -> Term:
     """
     frames: list[list] = []
     tys, s = _peel(_descend(frames, t, path))
-    return _whole(frames, _rewrap(tys, _contract(s, rule, _MEMO.get())))
+    return _whole(frames, _rewrap(tys, _contract(s, rule)))
 
 
 def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
@@ -361,15 +344,14 @@ def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
     return [(rule, path, contract_at(t, path, rule)) for rule, path in candidates(t)]
 
 
-def _blocked(s: Term, fv) -> str | None:
-    """Why the ascription-free node `s` is a stuck extraction or commute;
-    `fv` gives free variables (a `FreeVars` memo)."""
+def _blocked(s: Term) -> str | None:
+    """Why the ascription-free node `s` is a stuck extraction or commute."""
     cls = type(s)
     if cls is Exchange:
         lam = strip(s.fn)
         if type(lam) is Abs:
             call = strip(lam.body)
-            if type(call) is Op and lam.binder in fv(call.param):
+            if type(call) is Op and lam.binder in free_vars(call.param):
                 return (
                     f"commute is stuck: the parameter of operation "
                     f"{call.op} mentions the commuted variable {lam.binder}"
@@ -383,7 +365,7 @@ def _blocked(s: Term, fv) -> str | None:
 
 def blocked_at(t: Term) -> tuple[Path, str] | None:
     """First blocked extraction or commute in `t`, if any."""
-    hit = _search([(t, ())], _blocked, FreeVars())
+    hit = _search([(t, ())], _blocked)
     return None if hit is None else (hit[1], hit[0])
 
 
@@ -476,43 +458,37 @@ def normalize(
         strategy = "leftmostOutermost"
     if strategy not in ("leftmostOutermost", "randomSeeded"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    fv = FreeVars()
-    token = _MEMO.set(fv)
-    try:
-        if strategy == "leftmostOutermost":
-            return _zipper(t, fuel, record_steps, fv)
-        return _random_seeded(t, fuel, seed, record_steps, fv)
-    finally:
-        _MEMO.reset(token)
+    if strategy == "leftmostOutermost":
+        return _zipper(t, fuel, record_steps)
+    return _random_seeded(t, fuel, seed, record_steps)
 
 
-def _discarded_vars(s: Term, rule: Rule, fv: FreeVars) -> frozenset[str]:
+def _discarded_vars(s: Term, rule: Rule) -> frozenset[str]:
     """The free variables of the redex `s` that its contractum lacks:
     those of a dropped beta argument or of dropped handler clauses."""
     if rule is Rule.beta:
         lam = strip(s.fn)
-        body_fv = fv(lam.body)
+        body_fv = free_vars(lam.body)
         if lam.binder in body_fv:
             return _KEPT
-        return fv(s.arg) - body_fv
+        return free_vars(s.arg) - body_fv
     if rule is Rule.bananaEta and s.clauses:
-        dropped = frozenset().union(*(fv(clause) for _, clause in s.clauses))
-        return dropped - fv(s.eta_clause) - fv(strip(s.scrutinee).value)
+        dropped = frozenset().union(*(free_vars(clause) for _, clause in s.clauses))
+        return dropped - free_vars(s.eta_clause) - free_vars(strip(s.scrutinee).value)
     return _KEPT
 
 
 _KEPT: frozenset[str] = frozenset()
 
 
-def _ended(t: Term, steps: list[Step], final: Term, count: int, fv: FreeVars) -> ReductionTrace:
-    """The trace of a normalization that found no redex in `final`;
-    `fv` is its free-variable memo."""
-    hit = _search([(final, ())], _blocked, fv)
-    outcome = NormalForm() if hit is None else Stuck(hit[1], hit[0])
+def _ended(t: Term, steps: list[Step], final: Term, count: int) -> ReductionTrace:
+    """The trace of a normalization that found no redex in `final`."""
+    hit = blocked_at(final)
+    outcome = NormalForm() if hit is None else Stuck(*hit)
     return ReductionTrace(t, steps, outcome, final, count)
 
 
-def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTrace:
+def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
     """Leftmost-outermost normalization on a zipper (see the module
     docstring for why each step re-checks only a few ancestors).
 
@@ -525,7 +501,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
     focus = t
     steps: list[Step] = []
     count = 0
-    hit = _search([(t, ())], _rule_at, fv)
+    hit = _search([(t, ())], _rule_at)
     while hit is not None:
         rule, path = hit
         focus = _descend(frames, focus, path)
@@ -535,7 +511,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
         # nearest, or a binder further up whose variable the step drops
         top = len(frames) - 2
         if top > 0:
-            discarded = _discarded_vars(strip(focus), rule, fv)
+            discarded = _discarded_vars(strip(focus), rule)
             if discarded:
                 # frames[top] too: it may be the Abs of an Exchange above it
                 for j in range(top + 1):
@@ -551,13 +527,11 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
         count += 1
         if record_steps:
             steps.append(Step(rule, tuple(frame[3] for frame in frames), _whole(frames, focus)))
-        if fv.due():
-            fv.prune(_whole(frames, focus))
         # bring frames[top:] up to date, then re-check them outermost first
         _whole(frames, focus, top)
         hit = None
         for k in range(top, len(frames)):
-            rule = _rule_at(frames[k][1], fv)
+            rule = _rule_at(frames[k][1])
             if rule is not None:
                 tys, s, _, _ = frames[k]
                 focus = _rewrap(tys, s)
@@ -568,12 +542,12 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
             continue
         # then the contractum, then the right siblings of each ancestor,
         # deepest first
-        hit = _search([(focus, ())], _rule_at, fv)
+        hit = _search([(focus, ())], _rule_at)
         while hit is None and frames:
             frame = frames[-1]
             _, _, kids, i = frame
             if i + 1 < len(kids):
-                hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], _rule_at, fv)
+                hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], _rule_at)
                 if hit is not None:
                     kids[i] = focus
                     rule, (j, *path) = hit
@@ -582,7 +556,7 @@ def _zipper(t: Term, fuel: int, record_steps: bool, fv: FreeVars) -> ReductionTr
                     hit = (rule, path)
                     break
             focus = _whole([frames.pop()], focus)
-    return _ended(t, steps, focus, count, fv)
+    return _ended(t, steps, focus, count)
 
 
 def _descend(frames: list[list], focus: Term, path: Path) -> Term:
@@ -608,11 +582,9 @@ def _whole(frames: list[list], focus: Term, top: int = 0) -> Term:
     return focus
 
 
-def _random_seeded(
-    t: Term, fuel: int, seed: int, record_steps: bool, fv: FreeVars
-) -> ReductionTrace:
+def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
     rng = random.Random(seed)
-    counts = _RedexCounts(fv)
+    counts = _RedexCounts()
     steps: list[Step] = []
     current = t
     # one count more than there are steps: after the last step the term
@@ -620,7 +592,7 @@ def _random_seeded(
     for spent in range(fuel + 1):
         n = counts.total(current)
         if not n:
-            return _ended(t, steps, current, spent, fv)
+            return _ended(t, steps, current, spent)
         if spent == fuel:
             break
         # draws from the RNG exactly as `rng.choice(candidates(current))`
@@ -631,33 +603,56 @@ def _random_seeded(
     return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
 
 
-class _RedexCounts(NodeMemo):
+# the fewest entries at which `_RedexCounts` is due for a prune
+_PRUNE_AT_LEAST = 1024
+
+
+class _RedexCounts:
     """Redexes per subterm, with a memo keyed by node identity, for one
     random-strategy normalization.
 
     `memo` maps the id of every ascription-free node counted to the node
-    itself, the rule at the node (`_rule_at`, or None) and the number of
-    redexes in its subtree, where a shared subterm counts once per
-    position, as in `candidates`.  The memo is closed under subterms: a
-    node's entry implies entries for every ascription-free node below it
-    but variables and constants.
+    itself (so the id cannot be reused while the entry lives), the rule
+    at the node (`_rule_at`, or None) and the number of redexes in its
+    subtree, where a shared subterm counts once per position, as in
+    `candidates`.  The memo is closed under subterms: a node's entry
+    implies entries for every ascription-free node below it but
+    variables and constants.
 
-    `fv` answers the side conditions of eta and cOp.  Whenever this memo
-    is due, both memos are pruned to the nodes of the current term in
-    one walk.  This memo holds every node of that term, so a prune
-    costs O(1) per entry, amortized.
+    Counting recurses, the fast way for the usual shallow term, and once
+    `_room` levels are used up it first counts every uncounted subterm
+    bottom-up from an explicit stack, so the recursion goes no deeper
+    whatever the term's depth.  Once the memo has doubled since the last
+    prune (and holds at least 1,024 entries), `total` prunes it to the
+    nodes of the current term, so old terms are not kept alive.  The
+    memo holds every node of that term, so a prune costs O(1) per entry,
+    amortized.
     """
 
-    def __init__(self, fv: FreeVars) -> None:
-        super().__init__()
-        self.fv = fv
+    def __init__(self) -> None:
+        self.memo: dict[int, tuple] = {}
+        # how many more levels the recursion may go before counting bottom-up
+        self._room = 100
+        self._prune_at = _PRUNE_AT_LEAST
 
     def total(self, t: Term) -> int:
         """The number of redexes of the whole term `t`."""
         n = self.count(t)
-        if self.due():
-            self.prune(t, self.fv)
+        if len(self.memo) >= self._prune_at:
+            self.prune(t)
         return n
+
+    def prune(self, root: Term) -> None:
+        """Keep only the entries of nodes of `root`, in one walk of `root`
+        that costs its size."""
+        memo = self.memo
+        kept = {}
+        for t in nodes([root]):
+            hit = memo.get(id(t))
+            if hit is not None:
+                kept[id(t)] = hit
+        self.memo = kept
+        self._prune_at = max(2 * len(kept), _PRUNE_AT_LEAST)
 
     def count(self, t: Term) -> int:
         """The number of redexes of `t`, counted for every uncounted
@@ -672,7 +667,8 @@ class _RedexCounts(NodeMemo):
         if hit is not None:
             return hit[2]
         if self._room <= 0:
-            self._below(t, self.count)
+            for node in reversed(list(nodes(list(children(t)), lambda s: id(s) in memo))):
+                self.count(node)
         # after a step, all but one child of each new node are in the memo
         self._room -= 1
         n = 0
@@ -684,7 +680,7 @@ class _RedexCounts(NodeMemo):
                 hit = memo.get(id(kid))
                 n += self.count(kid) if hit is None else hit[2]
         self._room += 1
-        rule = _rule_at(t, self.fv)
+        rule = _rule_at(t)
         if rule is not None:
             n += 1
         memo[id(t)] = (t, rule, n)

@@ -31,7 +31,9 @@ the result where the same node is reached again and those types are the
 same.  The parser inlines every use of a `def` as one shared ascription,
 so a lexical entry is checked once per context, however many deep
 sentences and later defs use it, and a file of defs that build on each
-other checks in time linear in its size; and a handler nested in a
+other checks in time linear in its size (the free variables of a node
+come from `free_vars`, which keeps them on the node, so listing a def's
+stops at the defs it uses); and a handler nested in a
 clause body is typed once, not once per round of the enclosing row
 guess, unless it mentions a variable whose type the guess changes.
 Reuse is exact: a context's atoms, constants and operations do not
@@ -66,7 +68,6 @@ from .syntax import (
     EMPTY_ROW,
     Eta,
     Exchange,
-    FreeVars,
     Fun,
     Handler,
     Op,
@@ -75,6 +76,7 @@ from .syntax import (
     Term,
     Type,
     Var,
+    free_vars,
 )
 from .surface import print_path
 from .syntax import Const as ConstTerm
@@ -180,12 +182,12 @@ class _Entry(weakref.ref):
 
     `key` is the entry's key in the record; `first` the variables of the
     first context the node was reached in, and `found` its type or
-    failure there; `names` its free variables and `later` {the types
-    of those: type or failure}, both set once it is reached in another
-    context (`later` is None until then).
+    failure there; `later` {the types of the node's free variables
+    (in `free_vars` order): type or failure}, set once it is reached in
+    another context (None until then).
     """
 
-    __slots__ = ("key", "first", "found", "names", "later")
+    __slots__ = ("key", "first", "found", "later")
 
 
 class _Typings(dict):
@@ -207,23 +209,6 @@ class _Typings(dict):
         self.drop = drop
 
 
-class _FreeVars(FreeVars):
-    """Free variables for one call, taken from the record where an entry
-    lists them: a node's free variables are found by walking down only
-    to the entries below it that list theirs, so a file of defs that
-    each use the one before checks in linear time."""
-
-    def __init__(self, record: _Typings):
-        super().__init__()
-        self._record = record
-
-    def __call__(self, t: Term) -> frozenset[str]:
-        entry = self._record.get(id(t))
-        if entry is not None and entry.later is not None:
-            return entry.names
-        return FreeVars.__call__(self, t)
-
-
 class _Checker:
     """The typing rules, for one `synthesize` or `check_against` call.
 
@@ -232,13 +217,12 @@ class _Checker:
     calls.  It holds, by node identity, each ascription that held and
     each handler type that was synthesized, under the types that the
     context gave the node's free variables.  A node's free variables are
-    asked for only when it is reached again in another context, so a
-    node typed once costs one entry; the entry holds the node weakly and
-    goes when the node does.  A handler that failed is recorded as
+    asked for (`free_vars`, cached on the node) only when it is reached
+    again in another context, so a node typed once costs one entry; the
+    entry holds the node weakly and goes when the node does.  A handler that failed is recorded as
     `(kind, path below it, template, args)`, and the failure is raised
     again at the current path; an ascription that failed is not
-    recorded, and is checked afresh.  The free-variable memo holds nodes
-    strongly, so it is the call's own.
+    recorded, and is checked afresh.
     """
 
     def __init__(self, ctx: Context):
@@ -246,7 +230,6 @@ class _Checker:
         if memo is None:
             memo = ctx.typings = _Typings()
         self._memo: _Typings = memo
-        self._free_vars: _FreeVars | None = None
 
     def _recall(self, ctx: Context, t: Term, want: Type | None = None) -> tuple[Type | None, _Entry]:
         """The type recorded for `t`, checked against `want` if given,
@@ -267,21 +250,18 @@ class _Checker:
             return entry.found, entry
         later = entry.later
         if later is None:
-            if self._free_vars is None:
-                self._free_vars = _FreeVars(memo)
-            names = entry.names = self._free_vars(t)
             later = entry.later = {}
             if entry.found is not None:
-                later[tuple([entry.first.get(name) for name in names])] = entry.found
-        return later.get(tuple([bound.get(name) for name in entry.names])), entry
+                later[_types_of_free_vars(entry.first, t)] = entry.found
+        return later.get(_types_of_free_vars(bound, t)), entry
 
     @staticmethod
     def _record(entry: _Entry, ctx: Context, ty: Type) -> None:
         bound = ctx.vars
         if bound is entry.first:
             entry.found = ty
-        else:  # _recall has listed the free variables
-            entry.later[tuple([bound.get(name) for name in entry.names])] = ty
+        else:  # _recall has made `later`
+            entry.later[_types_of_free_vars(bound, entry())] = ty
 
     def _handler(self, ctx: Context, t: Handler, path: Path, want: Comp | None = None) -> Comp:
         """`_handler_rule`, run once per context and wanted type."""
@@ -456,6 +436,12 @@ class _Checker:
         got = self._synth(ctx, t, path)
         if not subtype(got, want):
             _fail("mismatch", path, "expected %s, found %s", want, got)
+
+
+def _types_of_free_vars(bound: dict[str, Type], t: Term) -> tuple:
+    """The types `bound` gives the free variables of `t`, in the order of
+    its cached `free_vars`: one set object per node, so one order."""
+    return tuple([bound.get(name) for name in free_vars(t)])
 
 
 def _performs(ty: Type | None) -> Signature | None:

@@ -1,9 +1,12 @@
-"""Shared hypothesis strategies for randomly shaped (untyped) terms and types."""
+"""Shared hypothesis strategies for randomly shaped (untyped) terms and
+types, and a fixture that counts free-variable cache fills."""
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 
+from efflam import syntax
 from efflam.syntax import (
     Abs,
     Ann,
@@ -96,3 +99,22 @@ def _rule_shapes(kids):
 redex_terms = st.recursive(
     leaf_terms, lambda kids: _compound(kids) | _rule_shapes(kids), max_leaves=12
 )
+
+
+@pytest.fixture
+def free_var_fills(monkeypatch):
+    """A function giving the number of nodes whose free variables
+    `free_vars` has computed and cached since the fixture was made.
+
+    Terms shared between tests (goldens, the lexicon, hypothesis
+    examples) may be cached already: count on freshly built terms."""
+    filled = 0
+    cache = syntax._cache
+
+    def counted(t, key, value):
+        nonlocal filled
+        filled += 1
+        cache(t, key, value)
+
+    monkeypatch.setattr(syntax, "_cache", counted)
+    return lambda: filled

@@ -361,6 +361,7 @@ _EXACT_DISPATCH = {
     ("typecheck.py", "_Checker._fun_to_comp"),
     ("typecheck.py", "_handler_rule"),
     ("syntax.py", "_key"),
+    ("syntax.py", "_free_vars"),
     ("reduce.py", "_rule_at"),
     ("reduce.py", "_blocked"),
     ("verify.py", "_sample"),

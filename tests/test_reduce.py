@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from efflam import reduce as reduce_module
 from efflam.fragment import GOLDENS, Branch, Word, denote, with_speaker
 from efflam.prelude import eta_identity
 from efflam.reduce import (
@@ -37,16 +38,13 @@ from efflam.syntax import (
     Const,
     Eta,
     Exchange,
-    FreeVars,
     Fun,
     Handler,
-    NodeMemo,
     Op,
     Var,
     alpha_eq,
     children,
     erase,
-    free_vars,
 )
 from efflam.typecheck import check_against, synthesize
 from efflam.verify import _ROWS, _sample_type, sample_typed
@@ -405,7 +403,7 @@ def _preorder(t, path=()):
 def _assert_scan_agrees_with_reference(term):
     redexes, stuck = [], []
     for s, path in _preorder(term):
-        rule, reason = _rule_at(s, free_vars), _blocked(s, free_vars)
+        rule, reason = _rule_at(s), _blocked(s)
         if rule is not None:
             redexes.append((rule, path))
         if reason is not None:
@@ -615,67 +613,49 @@ def test_resumed_search_under_binders_that_steps_deep_inside_free():
         assert quiet.step_count == trace.step_count == len(trace.steps)
 
 
-def test_the_free_variable_memo_does_not_outlive_a_normalization():
-    import efflam.reduce as reduce_module
-
-    normalize(_ladder(2))
-    assert reduce_module._MEMO.get() is None
-    normalize(_ladder(2), "randomSeeded")
-    assert reduce_module._MEMO.get() is None
-
-
 # (\x. \y. x x y) (\x. \y. x x y): a beta step rebuilds the term under
 # `\y`, and the eta step after it asks for the free variables of a node
-# that the beta step made, so the memo gains an entry every other step
+# that the beta step made, so new nodes are cached every other step
 _W = Abs("x", Abs("y", App(App(Var("x"), Var("x")), Var("y"))))
 _SELF_ETA = App(_W, _W)
 
 
 def test_resumed_search_agrees_with_a_rescan_across_memo_prunes(monkeypatch):
+    trace = _assert_agrees_with_rescan(_SELF_ETA, fuel=5_000)
+    assert isinstance(trace.outcome, FuelExhausted)
+    # the random strategy's redex counts are pruned as they grow
     pruned = 0
-    prune = NodeMemo.prune
+    prune = reduce_module._RedexCounts.prune
 
-    def counted(self, *args):
+    def counted(self, root):
         nonlocal pruned
         pruned += 1
-        prune(self, *args)
+        prune(self, root)
 
-    monkeypatch.setattr(NodeMemo, "prune", counted)
-    trace = _assert_agrees_with_rescan(_SELF_ETA, fuel=5_000)
+    monkeypatch.setattr(reduce_module._RedexCounts, "prune", counted)
+    trace = _assert_random_agrees_with_rescan(_SELF_ETA, 0, fuel=5_000)
     assert isinstance(trace.outcome, FuelExhausted)
     assert pruned >= 2
 
 
-def test_one_free_variable_memo_per_redex_search(monkeypatch):
-    computed = 0
-
-    class CountingMemo(dict):
-        def __setitem__(self, key, value):
-            nonlocal computed
-            computed += 1
-            super().__setitem__(key, value)
-
-    # every memo, wherever it is made, counts the nodes it computes
-    plain_init = FreeVars.__init__
-
-    def counting_init(self):
-        plain_init(self)
-        self.memo = CountingMemo()
-
-    monkeypatch.setattr(FreeVars, "__init__", counting_init)
-    # t_i = \x_i. x_i t_{i+1} x_i: every binder asks eta's side condition
-    # about a function that holds the whole rest of the term
-    depth = 400
+def _binder_chain(depth):
+    r"""t_i = \x_i. x_i t_{i+1} x_i: every binder asks eta's side condition
+    about a function that holds the whole rest of the term."""
     term = Const("c")
     for i in reversed(range(depth)):
         x = Var(f"x{i}")
         term = Abs(x.name, App(App(x, term), x))
+    return term
+
+
+def test_one_free_variable_memo_per_redex_search(free_var_fills):
+    depth = 400
     # three compound nodes per level, each computed once
-    assert candidates(term) == []
-    assert computed <= 3 * depth
-    computed = 0
-    assert isinstance(normalize(term).outcome, NormalForm)
-    assert computed <= 3 * depth
+    assert candidates(_binder_chain(depth)) == []
+    assert free_var_fills() <= 3 * depth
+    before = free_var_fills()
+    assert isinstance(normalize(_binder_chain(depth)).outcome, NormalForm)
+    assert free_var_fills() - before <= 3 * depth
 
 
 # ---------------------------------------------------------------------------

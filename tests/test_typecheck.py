@@ -861,7 +861,7 @@ def chained_defs(n: int) -> str:
 
 
 @pytest.mark.parametrize("n", [50, 200, 800])
-def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, capsys, n):
+def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, capsys, free_var_fills, n):
     # typing every earlier def again in each later one made it n(n + 3)/2,
     # and ran out of stack at n = 800; listing the free variables of
     # every earlier def made it quadratic too
@@ -880,24 +880,16 @@ def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, caps
         calls += id(t) in bodies
         return check(self, ctx, t, want, path)
 
-    walks = []
-
-    class Listed(typecheck._FreeVars):
-        def __init__(self, record):
-            super().__init__(record)
-            walks.append(self)
-
     monkeypatch.setattr(cli, "parse_file", parsed)
     monkeypatch.setattr(typecheck._Checker, "_check", counted)
-    monkeypatch.setattr(typecheck, "_FreeVars", Listed)
     path = tmp_path / "chain.lam"
     path.write_text(chained_defs(n))
     assert cli.main(["check", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "check directive 1 : A"
     assert len(bodies) == n
     assert calls == n
-    # each def's free variables are listed once, down to the def before it
-    assert sum(len(fv.memo) for fv in walks) <= 4 * n
+    # each def's free variables are computed once, down to the def before it
+    assert free_var_fills() <= 4 * n
 
 
 def test_a_lexical_entry_is_checked_once_per_context(monkeypatch):
