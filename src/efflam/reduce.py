@@ -20,36 +20,49 @@ them, and the first stuck node.
 A leftmost-outermost step costs work near the redex, not work in the
 depth or size of the whole term.  The normalizer holds the term as a
 zipper: a focus plus one frame per ancestor (Huet, "The Zipper", JFP
-1997).  It contracts the focus, rebuilds the ancestors it must
-re-check, and plugs any other frame back into its parent only when the
-search leaves it, so it never rebuilds the path to the root per step.
-The search resumes where the last step was made.  Everything to the left of the contracted position
-is unchanged by the step and was already found free of redexes, so
-only three places can hold the next redex:
+1997).  It contracts the focus, rebuilds only the ancestors whose redex
+test the step can have changed, right before re-testing them, and plugs
+any other frame back into its parent only when the search leaves it, so
+it never rebuilds the path to the root per step.  The focus is held
+without its ascriptions: they form a run of its own, a contractum's new
+ascriptions join the run on the inside, and the run is wrapped around
+the focus again only when the focus goes back into its parent, or the
+term is recorded or returned.  So the ascriptions that a long chain of
+betas on ascribed functions piles up are wrapped once, not once per
+step.  The search resumes where the last step was made.  Everything to
+the left of the contracted position is unchanged by the step and was
+already found free of redexes, so only three places can hold the next
+redex:
 
-- an ancestor that the step made a redex.  The rules look at most at a
-  node's grandchild, so the two nearest ancestors are re-checked after
-  every step.  Further up, only the side conditions of eta (the binder
-  is not free in the function) and cOp (the commuted binder is not free
-  in the operation's parameter) read deeper, and they can only turn
-  true when the step removes a free variable.  Only two rules do: a
-  beta whose binder is not free in its body drops its argument, and
-  bananaEta drops the handler's operation clauses.  Every other rule
-  keeps the redex's free variables.  So only after such a step are the
-  ancestors up to the outermost `Abs` binding a dropped variable (or
-  the `Exchange` right above it) re-checked, outermost first;
+- an ancestor that the step made a redex.  A rule reads at most a
+  node's grandchildren, and mostly one child: an application its
+  function, an abstraction its body, a handler its scrutinee, an
+  extraction its computation, a commute its function (`_READS`).  So
+  the parent is re-tested only when the focus is the child it reads,
+  and the grandparent only where the rule reads the focus as a
+  grandchild: eta, of the argument and the function of its body, and
+  cEta and cOp, of the body of their function
+  (`_READS_GRANDCHILDREN`).  Further up, only the side conditions of
+  eta (the binder is not free in the function) and cOp (the commuted
+  binder is not free in the operation's parameter) read deeper, and
+  they can only turn true when the step removes a free variable.  Only
+  two rules do: a beta whose binder is not free in its body drops its
+  argument, and bananaEta drops the handler's operation clauses.  Every
+  other rule keeps the redex's free variables.  So only after such a
+  step are the ancestors up to the outermost `Abs` binding a dropped
+  variable (or the `Exchange` right above it) re-tested, outermost
+  first;
 - the contractum;
 - the right siblings of each ancestor, deepest first.
 
 Free variables come from `free_vars`, which computes them once per
 node and keeps them on the node, so they live exactly as long as the
 term does.  They answer the side conditions above, and tell whether a
-beta step below the two nearest ancestors drops its argument.
-Substitution asks them too, and enters only the subterms that mention
-the substituted variable, so a step rebuilds only the paths to its
-occurrences, and a subterm that later steps pass on unchanged, such as
-the rest of a long chain of handled operations, is walked once, not
-once per step.
+step drops a variable.  Substitution asks them too, and enters only the
+subterms that mention the substituted variable, so a step rebuilds only
+the paths to its occurrences, and a subterm that later steps pass on
+unchanged, such as the rest of a long chain of handled operations, is
+walked once, not once per step.
 
 A random-strategy step also costs work in the depth of its redex, not
 in the size of the term.  It draws one of the term's redexes uniformly,
@@ -59,10 +72,12 @@ of redexes in its subtree, and the drawn redex is found by walking down
 from the root, passing over whole children by their counts.
 `contract_at` shares every subterm that a step leaves unchanged, so
 only the rebuilt path and the contractum's new nodes are counted after
-a step.  The draw is `rng.choice(range(n))` for `n` redexes, which
-consumes the generator exactly as `rng.choice` over the list of the `n`
-candidates does, so a seed gives the same steps whether the candidates
-are listed or counted.
+a step.  Like the zipper's focus, the root is held without its
+ascriptions, so the run that steps at the root pile up is wrapped only
+for a recorded step and the returned term.  The draw is
+`rng.choice(range(n))` for `n` redexes, which consumes the generator
+exactly as `rng.choice` over the list of the `n` candidates does, so a
+seed gives the same steps whether the candidates are listed or counted.
 """
 
 from __future__ import annotations
@@ -170,7 +185,9 @@ def _rewrap(tys: Sequence, t: Term) -> Term:
 
 
 def subterm_at(t: Term, path: Path) -> Term:
-    return _descend([], t, path)
+    for i in path:
+        t = children(strip(t))[i]
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +351,12 @@ def contract_at(t: Term, path: Path, rule: Rule) -> Term:
     Only the nodes on `path` are rebuilt; every other subterm is shared
     with `t`.
     """
+    if not path and type(t) is not Ann:
+        # the zipper's step, on its ascription-free focus
+        return _contract(t, rule)
     frames: list[list] = []
-    tys, s = _peel(_descend(frames, t, path))
-    return _whole(frames, _rewrap(tys, _contract(s, rule)))
+    tys, s = _descend(frames, *_peel(t), path)
+    return _rewrap(*_whole(frames, _contract(s, rule), tys))
 
 
 def reducts(t: Term) -> list[tuple[Rule, Path, Term]]:
@@ -488,58 +508,79 @@ def _ended(t: Term, steps: list[Step], final: Term, count: int) -> ReductionTrac
     return ReductionTrace(t, steps, outcome, final, count)
 
 
+# The children that `_rule_at` reads: after a step, the zipper re-tests
+# only the ancestors that read the changed position (see the module
+# docstring).  By class, the one child, counted from the end, whose shape
+# decides the rule; a node of another class is never a redex.
+_READS = {App: -2, Abs: -1, Handler: -1, Cherry: -1, Exchange: -1}
+# the (node, child) classes where the rule reads the child's children too
+_READS_GRANDCHILDREN = {(Abs, App), (Exchange, Abs)}
+
+
 def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
     """Leftmost-outermost normalization on a zipper (see the module
-    docstring for why each step re-checks only a few ancestors).
+    docstring for why each step re-tests only a few ancestors).
 
     The term is held as a focus plus one frame per ascription-free
     ancestor, root first: [ascriptions, node, children, child index].
-    The child at a frame's index is stale while the focus is below it;
-    plugging the focus back in rebuilds the node.
+    The focus is held without its ascriptions, which form its own run
+    (outermost first), and a contractum's ascriptions join the run on
+    the inside.  The child at a frame's index and the frame's node are
+    stale while the focus is below it.  A frame is rebuilt, with the
+    focus wrapped in its run and plugged back in, only right before it
+    is re-tested after a step, when the search leaves it, and when the
+    whole term is recorded or returned.
     """
     frames: list[list] = []
-    focus = t
+    run, focus = _peel(t)
     steps: list[Step] = []
     count = 0
-    hit = _search([(t, ())], _rule_at)
+    hit = _search([(focus, ())], _rule_at)
     while hit is not None:
         rule, path = hit
-        focus = _descend(frames, focus, path)
+        run, focus = _descend(frames, run, focus, path)
         if count == fuel:
-            return ReductionTrace(t, steps, FuelExhausted(), _whole(frames, focus), count)
-        # the outermost frame the step can make a redex: the second
-        # nearest, or a binder further up whose variable the step drops
-        top = len(frames) - 2
-        if top > 0:
-            discarded = _discarded_vars(strip(focus), rule)
+            whole = _rewrap(*_whole(frames, focus, run))
+            return ReductionTrace(t, steps, FuelExhausted(), whole, count)
+        # the outermost frame whose redex test the step can change: a
+        # binder further up whose variable the step drops, ...
+        n = top = len(frames)
+        if n > 2:
+            discarded = _discarded_vars(focus, rule)
             if discarded:
-                # frames[top] too: it may be the Abs of an Exchange above it
-                for j in range(top + 1):
+                # frames[n - 2] too: it may be the Abs of an Exchange above it
+                for j in range(n - 1):
                     s = frames[j][1]
                     if type(s) is Abs and s.binder in discarded:
                         top = j - 1 if j and type(frames[j - 1][1]) is Exchange else j
                         break
-        else:
-            top = 0
+        # ... or an ancestor that reads the focus
+        if n > 1 and (type(frames[-2][1]), type(frames[-1][1])) in _READS_GRANDCHILDREN:
+            top = min(top, n - 2)
+        elif n and frames[-1][3] - len(frames[-1][2]) == _READS.get(type(frames[-1][1])):
+            top = min(top, n - 1)
         # the one call per step that contracts: the benchmark's tracer
         # counts steps and rules by wrapping `contract_at`
         focus = contract_at(focus, (), rule)
+        if type(focus) is Ann:
+            run, focus = _into_run(run, focus)
         count += 1
         if record_steps:
-            steps.append(Step(rule, tuple(frame[3] for frame in frames), _whole(frames, focus)))
-        # bring frames[top:] up to date, then re-check them outermost first
-        _whole(frames, focus, top)
+            path = tuple(frame[3] for frame in frames)
+            steps.append(Step(rule, path, _rewrap(*_whole(frames, focus, run))))
+        # bring frames[top:] up to date, then re-test them outermost first
         hit = None
-        for k in range(top, len(frames)):
-            rule = _rule_at(frames[k][1])
-            if rule is not None:
-                tys, s, _, _ = frames[k]
-                focus = _rewrap(tys, s)
-                del frames[k:]
-                hit = (rule, ())
-                break
-        if hit is not None:
-            continue
+        if top < n:
+            _whole(frames, focus, run, top)
+            for k in range(top, n):
+                rule = _rule_at(frames[k][1])
+                if rule is not None:
+                    run, focus = frames[k][0], frames[k][1]
+                    del frames[k:]
+                    hit = (rule, ())
+                    break
+            if hit is not None:
+                continue
         # then the contractum, then the right siblings of each ancestor,
         # deepest first
         hit = _search([(focus, ())], _rule_at)
@@ -549,58 +590,74 @@ def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
             if i + 1 < len(kids):
                 hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], _rule_at)
                 if hit is not None:
-                    kids[i] = focus
+                    kids[i] = _rewrap(run, focus)
                     rule, (j, *path) = hit
                     frame[3] = j
-                    focus = kids[j]
+                    run, focus = _peel(kids[j])
                     hit = (rule, path)
                     break
-            focus = _whole([frames.pop()], focus)
-    return _ended(t, steps, focus, count)
+            tys, s, kids, i = frames.pop()
+            kids[i] = _rewrap(run, focus)
+            run, focus = tys, rebuild(s, kids)
+    return _ended(t, steps, _rewrap(run, focus), count)
 
 
-def _descend(frames: list[list], focus: Term, path: Path) -> Term:
-    """The subterm of `focus` at `path`, pushing a frame for each
-    ascription-free node passed on the way."""
+def _into_run(run: list, t: Term) -> tuple[list, Term]:
+    """`t` without its outer ascriptions, which join the ascription run
+    `run` on the inside: the run, extended in place, and the node."""
+    tys, t = _peel(t)
+    if tys:
+        if run:
+            run.extend(tys)
+        else:
+            run = tys
+    return run, t
+
+
+def _descend(frames: list[list], run: Sequence, focus: Term, path: Path) -> tuple:
+    """The subterm of `focus`, an ascription-free node under the run
+    `run`, at `path`, as its run and node, pushing a frame for each node
+    passed on the way."""
     for i in path:
-        tys, s = _peel(focus)
-        kids = list(children(s))
-        frames.append([tys, s, kids, i])
-        focus = kids[i]
-    return focus
+        kids = list(children(focus))
+        frames.append([run, focus, kids, i])
+        run, focus = _peel(kids[i])
+    return run, focus
 
 
-def _whole(frames: list[list], focus: Term, top: int = 0) -> Term:
-    """The subterm at frames[top] with `focus` plugged in; the frames
-    from `top` down are brought up to date on the way."""
+def _whole(frames: list[list], focus: Term, run: Sequence, top: int = 0) -> tuple:
+    """The subterm at frames[top], with `focus` under its run `run`
+    plugged in, as its own run and node; the frames from `top` down are
+    brought up to date on the way."""
     for k in range(len(frames) - 1, top - 1, -1):
         frame = frames[k]
         tys, s, kids, i = frame
-        kids[i] = focus
-        frame[1] = s = rebuild(s, kids)
-        focus = _rewrap(tys, s)
-    return focus
+        kids[i] = _rewrap(run, focus)
+        frame[1] = focus = rebuild(s, kids)
+        run = tys
+    return run, focus
 
 
 def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
     rng = random.Random(seed)
     counts = _RedexCounts()
     steps: list[Step] = []
-    current = t
+    # the root is held without its ascriptions, as the zipper holds its focus
+    run, current = _peel(t)
     # one count more than there are steps: after the last step the term
     # may already be normal
     for spent in range(fuel + 1):
         n = counts.total(current)
         if not n:
-            return _ended(t, steps, current, spent)
+            return _ended(t, steps, _rewrap(run, current), spent)
         if spent == fuel:
             break
         # draws from the RNG exactly as `rng.choice(candidates(current))`
         rule, path = counts.find(current, rng.choice(range(n)))
-        current = contract_at(current, path, rule)
+        run, current = _into_run(run, contract_at(current, path, rule))
         if record_steps:
-            steps.append(Step(rule, path, current))
-    return ReductionTrace(t, steps, FuelExhausted(), current, fuel)
+            steps.append(Step(rule, path, _rewrap(run, current)))
+    return ReductionTrace(t, steps, FuelExhausted(), _rewrap(run, current), fuel)
 
 
 # the fewest entries at which `_RedexCounts` is due for a prune

@@ -512,8 +512,13 @@ def subst(t: Term, name: str, repl: Term) -> Term:
     return _subst(t, name, repl, _free_vars(repl))
 
 
-def _subst(t: Term, name: str, repl: Term, repl_fv: frozenset[str]) -> Term:
-    """`subst`'s walk: `repl_fv` is `repl`'s free variables."""
+def _subst(t: Term, name: str, repl: Term, repl_fv: frozenset[str], room: int = 100) -> Term:
+    """`subst`'s walk: `repl_fv` is `repl`'s free variables.
+
+    It recurses, the fast way for the usual shallow term, while `room`
+    levels are left; a subterm below that is walked from an explicit
+    stack (`_subst_deep`), so the recursion goes no deeper whatever the
+    term's depth."""
     cls = type(t)
     if cls is Var:
         return repl if t.name == name else t
@@ -521,28 +526,73 @@ def _subst(t: Term, name: str, repl: Term, repl_fv: frozenset[str]) -> Term:
         return t
     if name not in _free_vars(t):
         return t
+    if room <= 0:
+        return _subst_deep(t, name, repl, repl_fv)
+    room -= 1
     if cls is Abs:
-        binder2, body2 = _subst_under(t.binder, t.body, name, repl, repl_fv)
+        binder2, body2 = _subst_under(t.binder, t.body, name, repl, repl_fv, room)
         return t if body2 is t.body else Abs(binder2, body2)
     if cls is Op:
-        param2 = _subst(t.param, name, repl, repl_fv)
-        binder2, cont2 = _subst_under(t.binder, t.cont, name, repl, repl_fv)
+        param2 = _subst(t.param, name, repl, repl_fv, room)
+        binder2, cont2 = _subst_under(t.binder, t.cont, name, repl, repl_fv, room)
         if param2 is t.param and cont2 is t.cont:
             return t
         return Op(t.op, param2, binder2, cont2)
     kids = []
     for child in children(t):
-        kids.append(_subst(child, name, repl, repl_fv))
+        kids.append(_subst(child, name, repl, repl_fv, room))
     return rebuild(t, kids)
 
 
-def _subst_under(binder: str, body: Term, name, repl, repl_fv) -> tuple[str, Term]:
+def _subst_under(binder: str, body: Term, name, repl, repl_fv, room) -> tuple[str, Term]:
     """The binder and body after substituting in the body."""
     if binder == name:
         return binder, body
     if binder in repl_fv and name in _free_vars(body):
         binder, body = rename(binder, body, repl_fv | {name})
-    return binder, _subst(body, name, repl, repl_fv)
+    return binder, _subst(body, name, repl, repl_fv, room)
+
+
+def _subst_deep(t: Term, name: str, repl: Term, repl_fv: frozenset[str]) -> Term:
+    """`_subst` from an explicit stack: each node that holds `name` is
+    entered, its binder renamed as `_subst_under` does, and rebuilt once
+    its children are done."""
+    done: list[Term] = []
+    # a term to walk, (term,) for one kept as it is, or [node, binder] for
+    # a node to rebuild from its children's results, the last in `done`
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is list:
+            node, binder = t
+            k = len(done) - len(children(node))
+            kids = done[k:]
+            del done[k:]
+            if binder is None or binder == node.binder:
+                done.append(rebuild(node, kids))
+            elif type(node) is Abs:
+                done.append(Abs(binder, kids[0]))
+            else:
+                done.append(Op(node.op, kids[0], binder, kids[1]))
+        elif cls is tuple:
+            done.append(t[0])
+        elif cls is Var:
+            done.append(repl if t.name == name else t)
+        elif cls is Const or name not in _free_vars(t):
+            done.append(t)
+        else:
+            binder, kids = None, children(t)
+            if cls is Abs or cls is Op:
+                binder, body = t.binder, kids[-1]
+                if binder == name:
+                    body = (body,)
+                elif binder in repl_fv and name in _free_vars(body):
+                    binder, body = rename(binder, body, repl_fv | {name})
+                kids = (*kids[:-1], body)
+            todo.append([t, binder])
+            todo.extend(reversed(kids))
+    return done[0]
 
 
 def rename(binder: str, body: Term, avoid: frozenset[str]) -> tuple[str, Term]:

@@ -3,7 +3,8 @@
 The files under `expected/` pin what a refactoring must not change: the
 corpus report, the trace of the shipped declaration file (under the
 default strategy and under one seed of the random one), and every
-reduction step of the golden corpus.  After an intended change of
+reduction step of the golden corpus, and, ascriptions included, every
+step of a few runs that carry them.  After an intended change of
 output, re-record them from the repository root:
 
     python -m efflam fragment --format text > tests/expected/fragment.text
@@ -18,6 +19,8 @@ output, re-record them from the repository root:
         --format records > tests/expected/trace-fragment-lam-random-seed7.records
     python -c "from tests.test_recorded_output import golden_steps; \\
         print(golden_steps(), end='')" > tests/expected/golden-steps.txt
+    python -c "from tests.test_recorded_output import ascribed_steps; \\
+        print(ascribed_steps(), end='')" > tests/expected/ascribed-steps.txt
 
 The `check` output of a file with deep directives (see `deep_declarations`)
 is recorded the same way:
@@ -30,6 +33,7 @@ is recorded the same way:
 
 from __future__ import annotations
 
+import hashlib
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +45,7 @@ from efflam.reduce import normalize
 from efflam.surface import print_path, print_term
 from efflam.syntax import Const, erase
 
+from .test_reduce import _handled_chain, _ladder
 from .test_typecheck import ladder_source, two_round_nest
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -61,6 +66,36 @@ def golden_steps() -> str:
                 f"{entry.number} {i} {step.rule.value} {print_path(step.path)} "
                 f"{print_term(erase(step.term))}\n"
             )
+    return "".join(lines)
+
+
+# a printed step term longer than this is recorded by a digest of its print
+_PRINT_AT_MOST = 400
+
+
+def ascribed_steps() -> str:
+    """One line per step, ascriptions not erased, of the handled chain
+    with an ascribed clause at n = 3 and the d8 ladder under both
+    strategies (seed 7), and of each golden entry under the default one:
+    run, strategy, step number, rule, position, and the printed term, or
+    the first 16 hex digits of the print's SHA-256 where it is longer
+    than 400 characters."""
+    both = ("leftmostOutermost", "randomSeeded")
+    runs = [("chain3", _handled_chain(3, ascribed=True), both), ("ladder8", _ladder(8), both)]
+    runs += [
+        (f"golden{entry.number}", entry.term(Const("s")), both[:1]) for entry in GOLDENS
+    ]
+    lines = []
+    for name, term, strategies in runs:
+        for strategy in strategies:
+            trace = normalize(term, strategy, seed=7)
+            for i, step in enumerate(trace.steps, start=1):
+                printed = print_term(step.term)
+                if len(printed) > _PRINT_AT_MOST:
+                    printed = "sha256:" + hashlib.sha256(printed.encode()).hexdigest()[:16]
+                lines.append(
+                    f"{name} {strategy} {i} {step.rule.value} {print_path(step.path)} {printed}\n"
+                )
     return "".join(lines)
 
 
@@ -105,6 +140,14 @@ def test_golden_steps_are_unchanged():
     assert len(got) == len(want)
     for line, (mine, recorded) in enumerate(zip(got, want), start=1):
         assert mine == recorded, f"golden-steps.txt line {line}"
+
+
+def test_ascribed_steps_are_unchanged():
+    got = ascribed_steps().splitlines(keepends=True)
+    want = _recorded("ascribed-steps.txt").splitlines(keepends=True)
+    assert len(got) == len(want)
+    for line, (mine, recorded) in enumerate(zip(got, want), start=1):
+        assert mine == recorded, f"ascribed-steps.txt line {line}"
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])

@@ -12,12 +12,16 @@ from efflam import reduce as reduce_module
 from efflam.fragment import GOLDENS, Branch, Word, denote, with_speaker
 from efflam.prelude import eta_identity
 from efflam.reduce import (
+    _READS,
+    _READS_GRANDCHILDREN,
     ConfluenceError,
     FuelExhausted,
     NormalForm,
     Rule,
     Stuck,
     _blocked,
+    _peel,
+    _rewrap,
     _rule_at,
     blocked_at,
     candidates,
@@ -45,9 +49,11 @@ from efflam.syntax import (
     alpha_eq,
     children,
     erase,
+    rebuild,
+    strip,
 )
-from efflam.typecheck import check_against, synthesize
-from efflam.verify import _ROWS, _sample_type, sample_typed
+from efflam.typecheck import check_against, clause_type, synthesize
+from efflam.verify import _ROWS, OPERATIONS, _sample_type, sample_typed
 from .conftest import redex_terms, terms
 
 DECLS = """
@@ -240,6 +246,17 @@ def _nest(depth, inner):
     return inner
 
 
+def test_a_beta_step_substitutes_at_any_depth():
+    # the substitution enters 3,000 levels to reach the variable
+    trace = normalize(App(Abs("x", _nest(3000, Var("x"))), Const("j")))
+    assert isinstance(trace.outcome, NormalForm) and trace.step_count == 1
+    final = trace.final
+    for _ in range(3000):
+        assert type(final) is Eta
+        final = final.value
+    assert final == Const("j")
+
+
 def test_deep_terms_normalize_without_recursion():
     # the redex search, the stuck check and the full candidate list walk
     # with explicit stacks, so depth is not bounded by the interpreter's
@@ -256,25 +273,54 @@ def test_deep_terms_normalize_without_recursion():
     )
 
 
-def _handled_chain(n):
+def _handled_chain(n, ascribed=False):
     # handle { op1 -> \p. \k. k p, eta -> \x. eta x }
     #   (do op1(a0, \y0. do op1(y0, \y1. ... eta y_{n-1})))
+    # with the clause ascribed, each handled call's betas leave one more
+    # ascription around the rest of the chain
     body = Eta(Var(f"y{n - 1}"))
     for i in reversed(range(n)):
         body = Op("op1", Const("a0") if i == 0 else Var(f"y{i - 1}"), f"y{i}", body)
     clause = Abs("p", Abs("k", App(Var("k"), Var("p"))))
+    if ascribed:
+        clause = Ann(clause, clause_type(OPERATIONS.get("op1"), Comp(EMPTY_ROW, A)))
     return Handler((("op1", clause),), Abs("x", Eta(Var("x"))), body)
 
 
 @pytest.mark.parametrize("strategy", ["leftmostOutermost", "randomSeeded"])
-def test_a_long_handled_chain_normalizes(strategy):
+def test_a_long_handled_chain_normalizes(strategy, monkeypatch):
     # each call takes bananaOp and three betas, and the last beta of each
     # substitutes into the whole rest of the chain: substitution must
-    # enter only the paths to the variable, not recurse down the chain
-    trace = normalize(_handled_chain(2000), strategy, record_steps=False)
-    assert isinstance(trace.outcome, NormalForm)
-    assert trace.final == Eta(Const("a0"))
-    assert trace.step_count == 4 * 2000 + 2
+    # enter only the paths to the variable, not recurse down the chain.
+    # With the clause ascribed, the run of ascriptions around the rest of
+    # the chain grows by one per call: a step must not wrap it again, so
+    # the ascriptions built are counted, not timed
+    built = 0
+    init = Ann.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    for ascribed in (False, True):
+        term = _handled_chain(2000, ascribed)
+        built = 0
+        monkeypatch.setattr(Ann, "__init__", counted)
+        trace = normalize(term, strategy, record_steps=False)
+        monkeypatch.undo()
+        assert isinstance(trace.outcome, NormalForm)
+        assert strip(trace.final) == Eta(Const("a0"))
+        assert trace.step_count == 4 * 2000 + 2
+        if not ascribed:
+            assert built == 0
+        elif strategy == "leftmostOutermost":
+            # three per call, and one per call in the final term's run
+            assert built <= trace.step_count + 1
+        else:
+            # the random strategy wraps the runs on the path to each
+            # redex below the root again; they stay short on this chain
+            assert built <= 2 * trace.step_count
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +604,82 @@ def test_a_handler_dropping_its_clauses_can_make_a_binder_an_eta_redex():
     ]
     for seed in range(4):
         _assert_random_agrees_with_rescan(term, seed)
+
+
+_READ_TEST_TERMS = [
+    Var("x"),
+    Const("c"),
+    Abs("x", Var("x")),
+    Abs("x", Eta(Var("x"))),
+    App(Const("f"), Var("x")),
+    Eta(Const("c")),
+    Op("op1", Var("x"), "y", Eta(Var("y"))),
+    Ann(Abs("x", Var("x")), Fun(A, A)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms | redex_terms, st.lists(terms | redex_terms, max_size=3))
+def test_the_rule_reads_only_the_children_the_zipper_re_tests(tm, drawn):
+    # the zipper re-tests a node after a step below it only where the
+    # tables say that `_rule_at` reads the changed position
+    others = _READ_TEST_TERMS + drawn
+    for s, _ in _preorder(tm):
+        rule = _rule_at(s)
+        kids = list(children(s))
+        if isinstance(s, Abs):
+            others = others + [Var(s.binder)]
+        for i, kid in enumerate(kids):
+            if i - len(kids) != _READS.get(type(s)):
+                for other in others:
+                    assert _rule_at(rebuild(s, kids[:i] + [other] + kids[i + 1 :])) == rule
+            tys, child = _peel(kid)
+            if (type(s), type(child)) in _READS_GRANDCHILDREN:
+                continue
+            grandkids = list(children(child))
+            for j in range(len(grandkids)):
+                for other in others:
+                    changed = rebuild(child, grandkids[:j] + [other] + grandkids[j + 1 :])
+                    new = kids[:i] + [_rewrap(tys, changed)] + kids[i + 1 :]
+                    assert _rule_at(rebuild(s, new)) == rule
+
+
+_RUN_TYPES = [A, Fun(A, Comp(EMPTY_ROW, A)), Comp(EMPTY_ROW, A)]
+
+
+def _under_runs(rng, t):
+    """`t` with a run of one to three ascriptions around some subterms."""
+    t = rebuild(t, [_under_runs(rng, kid) for kid in children(t)])
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            t = Ann(t, rng.choice(_RUN_TYPES))
+    return t
+
+
+def test_resumed_search_on_the_ascribed_chain():
+    # the focus's run grows at every handled call, and ancestor hits,
+    # right-sibling moves and pops each meet it
+    chain = _handled_chain(30, ascribed=True)
+    _assert_agrees_with_rescan(chain)
+    for seed in range(4):
+        _assert_random_agrees_with_rescan(chain, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms | redex_terms, st.randoms(use_true_random=False))
+def test_resumed_search_on_terms_under_ascription_runs(tm, rng):
+    tm = _under_runs(rng, tm)
+    _assert_agrees_with_rescan(tm, fuel=60)
+    for seed in range(3):
+        _assert_random_agrees_with_rescan(tm, seed, fuel=60)
+
+
+def test_resumed_search_under_binders_and_ascription_runs():
+    rng = random.Random(7)
+    for term in _far_binder_terms(rng, 1000):
+        term = _under_runs(rng, term)
+        _assert_agrees_with_rescan(term, rng.choice([0, 1, 2, 5, 40]))
+        _assert_random_agrees_with_rescan(term, rng.randrange(4), fuel=40)
 
 
 def _far_binder_terms(rng, count):

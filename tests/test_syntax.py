@@ -36,6 +36,7 @@ from efflam.syntax import (
     size,
     subst,
 )
+from efflam.syntax import _subst
 from efflam.surface import print_term
 from . import oracle
 from .conftest import NAMES, redex_terms, terms
@@ -266,6 +267,41 @@ def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
     got = subst(fresh, x, r)
     assert got == subst(_fresh_copy(t), x, r) == subst(t, x, r)
     assert (got is fresh) == (x not in free_vars(t))
+
+
+@settings(max_examples=400)
+@given(terms, st.sampled_from(NAMES), terms, st.integers(0, 4))
+def test_subst_from_the_explicit_stack_agrees_with_the_recursion(t, x, r, room):
+    # below `room` levels the walk goes on from an explicit stack; where
+    # it switches must change nothing, fresh names and sharing included
+    got = _subst(t, x, r, free_vars(r), room)
+    assert got == subst(t, x, r)
+    assert (got is t) == (x not in free_vars(t))
+
+
+def _eta_nest(depth, inner):
+    for _ in range(depth):
+        inner = Eta(inner)
+    return inner
+
+
+def _eta_unnest(t, depth):
+    for _ in range(depth):
+        assert type(t) is Eta
+        t = t.value
+    return t
+
+
+def test_subst_is_not_bounded_by_the_recursion_limit():
+    deep = _eta_nest(3000, App(Var("x"), Var("y")))
+    assert _eta_unnest(subst(deep, "x", Const("c")), 3000) == App(Const("c"), Var("y"))
+    # a binder far down that the replacement would capture is renamed
+    renamed = subst(Abs("y", deep), "x", Var("y"))
+    assert renamed.binder == "y'"
+    assert _eta_unnest(renamed.body, 3000) == App(Var("y"), Var("y'"))
+    # a continuation far down that binds the name keeps it
+    bound = _eta_nest(3000, Op("op1", Var("x"), "x", Var("x")))
+    assert _eta_unnest(subst(bound, "x", Const("c")), 3000) == Op("op1", Const("c"), "x", Var("x"))
 
 
 def test_subst_leaves_nothing_for_the_cyclic_collector():
