@@ -66,10 +66,12 @@ walked once, not once per step.
 
 A random-strategy step also costs work in the depth of its redex, not
 in the size of the term.  It draws one of the term's redexes uniformly,
-numbered in `candidates` order, but it never lists them: a memo keyed
-by node identity (`_RedexCounts`) holds each node's rule and the number
-of redexes in its subtree, and the drawn redex is found by walking down
-from the root, passing over whole children by their counts.
+numbered in `candidates` order, but it never lists them: like free
+variables, the number of redexes in a node's subtree is counted once
+and kept on the node (`_redexes`), so the counts live exactly as long
+as the term does.  The drawn redex is found by walking down from the
+root, passing over whole children by their counts (`_find`); a node is
+itself a redex exactly when it counts more redexes than its children.
 `contract_at` shares every subterm that a step leaves unchanged, so
 only the rebuilt path and the contractum's new nodes are counted after
 a step.  Like the zipper's focus, the root is held without its
@@ -103,6 +105,7 @@ from .syntax import (
     Path,
     Term,
     Var,
+    _cache,
     canonical_key,
     children,
     free_vars,
@@ -640,131 +643,76 @@ def _whole(frames: list[list], focus: Term, run: Sequence, top: int = 0) -> tupl
 
 def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
     rng = random.Random(seed)
-    counts = _RedexCounts()
     steps: list[Step] = []
     # the root is held without its ascriptions, as the zipper holds its focus
     run, current = _peel(t)
     # one count more than there are steps: after the last step the term
     # may already be normal
     for spent in range(fuel + 1):
-        n = counts.total(current)
+        n = _redexes(current)
         if not n:
             return _ended(t, steps, _rewrap(run, current), spent)
         if spent == fuel:
             break
         # draws from the RNG exactly as `rng.choice(candidates(current))`
-        rule, path = counts.find(current, rng.choice(range(n)))
+        rule, path = _find(current, rng.choice(range(n)))
         run, current = _into_run(run, contract_at(current, path, rule))
         if record_steps:
             steps.append(Step(rule, path, _rewrap(run, current)))
     return ReductionTrace(t, steps, FuelExhausted(), _rewrap(run, current), fuel)
 
 
-# the fewest entries at which `_RedexCounts` is due for a prune
-_PRUNE_AT_LEAST = 1024
+def _redexes(t: Term, room: int = 100) -> int:
+    """The number of redexes of `t`, a shared subterm counted once per
+    position, as in `candidates`.
 
-
-class _RedexCounts:
-    """Redexes per subterm, with a memo keyed by node identity, for one
-    random-strategy normalization.
-
-    `memo` maps the id of every ascription-free node counted to the node
-    itself (so the id cannot be reused while the entry lives), the rule
-    at the node (`_rule_at`, or None) and the number of redexes in its
-    subtree, where a shared subterm counts once per position, as in
-    `candidates`.  The memo is closed under subterms: a node's entry
-    implies entries for every ascription-free node below it but
-    variables and constants.
-
-    Counting recurses, the fast way for the usual shallow term, and once
-    `_room` levels are used up it first counts every uncounted subterm
+    Terms are immutable, so each ascription-free compound node keeps its
+    count on itself, as `_nredex`, once asked, and the counts live
+    exactly as long as the term does.  Counting fills every uncounted
+    node of `t`: it recurses, the fast way for the usual shallow term,
+    while `room` levels are left; then it first fills the nodes below
     bottom-up from an explicit stack, so the recursion goes no deeper
-    whatever the term's depth.  Once the memo has doubled since the last
-    prune (and holds at least 1,024 entries), `total` prunes it to the
-    nodes of the current term, so old terms are not kept alive.  The
-    memo holds every node of that term, so a prune costs O(1) per entry,
-    amortized.
-    """
-
-    def __init__(self) -> None:
-        self.memo: dict[int, tuple] = {}
-        # how many more levels the recursion may go before counting bottom-up
-        self._room = 100
-        self._prune_at = _PRUNE_AT_LEAST
-
-    def total(self, t: Term) -> int:
-        """The number of redexes of the whole term `t`."""
-        n = self.count(t)
-        if len(self.memo) >= self._prune_at:
-            self.prune(t)
+    whatever the term's depth."""
+    while type(t) is Ann:
+        t = t.term
+    cls = type(t)
+    if cls is Var or cls is Const:
+        return 0
+    n = t._nredex
+    if n is not None:
         return n
+    if room <= 0:
+        # deepest first, so that none of them recurses further
+        for node in reversed(list(nodes(list(children(t)), lambda s: s._nredex is not None))):
+            _redexes(node, 1)
+    # after a step, all but one child of each new node are counted
+    room -= 1
+    n = 0 if _rule_at(t) is None else 1
+    for kid in children(t):
+        n += _redexes(kid, room)
+    _cache(t, "_nredex", n)
+    return n
 
-    def prune(self, root: Term) -> None:
-        """Keep only the entries of nodes of `root`, in one walk of `root`
-        that costs its size."""
-        memo = self.memo
-        kept = {}
-        for t in nodes([root]):
-            hit = memo.get(id(t))
-            if hit is not None:
-                kept[id(t)] = hit
-        self.memo = kept
-        self._prune_at = max(2 * len(kept), _PRUNE_AT_LEAST)
 
-    def count(self, t: Term) -> int:
-        """The number of redexes of `t`, counted for every uncounted
-        node of `t`."""
+def _find(t: Term, k: int) -> tuple[Rule, Path]:
+    """The `k`-th redex of the counted term `t` (from 0) in `candidates`
+    order: pre-order, children left to right.  A node is a redex exactly
+    when it counts more redexes than its children do together, so only
+    the drawn node's rule is looked up."""
+    path = []
+    while True:
         while type(t) is Ann:
             t = t.term
-        cls = type(t)
-        if cls is Var or cls is Const:
-            return 0
-        memo = self.memo
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[2]
-        if self._room <= 0:
-            for node in reversed(list(nodes(list(children(t)), lambda s: id(s) in memo))):
-                self.count(node)
-        # after a step, all but one child of each new node are in the memo
-        self._room -= 1
-        n = 0
-        for kid in children(t):
-            while type(kid) is Ann:
-                kid = kid.term
-            cls = type(kid)
-            if cls is not Var and cls is not Const:
-                hit = memo.get(id(kid))
-                n += self.count(kid) if hit is None else hit[2]
-        self._room += 1
-        rule = _rule_at(t)
-        if rule is not None:
-            n += 1
-        memo[id(t)] = (t, rule, n)
-        return n
-
-    def find(self, t: Term, k: int) -> tuple[Rule, Path]:
-        """The `k`-th redex of the counted term `t` (from 0) in
-        `candidates` order: pre-order, children left to right."""
-        memo = self.memo
-        path = []
-        while True:
-            while type(t) is Ann:
-                t = t.term
-            rule = memo[id(t)][1]
-            if rule is not None:
-                if not k:
-                    return rule, tuple(path)
-                k -= 1
-            # k < the count of t's subtree, so some child holds the redex
-            for i, kid in enumerate(children(t)):
-                while type(kid) is Ann:
-                    kid = kid.term
-                cls = type(kid)
-                if cls is not Var and cls is not Const:
-                    n = memo[id(kid)][2]
-                    if k < n:
-                        break
-                    k -= n
-            path.append(i)
-            t = kid
+        kids = children(t)
+        counts = [_redexes(kid) for kid in kids]
+        if t._nredex > sum(counts):
+            if not k:
+                return _rule_at(t), tuple(path)
+            k -= 1
+        # k < the count of t's subtree, so some child holds the redex
+        for i, n in enumerate(counts):
+            if k < n:
+                break
+            k -= n
+        path.append(i)
+        t = kids[i]

@@ -291,9 +291,13 @@ class Ann:
 
 Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
 
-# `free_vars` caches a compound node's free variables on the node itself
+# Every per-node cache, written once on the node itself: `free_vars`
+# keeps a compound node's free variables as `_fv`, and the random
+# strategy (`reduce._redexes`) an ascription-free one's redex count as
+# `_nredex`
 for _compound in (Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann):
     _compound._fv = None
+    _compound._nredex = None
 del _compound
 
 # a position in a term: child indices, in `children` order, from the root
@@ -671,7 +675,15 @@ def _key(t: Term, env: dict[str, int], depth: int, parts: list[str]) -> None:
 
 
 def size(t: Term) -> int:
-    """Node count; ascriptions are transparent."""
-    while isinstance(t, Ann):
-        t = t.term
-    return 1 + sum(map(size, children(t)))
+    """Node count; ascriptions are transparent, and a shared subterm
+    counts once per position.  Walks from an explicit stack, so any
+    depth is counted."""
+    n = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while type(t) is Ann:
+            t = t.term
+        n += 1
+        stack.extend(children(t))
+    return n

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for randomly shaped (untyped) terms and
-types, and a fixture that counts free-variable cache fills."""
+types, a fixture that counts free-variable cache fills, and a copier of
+terms that starts their per-node caches afresh."""
 
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from efflam.syntax import (
     Op,
     Signature,
     Var,
+    children,
+    rebuild,
 )
 
 NAMES = ["x", "y", "z", "u"]
@@ -113,8 +116,19 @@ def free_var_fills(monkeypatch):
 
     def counted(t, key, value):
         nonlocal filled
-        filled += 1
+        # other per-node caches are written through `_cache` too
+        if key == "_fv":
+            filled += 1
         cache(t, key, value)
 
     monkeypatch.setattr(syntax, "_cache", counted)
     return lambda: filled
+
+
+def fresh_copy(t):
+    """A structural copy of `t` that shares no node with it, so none of
+    its per-node caches is filled yet."""
+    kids = children(t)
+    if not kids:
+        return type(t)(t.name)
+    return rebuild(t, [fresh_copy(kid) for kid in kids])

@@ -21,6 +21,7 @@ from efflam.reduce import (
     Stuck,
     _blocked,
     _peel,
+    _redexes,
     _rewrap,
     _rule_at,
     blocked_at,
@@ -49,12 +50,14 @@ from efflam.syntax import (
     alpha_eq,
     children,
     erase,
+    nodes,
     rebuild,
+    size,
     strip,
 )
 from efflam.typecheck import check_against, clause_type, synthesize
 from efflam.verify import _ROWS, OPERATIONS, _sample_type, sample_typed
-from .conftest import redex_terms, terms
+from .conftest import fresh_copy, redex_terms, terms
 
 DECLS = """
 atom iota. atom o.
@@ -267,6 +270,7 @@ def test_deep_terms_normalize_without_recursion():
     assert candidates(deep) == [(Rule.beta, (0,) * 3000)]
     assert isinstance(normalize(deep).outcome, NormalForm)
     assert isinstance(normalize(deep, "randomSeeded").outcome, NormalForm)
+    assert size(_nest(3000, Const("j"))) == 3001
     assert blocked_at(_nest(3000, Cherry(Op("speaker", Const("*"), "x", Eta(Var("x")))))) == (
         (0,) * 3000,
         "extract is stuck: the computation performs operation speaker",
@@ -742,22 +746,11 @@ _W = Abs("x", Abs("y", App(App(Var("x"), Var("x")), Var("y"))))
 _SELF_ETA = App(_W, _W)
 
 
-def test_resumed_search_agrees_with_a_rescan_across_memo_prunes(monkeypatch):
+def test_long_runs_agree_with_a_rescan():
     trace = _assert_agrees_with_rescan(_SELF_ETA, fuel=5_000)
     assert isinstance(trace.outcome, FuelExhausted)
-    # the random strategy's redex counts are pruned as they grow
-    pruned = 0
-    prune = reduce_module._RedexCounts.prune
-
-    def counted(self, root):
-        nonlocal pruned
-        pruned += 1
-        prune(self, root)
-
-    monkeypatch.setattr(reduce_module._RedexCounts, "prune", counted)
     trace = _assert_random_agrees_with_rescan(_SELF_ETA, 0, fuel=5_000)
     assert isinstance(trace.outcome, FuelExhausted)
-    assert pruned >= 2
 
 
 def _binder_chain(depth):
@@ -823,6 +816,53 @@ def test_random_strategy_under_binders_that_steps_deep_inside_free():
             _assert_random_agrees_with_rescan(term, seed, fuel=40)
 
 
+def _assert_counts_match_candidates(term):
+    # once with the recursion cut off at once, so every node below the
+    # root is filled from the explicit stack, once recursing
+    for room in (0, 100):
+        t = fresh_copy(term)
+        assert all(node._nredex is None for node in nodes([t]))
+        assert _redexes(t, room) == len(candidates(t))
+        for node in nodes([t]):
+            if type(node) is Ann:
+                assert node._nredex is None
+            else:
+                assert node._nredex == len(candidates(node))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms | redex_terms)
+def test_redex_counts_agree_with_the_candidates(tm):
+    _assert_counts_match_candidates(tm)
+
+
+def test_redex_counts_agree_with_the_candidates_on_goldens_and_far_binders():
+    for entry in GOLDENS:
+        _assert_counts_match_candidates(entry.term(Const("s")))
+    for term in _far_binder_terms(random.Random(7), 300):
+        _assert_counts_match_candidates(term)
+
+
+def test_a_second_normalization_counts_no_node_of_the_initial_term(monkeypatch):
+    filled = []
+    cache = reduce_module._cache
+
+    def counted(t, key, value):
+        filled.append(t)
+        cache(t, key, value)
+
+    monkeypatch.setattr(reduce_module, "_cache", counted)
+    for entry in GOLDENS:
+        term = fresh_copy(entry.term(Const("s")))
+        normalize(term, "randomSeeded", seed=0, record_steps=False)
+        filled.clear()
+        trace = normalize(term, "randomSeeded", seed=1, record_steps=False)
+        # the steps' new nodes are counted, and only they
+        assert trace.step_count and filled
+        initial = {id(node) for node in nodes([term])}
+        assert not any(id(node) in initial for node in filled)
+
+
 _OMEGA = App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("x"))))
 
 
@@ -831,7 +871,8 @@ _OMEGA = App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("x"))
     [
         # each step of omega builds a new term
         pytest.param("randomSeeded", _OMEGA, (2_000, 20_000), id="randomSeeded"),
-        # both fuels go past the first prune, at about 2,000 steps
+        # each step rebuilds the term under `\y`, and every other step
+        # caches free variables on the new nodes
         pytest.param("leftmostOutermost", _SELF_ETA, (5_000, 20_000), id="leftmostOutermost"),
     ],
 )

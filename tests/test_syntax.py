@@ -39,7 +39,7 @@ from efflam.syntax import (
 from efflam.syntax import _subst
 from efflam.surface import print_term
 from . import oracle
-from .conftest import NAMES, redex_terms, terms
+from .conftest import NAMES, fresh_copy, redex_terms, terms
 
 A = Atom("A")
 B = Atom("B")
@@ -261,11 +261,11 @@ def test_subst_agrees_with_the_rescanning_reference(t, x, r):
 def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
     # the cache only tells the walk which subterms to skip: the result,
     # fresh names included, is the same whether it knows much or nothing
-    fresh = _fresh_copy(t)
+    fresh = fresh_copy(t)
     if filled:
         free_vars(fresh)
     got = subst(fresh, x, r)
-    assert got == subst(_fresh_copy(t), x, r) == subst(t, x, r)
+    assert got == subst(fresh_copy(t), x, r) == subst(t, x, r)
     assert (got is fresh) == (x not in free_vars(t))
 
 
@@ -345,14 +345,6 @@ def _free_vars_by_recursion(t):
     return frozenset().union(*map(_free_vars_by_recursion, children(t)))
 
 
-def _fresh_copy(t):
-    """A structural copy of `t` that shares no node with it."""
-    kids = children(t)
-    if not kids:
-        return type(t)(t.name)
-    return rebuild(t, [_fresh_copy(kid) for kid in kids])
-
-
 def _cached_nodes(t):
     """The compound nodes of `t` whose free variables are cached."""
     return [node for node in nodes([t]) if node._fv is not None]
@@ -371,7 +363,7 @@ def test_free_var_memo_agrees_with_the_recursive_reference(t):
 @settings(max_examples=300)
 @given(terms | redex_terms)
 def test_the_free_var_cache_is_invisible(t):
-    twin = _fresh_copy(t)
+    twin = fresh_copy(t)
     got = free_vars(t)
     assert got == _free_vars_by_recursion(t)
     assert all(node._fv is None for node in nodes([twin]))
