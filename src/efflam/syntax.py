@@ -147,13 +147,15 @@ class Context:
     `defs` is read at parse time only, by the parser; `vars` at check
     time only, by the checker.
 
-    `typings` is the checker's record of what it found for the terms
-    checked against this context (see `typecheck`), made by the first
-    check that needs it and freed with the context.  It is reused by
-    every later check, so a context's atoms, constants, operations and
-    `vars` must not change once a term has been checked against it
-    (`parse_file` grows a context that is never checked).  Equality and
-    `repr` ignore it, and `dataclasses.replace` starts a new one.
+    `typings` is the context's token for the checker (see `typecheck`):
+    an ascription or a handler checked against the context keeps on
+    itself what the checker found, under the token, and later checks
+    against the context reuse it.  So a context's atoms, constants,
+    operations and `vars` must not change once a term has been checked
+    against it (`parse_file` grows a context that is never checked).
+    `bind` passes the token on, so the nested scopes of a context share
+    it; `dataclasses.replace` makes a new one, so nothing found against
+    the old context is reused.  Equality and `repr` ignore it.
     """
 
     atoms: set[str]
@@ -162,7 +164,7 @@ class Context:
     operations: Signature | Mapping[str, tuple[Type, Type]]
     defs: dict[str, "Term"] = field(default_factory=dict)
     vars: dict[str, Type] = field(default_factory=dict)
-    typings: dict | None = field(default=None, init=False, repr=False, compare=False)
+    typings: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     @staticmethod
     def initial(
@@ -175,9 +177,11 @@ class Context:
         return Context({UNIT.name, *atoms}, {"*": UNIT, **constants}, operations, defs or {})
 
     def bind(self, name: str, ty: Type) -> "Context":
-        return Context(
+        inner = Context(
             self.atoms, self.constants, self.operations, self.defs, {**self.vars, name: ty}
         )
+        inner.typings = self.typings
+        return inner
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +295,15 @@ class Ann:
 
 Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
 
-# Every per-node cache, written once on the node itself: `free_vars`
-# keeps a compound node's free variables as `_fv`, and the random
+# Every per-node cache, written through `_cache` on the node itself:
+# `free_vars` keeps a compound node's free variables as `_fv`, the random
 # strategy (`reduce._redexes`) an ascription-free one's redex count as
-# `_nredex`
+# `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
+# handler's typings in its last context as `_typed`
 for _compound in (Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann):
     _compound._fv = None
     _compound._nredex = None
+    _compound._typed = None
 del _compound
 
 # a position in a term: child indices, in `children` order, from the root
@@ -607,10 +613,53 @@ def rename(binder: str, body: Term, avoid: frozenset[str]) -> tuple[str, Term]:
 
 
 def erase(t: Term) -> Term:
-    """Strip every type ascription."""
-    while isinstance(t, Ann):
+    """Strip every type ascription.
+
+    A subterm without ascriptions comes back as the very same object,
+    and a node is rebuilt only when one of its children changed."""
+    return _erase(t)
+
+
+def _erase(t: Term, room: int = 100) -> Term:
+    """`erase`'s walk: it recurses while `room` levels are left, and
+    walks a subterm below that from an explicit stack (`_erase_deep`),
+    so the recursion goes no deeper whatever the term's depth."""
+    while type(t) is Ann:
         t = t.term
-    return rebuild(t, tuple(map(erase, children(t))))
+    kids = children(t)
+    if not kids:
+        return t
+    if room <= 0:
+        return _erase_deep(t)
+    room -= 1
+    return rebuild(t, [_erase(kid, room) for kid in kids])
+
+
+def _erase_deep(t: Term) -> Term:
+    """`_erase` from an explicit stack: each node is rebuilt once its
+    children are done."""
+    done: list[Term] = []
+    # a term to walk, or [node] for a node to rebuild from its children's
+    # results, the last in `done`
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is list:
+            (node,) = t
+            k = len(done) - len(children(node))
+            kids = done[k:]
+            del done[k:]
+            done.append(rebuild(node, kids))
+            continue
+        while type(t) is Ann:
+            t = t.term
+        kids = children(t)
+        if kids:
+            todo.append([t])
+            todo.extend(reversed(kids))
+        else:
+            done.append(t)
+    return done[0]
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

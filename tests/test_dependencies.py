@@ -2,8 +2,9 @@
 its modules and tests are Python 3.10 syntax, as `pyproject.toml`
 promises, no function in it leaves a reference cycle behind per
 call, no function imports one of its modules unless listed with a
-reason, every private module-level name in it is used, and the typing
-errors it raises are of the documented kinds."""
+reason, every private module-level name in it is used, the typing
+errors it raises are of the documented kinds, and every per-node cache
+it writes is declared in `syntax`'s one list."""
 
 from __future__ import annotations
 
@@ -356,9 +357,9 @@ def f(path, kind):
 _EXACT_DISPATCH = {
     ("typecheck.py", "subtype"),
     ("typecheck.py", "well_formed"),
-    ("typecheck.py", "_Checker._synth"),
-    ("typecheck.py", "_Checker._check"),
-    ("typecheck.py", "_Checker._fun_to_comp"),
+    ("typecheck.py", "_synth"),
+    ("typecheck.py", "_check"),
+    ("typecheck.py", "_fun_to_comp"),
     ("typecheck.py", "_handler_rule"),
     ("syntax.py", "_key"),
     ("syntax.py", "_free_vars"),
@@ -427,3 +428,57 @@ def dispatch(t):
         "outer.inner": True,
         "dispatch": False,
     }
+
+
+def _cache_writes(source):
+    """The attribute names written through `_cache(node, "name", value)`."""
+    return {
+        node.args[1].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_cache"
+        and isinstance(node.args[1], ast.Constant)
+    }
+
+
+def _declared_caches(source):
+    """The attribute names that a module-level `for` loop sets to None on
+    each class it goes through, as `syntax` declares the per-node caches."""
+    return {
+        target.attr
+        for loop in ast.parse(source).body
+        if isinstance(loop, ast.For)
+        for statement in loop.body
+        if isinstance(statement, ast.Assign)
+        and isinstance(statement.value, ast.Constant)
+        and statement.value.value is None
+        for target in statement.targets
+        if isinstance(target, ast.Attribute)
+    }
+
+
+def test_every_per_node_cache_is_declared_once_and_written():
+    # a name written but not declared would raise on a frozen node's
+    # first read; one declared but never written is dead
+    written = set().union(*(_cache_writes(path.read_text()) for path in SOURCES))
+    syntax = next(path for path in SOURCES if path.name == "syntax.py")
+    assert written == _declared_caches(syntax.read_text()) == {"_fv", "_nredex", "_typed"}
+
+
+def test_the_cache_scans_see_writes_and_declarations():
+    source = """
+for _c in (A, B):
+    _c._a = None
+    _c._b = None
+    _c.other = 0
+
+
+def f(t):
+    _cache(t, "_a", 1)
+    if t:
+        _cache(t.kid, "_c", [t])
+    object.__setattr__(t, "_d", 2)
+"""
+    assert _cache_writes(source) == {"_a", "_c"}
+    assert _declared_caches(source) == {"_a", "_b"}

@@ -271,6 +271,17 @@ def test_deep_terms_normalize_without_recursion():
     assert isinstance(normalize(deep).outcome, NormalForm)
     assert isinstance(normalize(deep, "randomSeeded").outcome, NormalForm)
     assert size(_nest(3000, Const("j"))) == 3001
+    # so does `erase`, which keeps a term without ascriptions itself
+    plain = _nest(3000, Const("j"))
+    assert erase(plain) is plain
+    ascribed = Const("j")
+    for _ in range(3000):
+        ascribed = Eta(Ann(ascribed, A))
+    erased = erase(ascribed)
+    for _ in range(3000):
+        assert type(erased) is Eta
+        erased = erased.value
+    assert erased == Const("j")
     assert blocked_at(_nest(3000, Cherry(Op("speaker", Const("*"), "x", Eta(Var("x")))))) == (
         (0,) * 3000,
         "extract is stuck: the computation performs operation speaker",

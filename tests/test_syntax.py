@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import hypothesis.strategies as st
@@ -16,6 +17,7 @@ from efflam.syntax import (
     Cherry,
     Comp,
     Const,
+    Context,
     EMPTY_ROW,
     Eta,
     Exchange,
@@ -36,10 +38,11 @@ from efflam.syntax import (
     size,
     subst,
 )
-from efflam.syntax import _subst
+from efflam.syntax import _erase, _subst
 from efflam.surface import print_term
+from efflam.typecheck import TypeCheckError, synthesize
 from . import oracle
-from .conftest import NAMES, fresh_copy, redex_terms, terms
+from .conftest import NAMES, OP_TABLE, fresh_copy, redex_terms, terms
 
 A = Atom("A")
 B = Atom("B")
@@ -360,13 +363,24 @@ def test_free_var_memo_agrees_with_the_recursive_reference(t):
         assert free_vars(t) is t._fv  # the second answer is the cached one
 
 
+# the names of the random terms, so that some of them type-check
+_CHECKED_IN = dataclasses.replace(
+    Context.initial({"A", "B"}, {"c0": A, "c1": B}, OP_TABLE), vars=dict.fromkeys(NAMES, A)
+)
+
+
 @settings(max_examples=300)
 @given(terms | redex_terms)
 def test_the_free_var_cache_is_invisible(t):
+    # and so are the checker's typings, kept on a typed node as `_typed`
     twin = fresh_copy(t)
     got = free_vars(t)
     assert got == _free_vars_by_recursion(t)
-    assert all(node._fv is None for node in nodes([twin]))
+    with contextlib.suppress(TypeCheckError):
+        synthesize(_CHECKED_IN, t)
+    if type(t) is Ann or type(t) is Handler:
+        assert t._typed is not None  # reached first, typed or not
+    assert all(node._fv is None and node._typed is None for node in nodes([twin]))
     assert t == twin and twin == t
     assert hash(t) == hash(twin)
     assert repr(t) == repr(twin)
@@ -374,10 +388,10 @@ def test_the_free_var_cache_is_invisible(t):
     assert print_term(t) == print_term(twin)
     # `replace` makes a new node, which starts uncached
     if children(t):
-        assert (t.__dict__.keys() - {"_fv"}) == twin.__dict__.keys()
+        assert (t.__dict__.keys() - {"_fv", "_typed"}) == twin.__dict__.keys()
         copy = dataclasses.replace(t)
         assert copy == dataclasses.replace(twin) == t
-        assert copy is not t and copy._fv is None
+        assert copy is not t and copy._fv is None and copy._typed is None
         assert repr(copy) == repr(twin)
 
 
@@ -505,6 +519,18 @@ def test_canonical_key_matches_alpha_eq_on_renamed_terms(t, x):
 def test_erase_removes_annotations(t):
     assert erase(Ann(t, A)) == erase(t)
     assert alpha_eq(erase(t), t)
+
+
+@settings(max_examples=300)
+@given(terms | redex_terms, st.integers(0, 4))
+def test_erase_from_the_explicit_stack_agrees_with_the_recursion(t, room):
+    # below `room` levels the walk goes on from an explicit stack; where
+    # it switches must change nothing, and a term without ascriptions
+    # comes back itself
+    got = _erase(t, room)
+    assert got == erase(t)
+    assert all(type(node) is not Ann for node in nodes([got]))
+    assert (got is t) == all(type(node) is not Ann for node in nodes([t]))
 
 
 # --- term shape: children and rebuild ----------------------------------------

@@ -35,6 +35,7 @@ from efflam.syntax import (
     UNIT,
     Var,
     children,
+    nodes,
     rebuild,
     size,
 )
@@ -758,6 +759,30 @@ def _outcomes(t: Term, ctx: Context = verify.CONTEXT) -> list:
     return outcomes
 
 
+def _typed_nodes(roots, ctx: Context) -> list[Term]:
+    """The nodes reachable from `roots` that keep typings of `ctx`'s
+    context."""
+    return [node for node in nodes(list(roots)) if _entries(node, ctx) is not None]
+
+
+def _entries(node: Term, ctx: Context) -> dict | None:
+    """{wanted type or None: entry} that `node` keeps for `ctx`'s
+    context, or None."""
+    typed = node._typed
+    return typed[1] if typed is not None and typed[0] is ctx.typings else None
+
+
+def _typings(roots, ctx: Context) -> int:
+    """How many typings the nodes reachable from `roots` keep for
+    `ctx`'s context: one per entry, or one per scope once an entry was
+    reached in more than one."""
+    return sum(
+        1 if later is None else len(later)
+        for node in _typed_nodes(roots, ctx)
+        for _, _, later in _entries(node, ctx).values()
+    )
+
+
 def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monkeypatch):
     """Every type and every error, with its path, is what a checker that
     types each node afresh gives.  Unlike the unshared copies above, the
@@ -768,9 +793,10 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
     rng = random.Random(15)
     terms = [random_handler_term(rng, rng.randrange(1, 6)) for _ in range(2000)]
     with monkeypatch.context() as patch:
-        patch.setattr(typecheck._Checker, "_recall", lambda self, ctx, t, want=None: (None, None))
-        patch.setattr(typecheck._Checker, "_record", staticmethod(lambda entry, ctx, ty: None))
+        patch.setattr(typecheck, "_recall", lambda ctx, t, want=None: (None, None))
+        patch.setattr(typecheck, "_record", lambda entry, ctx, t, ty: None)
         afresh = [_outcomes(t) for t in terms]
+    assert not _typed_nodes(terms, verify.CONTEXT)
     shared = replace(verify.CONTEXT)
     order = list(range(len(terms)))
     rng.shuffle(order)
@@ -778,7 +804,7 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
         remembered = {i: _outcomes(terms[i], shared) for i in indices}
         for i in indices:
             assert remembered[i] == afresh[i], print_term(terms[i])
-    assert len(shared.typings) > len(terms)
+    assert len(_typed_nodes(terms, shared)) > len(terms)
     # the terms reach both sides of the rules
     flat = [o for outcomes in afresh for o in outcomes]
     assert sum(isinstance(o, tuple) for o in flat) > len(flat) // 2
@@ -786,45 +812,91 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
 
 
 # ---------------------------------------------------------------------------
-# A context's record lives as long as the context, and an entry in it as
-# long as its term
+# Typings live on their nodes, under their context's token: they keep no
+# term and no context alive, and a node keeps those of its last context only
 
 
 def test_an_entry_goes_with_its_term():
+    # typings live on their nodes, so they keep no term alive
     ctx = replace(verify.CONTEXT)
     t = _nested_handler(3, Ann(Eta(Const("a0")), Comp(EMPTY_ROW, verify.A)))
     gc.disable()
     try:
         assert synthesize(ctx, t) == Comp(EMPTY_ROW, verify.A)
-        assert len(ctx.typings) == 4  # three handlers and the ascription
-        del t
-        assert len(ctx.typings) == 0
+        typed = _typed_nodes([t], ctx)
+        # three handlers and the ascription
+        assert sorted(type(node).__name__ for node in typed) == ["Ann", *["Handler"] * 3]
+        alive = weakref.ref(t)
+        del t, typed
+        assert alive() is None
     finally:
         gc.enable()
 
 
-def test_a_dropped_file_context_frees_its_record():
+def test_typings_keep_no_context_alive():
     decl = parse_file(shipped_source())
+    defs = [t for _, _, t in decl.defs]
     ctx = decl.context()
-    for _, _, t in decl.defs:
+    for t in defs:
         synthesize(ctx, t)
-    assert ctx.typings
-    record = weakref.ref(ctx.typings)
+    first = _typed_nodes(defs, ctx)
+    assert first
+    gone = weakref.ref(ctx)
     gc.disable()
     try:
         del ctx  # the defs' terms live on in `decl`
-        assert record() is None
+        assert gone() is None
     finally:
         gc.enable()
+    # checked again in a second context, each node keeps only its typings
+    second = decl.context()
+    for t in defs:
+        synthesize(second, t)
+    assert {id(node) for node in _typed_nodes(defs, second)} == {id(node) for node in first}
+    assert all(node._typed[0] is second.typings for node in first)
 
 
-def test_a_replaced_context_starts_an_empty_record():
+def test_a_term_checked_in_many_contexts_keeps_one_set_of_typings():
+    t = two_round_nest(4)
+    ctx = replace(verify.CONTEXT)
+    want = synthesize(ctx, t)
+    check_against(ctx, t, want)
+    counts = {id(node): len(_entries(node, ctx)) for node in _typed_nodes([t], ctx)}
+    for _ in range(1000):
+        ctx = replace(verify.CONTEXT)
+        assert synthesize(ctx, t) == want
+        check_against(ctx, t, want)
+    assert {id(node): len(_entries(node, ctx)) for node in _typed_nodes([t], ctx)} == counts
+    assert all(node._typed[0] is ctx.typings for node in nodes([t]) if node._typed is not None)
+
+
+def test_a_replaced_context_starts_an_empty_record(monkeypatch):
+    # a context's record is the typings its nodes keep under its token:
+    # `replace` makes a new token, and `bind` passes it on
     ctx = FRAGMENT.context()
-    synthesize(ctx, parse_term(ladder_source(2), FRAGMENT_ENV))
-    assert ctx.typings
+    t = parse_term(ladder_source(2), FRAGMENT_ENV)
+    synthesize(ctx, t)
+    assert _typed_nodes([t], ctx)
+    assert ctx.bind("x", UNIT).typings is ctx.typings
     copy = replace(ctx)
-    assert copy.typings is None
+    assert copy.typings is not ctx.typings and not _typed_nodes([t], copy)
     assert copy == ctx and repr(copy) == repr(ctx)
+    # the record is the token's: `copy` types the handlers again, once
+    calls = []
+    rule = typecheck._handler_rule
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(typecheck, "_handler_rule", counted)
+    synthesize(ctx, t)
+    assert not calls
+    synthesize(copy, t)
+    assert calls
+    ran = len(calls)
+    synthesize(copy, t)
+    assert len(calls) == ran
 
 
 def _report_tree(depth: int, kind: str):
@@ -835,20 +907,18 @@ def _report_tree(depth: int, kind: str):
     return tree
 
 
-def test_sentence_requests_leave_no_entries_in_the_fragment_context():
+def test_sentence_requests_leave_the_lexicon_typings_bounded():
     # each request as the sentences benchmark makes it: the speaker's
     # handler is checked with the denotation, then the whole term
     trees = [_report_tree(depth, kind) for depth in range(5) for kind in ("said-is", "said-ds")]
+    lexicon = [entry.term for entry in fragment.LEXICON.values()]
     for i in range(2000):
         term = fragment.with_speaker(Const("s"), fragment.denote(trees[i % len(trees)]))
         assert print_type(synthesize(fragment.CONTEXT, term)) == "F{implicate, scope}(o)"
-        record = fragment.CONTEXT.typings
-        during = len(record)
-        del term
         if i == 9:
-            after_ten = len(record)
-            assert 0 < after_ten < during
-    assert len(record) <= after_ten
+            after_ten = _typings(lexicon, fragment.CONTEXT)
+            assert after_ten > 0
+    assert _typings(lexicon, fragment.CONTEXT) == after_ten
 
 
 def chained_defs(n: int) -> str:
@@ -873,15 +943,15 @@ def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, caps
         return decl
 
     calls = 0
-    check = typecheck._Checker._check
+    check = typecheck._check
 
-    def counted(self, ctx, t, want, path):
+    def counted(ctx, t, want, path):
         nonlocal calls
         calls += id(t) in bodies
-        return check(self, ctx, t, want, path)
+        return check(ctx, t, want, path)
 
     monkeypatch.setattr(cli, "parse_file", parsed)
-    monkeypatch.setattr(typecheck._Checker, "_check", counted)
+    monkeypatch.setattr(typecheck, "_check", counted)
     path = tmp_path / "chain.lam"
     path.write_text(chained_defs(n))
     assert cli.main(["check", str(path)]) == 0
@@ -895,14 +965,14 @@ def test_a_file_of_chained_defs_checks_each_def_once(monkeypatch, tmp_path, caps
 def test_a_lexical_entry_is_checked_once_per_context(monkeypatch):
     body = FRAGMENT_ENV.defs["said-is"].term  # under the ascription `def` adds
     calls = []
-    check = typecheck._Checker._check
+    check = typecheck._check
 
-    def counted(self, ctx, t, want, path):
+    def counted(ctx, t, want, path):
         if t is body:
             calls.append(path)
-        return check(self, ctx, t, want, path)
+        return check(ctx, t, want, path)
 
-    monkeypatch.setattr(typecheck._Checker, "_check", counted)
+    monkeypatch.setattr(typecheck, "_check", counted)
     counts = []
     # once across both ladders, and once more in a second new context
     for ctx in (FRAGMENT.context(), FRAGMENT.context()):
