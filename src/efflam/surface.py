@@ -437,6 +437,9 @@ _DECLARATIONS = {"atom", "const", "operation", "def", "check", "normalize", "tra
 
 
 def parse_file(src: str) -> DeclFile:
+    """Read a declaration file.  Each distinct type it spells stays in
+    `syntax`'s type table as long as the module does, so reading files
+    with ever new atom or operation names grows that table."""
     decl = DeclFile()
     # the names a term is parsed against: each declaration adds its own
     # once it is read, so a declaration cannot mention itself

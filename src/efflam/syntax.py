@@ -10,6 +10,15 @@ Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML 2006, which
 keeps per-node data on hash-consed terms), for substitution, the
 normalizer's side conditions and the checker's record alike.
 
+Types, unlike terms, are hash-consed as in that paper: the
+constructors of `Atom`, `Fun`, `Signature` and `Comp` return the one
+object built for their fields, kept in a table that lives as long as the
+module.  So equal types are identical, `==` and `hash` on types are
+identity, and a key made of types hashes in O(1) per type.  The table
+holds one entry per distinct type built, bounded by the inputs, and
+drops none: a process that reads input after input with ever new atom
+or operation names grows it with each.
+
 The walkers on the hot paths of checking, reduction and sampling
 dispatch on the exact class, `cls = type(t); if cls is App: ...`, not
 on class patterns (`match t: case App(fn, arg): ...`), which cost
@@ -29,22 +38,52 @@ from typing import Iterator, Sequence, Union
 # Types
 
 
-@dataclass(frozen=True)
-class Atom:
+# The one object of each distinct type built, under its class and field
+# values: one entry per type any input has spelt or the checker has built,
+# however often it was built
+_TYPES: dict[tuple, "Type | Signature"] = {}
+
+
+def _intern(cls: type, *values: object) -> "Type | Signature":
+    """The object of `cls` with field values `values`, in field order,
+    made and kept in `_TYPES` unless another thread has just done so."""
+    t = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(t, name, value)
+    return _TYPES.setdefault((cls, *values), t)
+
+
+class _Interned:
+    """Base of the four type classes, whose constructors return the one
+    object in `_TYPES` for their fields."""
+
+    def __reduce__(self):
+        # `copy`, `deepcopy` and `pickle` rebuild through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Atom(_Interned):
     """Atomic type, named by a declared atom (the unit type is Atom("1"))."""
 
     name: str
+
+    def __new__(cls, name: str) -> "Atom":
+        return _TYPES.get((cls, name)) or _intern(cls, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Fun:
+@dataclass(frozen=True, eq=False, init=False)
+class Fun(_Interned):
     """Function type dom -> cod."""
 
     dom: "Type"
     cod: "Type"
+
+    def __new__(cls, dom: "Type", cod: "Type") -> "Fun":
+        return _TYPES.get((cls, dom, cod)) or _intern(cls, dom, cod)
 
     def __str__(self) -> str:
         from .surface import print_type
@@ -56,20 +95,26 @@ class RowError(Exception):
     """A signature union was asked to merge colliding operation names."""
 
 
-@dataclass(frozen=True)
-class Signature:
+@dataclass(frozen=True, eq=False, init=False)
+class Signature(_Interned):
     """Finite map from operation names to (input, output) type pairs.
 
-    Entries are kept sorted by name, so two signatures are equal exactly
-    when they declare the same operations at the same types.
+    Entries are kept sorted by name, and like every type a signature is
+    the one object for its entries, so two signatures are equal, and
+    identical, exactly when they declare the same operations at the same
+    types.
     """
 
     entries: tuple[tuple[str, "Type", "Type"], ...] = ()
 
-    def __post_init__(self) -> None:
-        names = [name for name, _, _ in self.entries]
+    def __new__(cls, entries: tuple[tuple[str, "Type", "Type"], ...] = ()) -> "Signature":
+        found = _TYPES.get((cls, entries))
+        if found is not None:
+            return found
+        names = [name for name, _, _ in entries]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("signature entries must be sorted and distinct")
+        return _intern(cls, entries)
 
     @staticmethod
     def of(table: dict[str, tuple["Type", "Type"]]) -> "Signature":
@@ -101,7 +146,7 @@ class Signature:
 
     def union(self, other: "Signature") -> "Signature":
         """Union of two signatures that agree on shared names; an operand
-        itself when the other is empty or the same object."""
+        itself when the other is empty or equal."""
         if self is other or not other.entries:
             return self
         if not self.entries:
@@ -120,12 +165,15 @@ class Signature:
 EMPTY_ROW = Signature()
 
 
-@dataclass(frozen=True)
-class Comp:
+@dataclass(frozen=True, eq=False, init=False)
+class Comp(_Interned):
     """Computation type: a value type under an effect row."""
 
     effects: Signature
     value: "Type"
+
+    def __new__(cls, effects: Signature, value: "Type") -> "Comp":
+        return _TYPES.get((cls, effects, value)) or _intern(cls, effects, value)
 
     def __str__(self) -> str:
         from .surface import print_type
@@ -156,6 +204,9 @@ class Context:
     `bind` passes the token on, so the nested scopes of a context share
     it; `dataclasses.replace` makes a new one, so nothing found against
     the old context is reused.  Equality and `repr` ignore it.
+
+    The types a context holds, like all types, stay in the module's type
+    table after the context is gone (see the module docstring).
     """
 
     atoms: set[str]
@@ -672,55 +723,58 @@ def canonical_key(t: Term) -> str:
 
     Bound variables appear as binder-depth indices, so two terms have
     the same key exactly when they are alpha-equivalent.  Used to
-    deduplicate, and to decide alpha-equivalence.
+    deduplicate, and to decide alpha-equivalence.  Walks from an
+    explicit stack, so a term of any depth has a key.
     """
 
     parts: list[str] = []
-    _key(t, {}, 0, parts)
-    return "".join(parts)
-
-
-def _key(t: Term, env: dict[str, int], depth: int, parts: list[str]) -> None:
-    """Append `t`'s key to `parts`; `env` maps each binder in scope to
-    the depth it was bound at, `depth` being the number in scope.  A
-    binder's entry is set on the way in and restored on the way out, so
-    one map serves the whole walk."""
-    cls = type(t)
-    while cls is Ann:
-        t = t.term
+    # each binder in scope, mapped to the depth it was bound at
+    env: dict[str, int] = {}
+    # a string to append; (term, depth) for a term to key, `depth` being
+    # the number of binders in scope; or [binder, depth], pushed once on
+    # each side of the binder's body, to swap with the binder's entry:
+    # the first swap binds it and keeps the outer entry, the second puts
+    # that back
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+            continue
+        if kind is list:
+            binder, entry = item
+            item[1] = env.pop(binder, None)
+            if entry is not None:
+                env[binder] = entry
+            continue
+        t, depth = item
         cls = type(t)
-    if cls is Var:
-        bound = env.get(t.name)
-        parts.append(f"${t.name}" if bound is None else f"#{depth - 1 - bound}")
-    elif cls is Const:
-        parts.append(f"!{t.name}")
-    elif cls is Abs or cls is Op:
-        if cls is Abs:
-            parts.append("(\\")
-            body = t.body
+        while cls is Ann:
+            t = t.term
+            cls = type(t)
+        if cls is Var:
+            bound = env.get(t.name)
+            parts.append(f"${t.name}" if bound is None else f"#{depth - 1 - bound}")
+        elif cls is Const:
+            parts.append(f"!{t.name}")
+        elif cls is Abs or cls is Op:
+            swap = [t.binder, depth]
+            if cls is Abs:
+                parts.append("(\\")
+                todo += (")", swap, (t.body, depth + 1), swap)
+            else:
+                parts.append(f"(do {t.op} ")
+                todo += (")", swap, (t.cont, depth + 1), swap, " .", (t.param, depth))
         else:
-            parts.append(f"(do {t.op} ")
-            _key(t.param, env, depth, parts)
-            parts.append(" .")
-            body = t.cont
-        binder = t.binder
-        outer = env.get(binder)
-        env[binder] = depth
-        _key(body, env, depth + 1, parts)
-        if outer is None:
-            del env[binder]
-        else:
-            env[binder] = outer
-        parts.append(")")
-    else:
-        # a handler's clause names are part of its shape
-        parts.append(f"({cls.__name__}")
-        if cls is Handler:
-            parts.append("".join(f" {name}=" for name, _ in t.clauses))
-        for child in children(t):
-            parts.append(" ")
-            _key(child, env, depth, parts)
-        parts.append(")")
+            # a handler's clause names are part of its shape
+            parts.append(f"({cls.__name__}")
+            if cls is Handler:
+                parts.append("".join(f" {name}=" for name, _ in t.clauses))
+            todo.append(")")
+            for child in reversed(children(t)):
+                todo += ((child, depth), " ")
+    return "".join(parts)
 
 
 def size(t: Term) -> int:

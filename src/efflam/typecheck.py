@@ -122,10 +122,9 @@ def subtype(s: Type, t: Type) -> bool:
     if s is t:
         return True
     cls = type(s)
-    if cls is not type(t):
+    # types are interned, so two distinct atoms have distinct names
+    if cls is not type(t) or cls is Atom:
         return False
-    if cls is Atom:
-        return s.name == t.name
     if cls is Fun:
         return subtype(t.dom, s.dom) and subtype(s.cod, t.cod)
     return cls is Comp and s.effects.subset_of(t.effects) and subtype(s.value, t.value)

@@ -306,16 +306,22 @@ def _sample_type(rng: random.Random, depth: int) -> Type:
     return Fun(_sample_type(rng, depth - 1), _sample_type(rng, depth - 1))
 
 
+# The sampler's leaves, shared by every term it builds: terms are
+# immutable and leaves keep no per-node cache, so sharing changes no
+# value, and it spares the collector one object per leaf sampled.
+_A0, _F0, _STAR = Const("a0"), Const("f0"), Const("*")
+
+
 def _inhabit(ty: Type) -> Term:
     """A canonical closed inhabitant of any verify-signature type."""
     cls = type(ty)
     if cls is Atom:
         if ty.name == "A":
-            return Const("a0")
+            return _A0
         if ty.name == "B":
-            return App(Const("f0"), Const("a0"))
+            return App(_F0, _A0)
         if ty.name == "1":
-            return Const("*")
+            return _STAR
     elif cls is Fun:
         return Abs("w", _inhabit(ty.cod))
     elif cls is Comp:
@@ -370,7 +376,7 @@ def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) ->
             return App(fn, _sample(rng, cut, scope, depth - 1))
         return App(Ann(fn, Fun(cut, ty)), _sample(rng, cut, scope, depth - 1))
     if ty == B and rng.random() < 0.5:
-        return App(Const("f0"), _sample(rng, A, scope, depth - 1))
+        return App(_F0, _sample(rng, A, scope, depth - 1))
     return _inhabit(ty)
 
 

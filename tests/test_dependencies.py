@@ -361,7 +361,7 @@ _EXACT_DISPATCH = {
     ("typecheck.py", "_check"),
     ("typecheck.py", "_fun_to_comp"),
     ("typecheck.py", "_handler_rule"),
-    ("syntax.py", "_key"),
+    ("syntax.py", "canonical_key"),
     ("syntax.py", "_free_vars"),
     ("reduce.py", "_rule_at"),
     ("reduce.py", "_blocked"),

@@ -48,6 +48,7 @@ from efflam.syntax import (
     Op,
     Var,
     alpha_eq,
+    canonical_key,
     children,
     erase,
     nodes,
@@ -282,6 +283,17 @@ def test_deep_terms_normalize_without_recursion():
         assert type(erased) is Eta
         erased = erased.value
     assert erased == Const("j")
+    # and so do `canonical_key` and `alpha_eq`, through binders too
+    assert canonical_key(ascribed) == canonical_key(plain) == "(Eta " * 3000 + "!j" + ")" * 3000
+    assert alpha_eq(ascribed, plain) and not alpha_eq(plain, _nest(2999, Const("j")))
+    outermost, renamed, innermost = Var("x0"), Var("y0"), Var("x")
+    for i in reversed(range(3000)):
+        outermost = Op("op1", Const("a0"), f"x{i}", outermost)
+        renamed = Op("op1", Const("a0"), f"y{i}", renamed)
+        innermost = Abs("x", innermost)
+    assert canonical_key(outermost).endswith(" .#2999" + ")" * 3000)
+    assert canonical_key(innermost) == "(\\" * 3000 + "#0" + ")" * 3000
+    assert alpha_eq(outermost, renamed) and not alpha_eq(outermost, Abs("z", outermost))
     assert blocked_at(_nest(3000, Cherry(Op("speaker", Const("*"), "x", Eta(Var("x")))))) == (
         (0,) * 3000,
         "extract is stuck: the computation performs operation speaker",

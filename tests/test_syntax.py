@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -21,6 +23,7 @@ from efflam.syntax import (
     EMPTY_ROW,
     Eta,
     Exchange,
+    Fun,
     Handler,
     Op,
     RowError,
@@ -38,11 +41,12 @@ from efflam.syntax import (
     size,
     subst,
 )
+from efflam import syntax
 from efflam.syntax import _erase, _subst
-from efflam.surface import print_term
+from efflam.surface import parse_type, print_term, print_type
 from efflam.typecheck import TypeCheckError, synthesize
 from . import oracle
-from .conftest import NAMES, OP_TABLE, fresh_copy, redex_terms, terms
+from .conftest import NAMES, OP_TABLE, fresh_copy, redex_terms, terms, types
 
 A = Atom("A")
 B = Atom("B")
@@ -627,9 +631,72 @@ def test_a_union_with_an_empty_or_the_same_row_is_an_operand_itself():
     assert EMPTY_ROW.union(r) is r
     assert r.union(r) is r
     assert EMPTY_ROW.union(Signature()) is EMPTY_ROW
-    # an equal but distinct row is merged, to an equal row
-    twin = Signature.of({"opa": (A, A), "opb": (A, B)})
-    assert r.union(twin) == r and r.union(twin) is not r
+    # rows are interned, so an equal row is the same object
+    twin = Signature.of({"opb": (A, B), "opa": (A, A)})
+    assert twin is r and r.union(twin) is r
+
+
+# --- types are interned ------------------------------------------------------
+
+
+def _spelt_again(t):
+    """`t` built again through the constructors from the leaves up, each
+    row from a table in reversed order."""
+    if type(t) is Fun:
+        return Fun(_spelt_again(t.dom), _spelt_again(t.cod))
+    if type(t) is Comp:
+        table = {name: (_spelt_again(i), _spelt_again(o)) for name, i, o in reversed(t.effects.entries)}
+        return Comp(Signature.of(table), _spelt_again(t.value))
+    return Atom(t.name)
+
+
+@given(types)
+def test_an_equal_type_is_the_same_object_by_every_route(t):
+    ctx = Context.initial({"A", "B"}, {}, OP_TABLE)
+    assert _spelt_again(t) is t
+    assert parse_type(print_type(t), ctx) is parse_type(print_type(t), ctx) is t
+    assert dataclasses.replace(t) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_each_type_class_interns_by_every_route():
+    row = Signature.of({"opa": (A, A), "opb": (A, B)})
+    for t in (A, Fun(A, B), row, Comp(row, A)):
+        fields = [getattr(t, f.name) for f in dataclasses.fields(t)]
+        assert type(t)(*fields) is t
+        assert type(t)(**{f.name: v for f, v in zip(dataclasses.fields(t), fields)}) is t
+        assert dataclasses.replace(t) is t
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+    assert Signature.of({"opb": (A, B), "opa": (A, A)}) is row
+    assert dataclasses.replace(Fun(A, B), cod=A) is Fun(A, A)
+    assert dataclasses.replace(Comp(row, A), effects=EMPTY_ROW) is Comp(Signature(), A)
+    ctx = Context.initial({"A", "B"}, {}, OP_TABLE)
+    assert parse_type("F{opb, opa}(A)", ctx) is parse_type("F{opa, opb}(A)", ctx) is Comp(row, A)
+    # and their printed forms are those of the dataclasses they were
+    assert repr(Comp(row, A)) == (
+        "Comp(effects=Signature(entries=(('opa', Atom(name='A'), Atom(name='A')), "
+        "('opb', Atom(name='A'), Atom(name='B')))), value=Atom(name='A'))"
+    )
+
+
+def test_type_equality_is_identity():
+    for cls in (Atom, Fun, Comp, Signature):
+        assert not {"__eq__", "__hash__", "__post_init__"} & set(vars(cls))
+    t = Fun(A, Comp(EMPTY_ROW, B))
+    assert t == Fun(A, Comp(Signature(), B)) and hash(t) == object.__hash__(t)
+    assert t != Fun(A, Comp(EMPTY_ROW, A))
+
+
+def test_unsorted_or_repeated_row_entries_are_refused_after_a_valid_row():
+    valid = Signature((("opa", A, A), ("opb", A, B)))
+    for bad in ((("opb", A, B), ("opa", A, A)), (("opa", A, A), ("opa", A, A))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sorted and distinct"):
+                Signature(bad)
+        assert (Signature, bad) not in syntax._TYPES
+    assert Signature((("opa", A, A), ("opb", A, B))) is valid
 
 
 def test_size_counts_nodes():

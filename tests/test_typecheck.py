@@ -265,19 +265,15 @@ def test_subtype_is_transitive_along_widening_chains(t):
     assert subtype(t, mid) and subtype(mid, top) and subtype(t, top)
 
 
-def _twin(t: Type, retype: bool = False) -> Type:
-    """A type equal to `t` that shares no type or row object with it; with
-    `retype`, each row entry's output type is swapped (A for B, B for A),
+def _retyped(t: Type) -> Type:
+    """`t` with each row entry's output type swapped (A for B, B for A),
     so the rows keep their names and differ in their entries."""
     if isinstance(t, Fun):
-        return Fun(_twin(t.dom, retype), _twin(t.cod, retype))
+        return Fun(_retyped(t.dom), _retyped(t.cod))
     if isinstance(t, Comp):
-        entries = tuple(
-            (name, _twin(inp), Atom({"A": "B", "B": "A"}[out.name]) if retype else _twin(out))
-            for name, inp, out in t.effects
-        )
-        return Comp(Signature(entries), _twin(t.value, retype))
-    return Atom(t.name)
+        entries = tuple((name, inp, Atom({"A": "B", "B": "A"}[out.name])) for name, inp, out in t.effects)
+        return Comp(Signature(entries), _retyped(t.value))
+    return t
 
 
 # rows that may declare an operation at either of two types, so that
@@ -295,26 +291,24 @@ _any_types = st.recursive(
 @given(
     st.one_of(types, _any_types),
     st.one_of(types, _any_types),
-    st.sampled_from(["drawn", "itself", "twin", "widened twin", "retyped twin"]),
+    st.sampled_from(["drawn", "itself", "widened", "retyped"]),
     st.integers(),
 )
 def test_subtype_agrees_with_the_oracle(s, drawn, pick, seed):
-    """On independent pairs, on a type and itself, and on a type and an
-    equal, wider or retyped one built from new objects, both ways."""
+    """On independent pairs, on a type and itself, and on a type and a
+    wider or retyped one, both ways."""
     if pick == "drawn":
         t = drawn
     elif pick == "itself":
         t = s
-    elif pick == "retyped twin":
-        t = _twin(s, retype=True)
+    elif pick == "widened":
+        t = _widen(s, random.Random(seed))
     else:
-        t = _twin(s)
-        if pick == "widened twin":
-            t = _widen(t, random.Random(seed))
+        t = _retyped(s)
     assert subtype(s, t) == subsumes(s, t)
     assert subtype(t, s) == subsumes(t, s)
-    # equal parts as distinct objects, one level down
-    arrow, back = Fun(t, s), Fun(_twin(s), _twin(t))
+    # and one level down, under an arrow
+    arrow, back = Fun(t, s), Fun(s, t)
     assert subtype(arrow, back) == subsumes(arrow, back)
 
 
@@ -323,6 +317,64 @@ def test_function_domains_are_contravariant():
     takes_pure = Fun(Comp(EMPTY_ROW, Atom("A")), Atom("B"))
     assert subtype(takes_effectful, takes_pure) is True
     assert subtype(takes_pure, takes_effectful) is False
+
+
+# ---------------------------------------------------------------------------
+# One object per type: equal types are compared, and kept, as one object
+
+
+def _check_file(src: str) -> None:
+    """Parse `src` and synthesize each def and directive, as `check` does."""
+    decl = parse_file(src)
+    ctx = decl.context()
+    for term in [t for _, _, t in decl.defs] + [t for _, t in decl.directives]:
+        synthesize(ctx, term)
+
+
+def test_the_checker_compares_equal_types_as_one_object(monkeypatch):
+    """Over the shipped file and the deep declarations, all 309 top-level
+    `subtype` calls that compare equal types are handed one object (4
+    were when each use of a type built its own)."""
+    from .test_recorded_output import deep_declarations
+
+    inner, depth, same = typecheck.subtype, [], []
+
+    def counted(s, t):
+        if not depth and repr(s) == repr(t):
+            same.append(s is t)
+        depth.append(None)
+        try:
+            return inner(s, t)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(typecheck, "subtype", counted)
+    for src in (shipped_source(), deep_declarations()):
+        _check_file(src)
+    assert len(same) == 309 and all(same)
+
+
+def test_the_type_table_is_bounded_by_the_inputs():
+    from efflam.reduce import normalize
+    from efflam.syntax import _TYPES, erase
+    from .test_reduce import _ladder
+
+    sentences = [g.term for g in fragment.GOLDENS] + [lambda _, d=d: _ladder(d) for d in (1, 4, 8)]
+
+    def sentence_requests(n):
+        for i in range(n):
+            term = sentences[i % len(sentences)](Const("s"))
+            synthesize(fragment.CONTEXT, term)
+            final = normalize(term, record_steps=False).final
+            parse_term(print_term(erase(final)), fragment.ENV)
+
+    _check_file(shipped_source())
+    sentence_requests(len(sentences))
+    first = len(_TYPES)
+    for _ in range(100):
+        _check_file(shipped_source())
+    sentence_requests(2000)
+    assert len(_TYPES) == first
 
 
 # ---------------------------------------------------------------------------
