@@ -19,9 +19,15 @@ to the lexer, the parser and the printer.
 A token is its text alone: one regular-expression call splits the
 source into the texts of its words, symbols and unit types, skipping
 blanks, line breaks and comments, and ends the list with "" for the end
-of the input.  The parser reads a token's kind off its text.  Line and
-column are computed only when a `ParseError` is raised, by lexing the
-source again up to the index of the token the error blames.
+of the input.  The expression tries the frequent tokens first: words,
+then one character class of the one-character symbols that begin no
+longer symbol (derived from the symbol table), then the rest of the
+symbols longest first.  Taking the longest symbol matters only among
+symbols that share a first character, so this order lexes exactly as
+longest-first over every symbol does.  The parser reads a token's kind
+off its text.  Line and column are computed only when a `ParseError` is
+raised, by lexing the source again up to the index of the token the
+error blames.
 """
 
 from __future__ import annotations
@@ -104,18 +110,31 @@ _SYMBOLS = sorted(
     [*_INFIX, "~>", "(", ")", "{", "}", ",", ".", ":=", ":", "\\", "*"], key=len, reverse=True
 )
 
+# the one-character symbols that begin no longer symbol, derived from
+# `_SYMBOLS`: for these, the first character alone decides the token
+_SINGLES = [
+    s for s in _SYMBOLS if len(s) == 1 and not any(o != s and o.startswith(s) for o in _SYMBOLS)
+]
+
 # one match per token: the blanks, line breaks and comments before it,
 # then the token itself, captured.  A token is a word (letters, digits,
 # `_` and `'`, and `-` when a letter or digit follows it; `\w` is exactly
 # `str.isalnum` plus `_`, and `_lex` checks that the first character
-# passes `str.isalpha`), the unit type, a symbol (the longest that
-# matches), the end of the input (captured as ""), or any other
-# character, which is an error.  The gap is blanks, then comments each
-# followed by blanks, so it splits one way only and the capture after
-# it always matches at once.
+# passes `str.isalpha`), a symbol, the unit type, the end of the input
+# (captured as ""), or any other character, which is an error.  The
+# alternatives are tried in order of frequency: words, the one
+# character class of `_SINGLES`, the unit type, then the other symbols
+# longest first.  No two alternatives can match at one position except
+# symbols that share a first character, so longest-first order matters
+# only among those, and the order of the rest changes no token.  The
+# gap is blanks, then comments each followed by blanks, so it splits one
+# way only and the capture after it always matches at once.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    r"([^\W\d_](?:[\w']|-[^\W_])*|1|" + "|".join(map(re.escape, _SYMBOLS)) + r"|\Z|.)"
+    r"([^\W\d_][\w']*(?:-[^\W_][\w']*)*"
+    r"|[" + "".join(map(re.escape, _SINGLES)) + "]|1|"
+    + "|".join(re.escape(s) for s in _SYMBOLS if s not in _SINGLES)
+    + r"|\Z|.)"
 )
 
 # the lexed texts that are not words; any other must start with a letter
@@ -125,7 +144,9 @@ _FIXED = frozenset(_SYMBOLS) | {"1", ""}
 # not a keyword
 _NON_IDENTS = KEYWORDS | _FIXED
 
-_UNIT_STARTS = {"(", "*", "eta", "extract", "commute", "do", "handle"}
+# the lexed texts that start no unit: any other is an identifier, or
+# one of the symbols and keywords that begin a unit
+_NO_UNIT = _NON_IDENTS - {"(", "*", "eta", "extract", "commute", "do", "handle"}
 
 
 class ParseError(Exception):
@@ -183,7 +204,15 @@ class DeclFile:
 class _Parser:
     """Recursive descent over the token texts of `src`.  A token's kind
     follows from its text, and an error finds its position from the index
-    of the token it blames."""
+    of the token it blames.
+
+    The productions that run once per token (`term`, `app_term`, `unit`,
+    `lambda_`, `type_` and `type_atom`) read `toks[pos]` into a local
+    and advance `pos` themselves, testing the most frequent case first.
+    The helper methods (`peek`, `next`, `at_sym`, `expect_sym`,
+    `expect_ident`, `starts_unit`) serve the rarer constructs, the error
+    paths, which call them to raise the error a helper would, and the
+    reference parser of `tests/chain_parser.py`."""
 
     def __init__(self, src: str, ctx: Context):
         self.src = src
@@ -234,48 +263,60 @@ class _Parser:
 
     def type_(self) -> Type:
         left = self.type_atom()
-        if self.at_sym("->"):
-            self.next()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return Fun(left, self.type_())
         return left
 
     def type_atom(self) -> Type:
-        tok = self.peek()
-        if tok == "1":
-            self.next()
-            return UNIT
-        if tok == "(":
-            self.next()
-            ty = self.type_()
-            self.expect_sym(")")
-            return ty
+        toks = self.toks
+        pos = self.pos
+        tok = toks[pos]
         if tok == "F":
-            self.next()
-            self.expect_sym("{")
+            pos += 1
+            if toks[pos] != "{":
+                self.pos = pos
+                self.expect_sym("{")
+            pos += 1
+            operations = self.ctx.operations
             table: dict[str, tuple[Type, Type]] = {}
-            while not self.at_sym("}"):
-                at = self.pos
-                name = self.expect_ident("an operation name")
-                entry = self.ctx.operations.get(name)
+            while (name := toks[pos]) != "}":
+                if name in _NON_IDENTS:
+                    self.pos = pos
+                    self.expect_ident("an operation name")
+                entry = operations.get(name)
                 if entry is None:
-                    self.fail_at(at, f"unknown operation {name}")
+                    self.fail_at(pos, f"unknown operation {name}")
                 if name in table:
-                    self.fail_at(at, f"duplicate operation {name} in row")
+                    self.fail_at(pos, f"duplicate operation {name} in row")
                 table[name] = entry
-                if self.at_sym(","):
-                    self.next()
-                elif not self.at_sym("}"):
+                pos += 1
+                if toks[pos] == ",":
+                    pos += 1
+                elif toks[pos] != "}":
+                    self.pos = pos
                     self.fail("expected ',' or '}' in effect row")
-            self.next()
-            self.expect_sym("(")
+            pos += 1
+            if toks[pos] != "(":
+                self.pos = pos
+                self.expect_sym("(")
+            self.pos = pos + 1
             value = self.type_()
             self.expect_sym(")")
             return Comp(Signature.of(table), value)
         if tok not in _NON_IDENTS:
             if tok not in self.ctx.atoms:
                 self.fail(f"unknown atomic type {tok}")
-            self.next()
+            self.pos = pos + 1
             return Atom(tok)
+        if tok == "1":
+            self.pos = pos + 1
+            return UNIT
+        if tok == "(":
+            self.pos = pos + 1
+            ty = self.type_()
+            self.expect_sym(")")
+            return ty
         self.fail("expected a type")
 
     # -- terms
@@ -289,12 +330,12 @@ class _Parser:
         # looser ones, or the same level again if it is left-associative
         limit = _TIGHTEST
         while True:
-            op = _INFIX.get(self.peek())
+            op = _INFIX.get(self.toks[self.pos])
             if op is None or not level <= op.level <= limit:
                 return left
             if op.constant is not None and op.constant not in self.ctx.constants:
                 self.fail(f"this sugar needs a declared constant {op.constant}")
-            self.next()
+            self.pos += 1
             right = self.term(op.level if op.assoc == "right" else op.level + 1)
             if op.build is None:
                 left = App(App(Const(op.constant), left), right)
@@ -303,74 +344,84 @@ class _Parser:
             limit = op.level if op.assoc == "left" else op.level - 1
 
     def app_term(self) -> Term:
-        if self.at_sym("\\"):
+        toks = self.toks
+        if toks[self.pos] == "\\":
             return self.lambda_()
         term = self.unit()
         while True:
-            if self.at_sym("\\"):
+            tok = toks[self.pos]
+            if tok not in _NO_UNIT:
+                term = App(term, self.unit())
+            elif tok == "\\":
                 # a trailing lambda is the final argument
                 return App(term, self.lambda_())
-            if self.starts_unit():
-                term = App(term, self.unit())
             else:
                 return term
 
     def starts_unit(self) -> bool:
-        tok = self.peek()
-        return tok not in _NON_IDENTS or tok in _UNIT_STARTS
+        return self.toks[self.pos] not in _NO_UNIT
 
     def lambda_(self) -> Term:
-        self.expect_sym("\\")
-        binder = self.expect_ident("a binder name")
-        self.expect_sym(".")
-        self.bound.append(binder)
+        """`\\x. body`, at the backslash, which the caller has seen."""
+        toks = self.toks
+        pos = self.pos + 1
+        binder = toks[pos]
+        if binder in _NON_IDENTS or toks[pos + 1] != ".":
+            self.pos = pos
+            self.expect_ident("a binder name")
+            self.expect_sym(".")
+        self.pos = pos + 2
+        bound = self.bound
+        bound.append(binder)
         body = self.term()
-        self.bound.pop()
+        bound.pop()
         return Abs(binder, body)
 
     def unit(self) -> Term:
-        tok = self.peek()
+        pos = self.pos
+        tok = self.toks[pos]
+        if tok not in _NON_IDENTS:
+            ctx = self.ctx
+            if tok in self.bound:
+                term = Var(tok)
+            elif tok in ctx.defs:
+                term = ctx.defs[tok]
+            elif tok in ctx.constants:
+                term = Const(tok)
+            else:
+                self.fail(f"unknown identifier {tok}")
+            self.pos = pos + 1
+            return term
         if tok == "(":
-            self.next()
+            self.pos = pos + 1
             inner = self.term()
-            if self.at_sym(":"):
-                self.next()
+            if self.toks[self.pos] == ":":
+                self.pos += 1
                 ty = self.type_()
                 self.expect_sym(")")
                 return Ann(inner, ty)
             self.expect_sym(")")
             return inner
         if tok == "*":
-            self.next()
+            self.pos = pos + 1
             return Const("*")
         if tok == "\\":
             return self.lambda_()
         if tok in KEYWORDS:
             if tok == "eta":
-                self.next()
+                self.pos = pos + 1
                 return Eta(self.unit())
             if tok == "extract":
-                self.next()
+                self.pos = pos + 1
                 return Cherry(self.unit())
             if tok == "commute":
-                self.next()
+                self.pos = pos + 1
                 return Exchange(self.unit())
             if tok == "do":
                 return self.op_call()
             if tok == "handle":
                 return self.handler()
             self.fail(f"unexpected keyword {tok!r}")
-        if tok not in _NON_IDENTS:
-            if tok in self.bound:
-                term = Var(tok)
-            elif tok in self.ctx.defs:
-                term = self.ctx.defs[tok]
-            elif tok in self.ctx.constants:
-                term = Const(tok)
-            else:
-                self.fail(f"unknown identifier {tok}")
-            self.next()
-            return term
         self.fail(f"expected a term, found {tok!r}")
 
     def op_call(self) -> Term:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import sys
 import timeit
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from efflam import surface, syntax
+from efflam.fragment import shipped_source
 from efflam.prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
 from efflam.surface import (
     KEYWORDS,
@@ -47,6 +50,9 @@ from efflam.syntax import (
 )
 from .chain_parser import parse_term_by_chain
 from .conftest import NAMES, leaf_terms, terms, types
+from .test_typecheck import chained_defs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DECLS = """
 atom iota. atom o.
@@ -535,10 +541,22 @@ def test_lexer_agrees_with_the_character_by_character_reference(src):
     assert _lexed(src) == _lex_by_characters(src)
 
 
-def test_lexer_agrees_with_the_reference_on_the_shipped_file():
-    from efflam.fragment import shipped_source
+def test_lexer_agrees_with_the_reference_on_every_pair_of_symbols():
+    # adjacent symbols are where a shorter one could win over a longer
+    for first in _SYMBOLS:
+        for second in _SYMBOLS:
+            for src in (first + second, f"{first} {second}"):
+                assert _lexed(src) == _lex_by_characters(src), src
 
-    assert _lexed(shipped_source()) == _lex_by_characters(shipped_source())
+
+def test_lexer_agrees_with_the_reference_on_the_shipped_file():
+    # and on the benchmark's 12-deep handler nest and a chain of defs
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    nest = f"{workloads.VERIFY_SIGNATURE}check {workloads.nested_handler(12)}.\n"
+    for src in (shipped_source(), nest, chained_defs(20)):
+        assert _lexed(src) == _lex_by_characters(src)
 
 
 # pieces of terms, types and declaration files, for the error positions

@@ -6,7 +6,9 @@ called as `(t, path, rule)`, `len()` is taken of what `enumerate_typed`
 returns, and `.nodes` and `.complete` are read from each
 `reduction_graph` result.  Each test runs a small version of what one
 benchmark workload traces, traced first (so it meets the colder caches)
-and then plain, and compares the two.
+and then plain, and compares the two.  The last runs the metatheory
+workload's traced child, `perfbench/child.py`, in a fresh interpreter,
+where the tracer meets only the modules that `efflam.cli` imports.
 
     PYTHONPATH=src python -m pytest tests/test_traced.py -q
 """
@@ -14,6 +16,7 @@ and then plain, and compares the two.
 from __future__ import annotations
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,3 +104,14 @@ def test_traced_goldens_take_the_plain_steps(strategy):
         assert got.outcome == want.outcome and got.final == want.final
     assert _steps(metrics) == sum(trace.step_count for trace in plain) > 0
     assert metrics["reduce.normalize.calls"][0] == len(plain)
+
+
+def test_a_traced_child_runs_a_suite_in_a_fresh_interpreter(tmp_path):
+    trace = tmp_path / "monadLaws.json"
+    child = ROOT / "perfbench" / "child.py"
+    argv = [str(ROOT), "--trace", str(trace), "--", "verify", "--suite", "monadLaws"]
+    proc = subprocess.run(
+        [sys.executable, str(child), *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "monadLaws: 80 checked, 0 failures: PASS" in proc.stdout.splitlines()
