@@ -60,6 +60,7 @@ from .syntax import (
     Type,
     UNIT,
     Var,
+    fold,
     strip,
 )
 
@@ -579,50 +580,70 @@ _PRINTED_INFIX = {
 
 
 def print_term(t: Term) -> str:
-    return _print(t, _BIND)
+    return fold(t, _enter_print, _leave_print)[1]
 
 
-def _print(t: Term, level: int) -> str:
-    """`t` printed as an operand at binding `level`: parenthesized when
+# A node's printed result is its binding level and its unparenthesized
+# text; its parent parenthesizes it as an operand (`_operand`).  No
+# operand sits at a looser level than `_BIND`, so an operand at `_BIND`
+# is never parenthesized.
+
+
+def _enter_print(t: Term):
+    """The printer's `enter` hook for `fold`: a leaf's result, a bare
+    connective's operands, or a handler's children without an identity
+    eta clause, which the parser fills in when none is written."""
+    cls = type(t)
+    if cls is Var or cls is Const:
+        return _UNIT, t.name
+    if cls is App:
+        fn = t.fn
+        if type(fn) is App and type(fn.fn) is Const and fn.fn.name in _PRINTED_INFIX:
+            return [_PRINTED_INFIX[fn.fn.name], fn.arg, t.arg]
+    elif cls is Handler and _is_eta_identity(t.eta_clause):
+        return [t, *[c for _, c in t.clauses], t.scrutinee]
+    return None
+
+
+def _leave_print(t, kids: list[tuple[int, str]]) -> tuple[int, str]:
+    """The printer's `leave` hook: `t`'s result from its kids'.  `t` is
+    a node, or the `_PRINTED_INFIX` entry of a bare connective applied
+    to two operands."""
+    cls = type(t)
+    if cls is App:
+        fn, arg = kids
+        return _APP, f"{_operand(fn, _APP)} {_operand(arg, _UNIT)}"
+    if cls is Abs:
+        return _BIND, f"\\{t.binder}. {kids[0][1]}"
+    if cls is tuple:
+        lvl, llvl, rlvl, sym = t
+        a, b = kids
+        return lvl, f"{_operand(a, llvl)} {sym} {_operand(b, rlvl)}"
+    if cls is Eta:
+        return _APP, f"eta {_operand(kids[0], _UNIT)}"
+    if cls is Op:
+        param, cont = kids
+        return _UNIT, f"do {t.op}({param[1]}, \\{t.binder}. {cont[1]})"
+    if cls is Handler:
+        parts = [f"{name} -> {text}" for (name, _), (_, text) in zip(t.clauses, kids)]
+        if len(kids) > len(t.clauses) + 1:
+            parts.append(f"eta -> {kids[-2][1]}")
+        inner = ", ".join(parts)
+        braces = f"{{ {inner} }}" if inner else "{ }"
+        return _APP, f"handle {braces} {_operand(kids[-1], _UNIT)}"
+    if cls is Ann:
+        return _UNIT, f"({kids[0][1]} : {print_type(t.ty)})"
+    if cls is Cherry:
+        return _APP, f"extract {_operand(kids[0], _UNIT)}"
+    # an Exchange: `fold` has raised `children`'s TypeError for a non-term
+    return _APP, f"commute {_operand(kids[0], _UNIT)}"
+
+
+def _operand(printed: tuple[int, str], level: int) -> str:
+    """A printed kid as an operand at binding `level`: parenthesized when
     its own level is looser."""
-    natural, text = _render(t)
-    if natural < level:
-        return f"({text})"
-    return text
-
-
-def _render(t: Term) -> tuple[int, str]:
-    """`t`'s binding level and its unparenthesized text."""
-    match t:
-        case Var(name):
-            return _UNIT, name
-        case Const(name):
-            return _UNIT, name
-        case Abs(binder, body):
-            return _BIND, f"\\{binder}. {_print(body, _BIND)}"
-        case App(App(Const(c), a), b) if c in _PRINTED_INFIX:
-            lvl, llvl, rlvl, sym = _PRINTED_INFIX[c]
-            return lvl, f"{_print(a, llvl)} {sym} {_print(b, rlvl)}"
-        case App(fn, arg):
-            return _APP, f"{_print(fn, _APP)} {_print(arg, _UNIT)}"
-        case Eta(value):
-            return _APP, f"eta {_print(value, _UNIT)}"
-        case Cherry(comp):
-            return _APP, f"extract {_print(comp, _UNIT)}"
-        case Exchange(fn):
-            return _APP, f"commute {_print(fn, _UNIT)}"
-        case Op(op, param, binder, cont):
-            return _UNIT, f"do {op}({_print(param, _BIND)}, \\{binder}. {_print(cont, _BIND)})"
-        case Handler(clauses, eta_clause, scrutinee):
-            parts = [f"{name} -> {_print(clause, _BIND)}" for name, clause in clauses]
-            if not _is_eta_identity(eta_clause):
-                parts.append(f"eta -> {_print(eta_clause, _BIND)}")
-            inner = ", ".join(parts)
-            braces = f"{{ {inner} }}" if inner else "{ }"
-            return _APP, f"handle {braces} {_print(scrutinee, _UNIT)}"
-        case Ann(term, ty):
-            return _UNIT, f"({_print(term, _BIND)} : {print_type(ty)})"
-    raise TypeError(f"not a term: {t!r}")
+    natural, text = printed
+    return f"({text})" if natural < level else text
 
 
 def _is_eta_identity(t: Term) -> bool:
@@ -630,12 +651,14 @@ def _is_eta_identity(t: Term) -> bool:
     none is written, skipping ascriptions at each level as
     `canonical_key` does.  A test of shape, so printing a handler does
     not cost the size of its eta clause."""
-    match strip(t):
-        case Abs(binder, body):
-            match strip(body):
-                case Eta(value):
-                    return strip(value) == Var(binder)
-    return False
+    t = strip(t)
+    if type(t) is not Abs:
+        return False
+    body = strip(t.body)
+    if type(body) is not Eta:
+        return False
+    value = strip(body.value)
+    return type(value) is Var and value.name == t.binder
 
 
 def print_path(path: Path) -> str:

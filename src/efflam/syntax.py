@@ -19,12 +19,18 @@ holds one entry per distinct type built, bounded by the inputs, and
 drops none: a process that reads input after input with ever new atom
 or operation names grows it with each.
 
-The walkers on the hot paths of checking, reduction and sampling
-dispatch on the exact class, `cls = type(t); if cls is App: ...`, not
-on class patterns (`match t: case App(fn, arg): ...`), which cost
-several times as much per node.  No term or type class has subclasses,
-so `type(t) is C` is `isinstance(t, C)`.  Cold code, such as the
-command line, the parser and the printer, matches patterns.
+`fold` is the one walk that rebuilds a term bottom-up: substitution,
+`erase` and the printer are each a hook or two for it.  It recurses
+while 100 levels are left, the fast way for the usual shallow term, and
+goes on from an explicit stack below that, so a term of any depth is
+folded without raising the interpreter's recursion limit.
+
+The walkers on the hot paths of checking, reduction, sampling and
+printing dispatch on the exact class, `cls = type(t); if cls is App:
+...`, not on class patterns (`match t: case App(fn, arg): ...`), which
+cost several times as much per node.  No term or type class has
+subclasses, so `type(t) is C` is `isinstance(t, C)`.  Cold code, such as
+the command line and the parser, matches patterns.
 """
 
 from __future__ import annotations
@@ -449,6 +455,71 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# The fold: the one depth-safe walk that rebuilds a term
+
+
+def fold(t: Term, enter, leave, room: int = 100):
+    """`t` folded bottom-up: each node's result from its children's.
+
+    `enter(node)` returns the node's result outright, anything but None
+    or a list; or None, to fold its `children` and return
+    `leave(node, results)`; or a list `[node2, *kids]`, to fold `kids`
+    instead and return `leave(node2, results)`, where a kid written
+    `(x,)` is not folded and its result is `x`.  A node shared by
+    several parents is folded once per position.
+
+    It recurses while `room` levels are left, and goes on from an
+    explicit stack below that (see the module docstring).
+    """
+    if room <= 0:
+        return _fold_from_stack(t, enter, leave)
+    r = enter(t)
+    if r is None:
+        node, kids = t, children(t)
+    elif type(r) is list:
+        node, kids = r[0], r[1:]
+    else:
+        return r
+    room -= 1
+    results = []
+    for k in kids:
+        results.append(k[0] if type(k) is tuple else fold(k, enter, leave, room))
+    return leave(node, results)
+
+
+def _fold_from_stack(t: Term, enter, leave):
+    """`fold` from an explicit stack: each node is left once its kids'
+    results are done."""
+    done: list = []
+    # a term to fold, (result,) for a kid not folded, or [node, n] for a
+    # node to leave with the last n results in `done`
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is list:
+            node, n = item
+            k = len(done) - n
+            results = done[k:]
+            del done[k:]
+            done.append(leave(node, results))
+        elif kind is tuple:
+            done.append(item[0])
+        else:
+            r = enter(item)
+            if r is None:
+                kids = children(item)
+                todo.append([item, len(kids)])
+                todo.extend(reversed(kids))
+            elif type(r) is list:
+                todo.append([r[0], len(r) - 1])
+                todo.extend(reversed(r[1:]))
+            else:
+                done.append(r)
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
 # Free variables, substitution, alpha-equivalence
 
 
@@ -570,90 +641,37 @@ def subst(t: Term, name: str, repl: Term) -> Term:
     """
     if name not in _free_vars(t):
         return t
-    return _subst(t, name, repl, _free_vars(repl))
+    return fold(t, _substituting(name, repl), rebuild)
 
 
-def _subst(t: Term, name: str, repl: Term, repl_fv: frozenset[str], room: int = 100) -> Term:
-    """`subst`'s walk: `repl_fv` is `repl`'s free variables.
+def _substituting(name: str, repl: Term):
+    """`subst`'s `enter` hook for `fold`, with `rebuild` as `leave`."""
+    repl_fv = _free_vars(repl)
 
-    It recurses, the fast way for the usual shallow term, while `room`
-    levels are left; a subterm below that is walked from an explicit
-    stack (`_subst_deep`), so the recursion goes no deeper whatever the
-    term's depth."""
-    cls = type(t)
-    if cls is Var:
-        return repl if t.name == name else t
-    if cls is Const:
-        return t
-    if name not in _free_vars(t):
-        return t
-    if room <= 0:
-        return _subst_deep(t, name, repl, repl_fv)
-    room -= 1
-    if cls is Abs:
-        binder2, body2 = _subst_under(t.binder, t.body, name, repl, repl_fv, room)
-        return t if body2 is t.body else Abs(binder2, body2)
-    if cls is Op:
-        param2 = _subst(t.param, name, repl, repl_fv, room)
-        binder2, cont2 = _subst_under(t.binder, t.cont, name, repl, repl_fv, room)
-        if param2 is t.param and cont2 is t.cont:
-            return t
-        return Op(t.op, param2, binder2, cont2)
-    kids = []
-    for child in children(t):
-        kids.append(_subst(child, name, repl, repl_fv, room))
-    return rebuild(t, kids)
-
-
-def _subst_under(binder: str, body: Term, name, repl, repl_fv, room) -> tuple[str, Term]:
-    """The binder and body after substituting in the body."""
-    if binder == name:
-        return binder, body
-    if binder in repl_fv and name in _free_vars(body):
-        binder, body = rename(binder, body, repl_fv | {name})
-    return binder, _subst(body, name, repl, repl_fv, room)
-
-
-def _subst_deep(t: Term, name: str, repl: Term, repl_fv: frozenset[str]) -> Term:
-    """`_subst` from an explicit stack: each node that holds `name` is
-    entered, its binder renamed as `_subst_under` does, and rebuilt once
-    its children are done."""
-    done: list[Term] = []
-    # a term to walk, (term,) for one kept as it is, or [node, binder] for
-    # a node to rebuild from its children's results, the last in `done`
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
+    def enter(t):
         cls = type(t)
-        if cls is list:
-            node, binder = t
-            k = len(done) - len(children(node))
-            kids = done[k:]
-            del done[k:]
-            if binder is None or binder == node.binder:
-                done.append(rebuild(node, kids))
-            elif type(node) is Abs:
-                done.append(Abs(binder, kids[0]))
-            else:
-                done.append(Op(node.op, kids[0], binder, kids[1]))
-        elif cls is tuple:
-            done.append(t[0])
-        elif cls is Var:
-            done.append(repl if t.name == name else t)
-        elif cls is Const or name not in _free_vars(t):
-            done.append(t)
-        else:
-            binder, kids = None, children(t)
-            if cls is Abs or cls is Op:
-                binder, body = t.binder, kids[-1]
-                if binder == name:
-                    body = (body,)
-                elif binder in repl_fv and name in _free_vars(body):
-                    binder, body = rename(binder, body, repl_fv | {name})
-                kids = (*kids[:-1], body)
-            todo.append([t, binder])
-            todo.extend(reversed(kids))
-    return done[0]
+        if cls is Var:
+            return repl if t.name == name else t
+        if cls is Const:
+            return t
+        # `subst` has filled the cache of every node of its term; only a
+        # node that a rename built may lack it
+        fv = t._fv
+        if name not in (fv if fv is not None else _free_vars(t)):
+            return t
+        if cls is Abs:
+            if t.binder in repl_fv:
+                binder, body = rename(t.binder, t.body, repl_fv | {name})
+                return [Abs(binder, body), body]
+        elif cls is Op:
+            if t.binder == name:
+                return [t, t.param, (t.cont,)]
+            if t.binder in repl_fv and name in _free_vars(t.cont):
+                binder, cont = rename(t.binder, t.cont, repl_fv | {name})
+                return [Op(t.op, t.param, binder, cont), t.param, cont]
+        return None
+
+    return enter
 
 
 def rename(binder: str, body: Term, avoid: frozenset[str]) -> tuple[str, Term]:
@@ -668,49 +686,19 @@ def erase(t: Term) -> Term:
 
     A subterm without ascriptions comes back as the very same object,
     and a node is rebuilt only when one of its children changed."""
-    return _erase(t)
+    return fold(t, _unascribed, rebuild)
 
 
-def _erase(t: Term, room: int = 100) -> Term:
-    """`erase`'s walk: it recurses while `room` levels are left, and
-    walks a subterm below that from an explicit stack (`_erase_deep`),
-    so the recursion goes no deeper whatever the term's depth."""
-    while type(t) is Ann:
-        t = t.term
-    kids = children(t)
-    if not kids:
+def _unascribed(t: Term):
+    """`erase`'s `enter` hook for `fold`, with `rebuild` as `leave`: a
+    node is folded without its ascriptions."""
+    cls = type(t)
+    if cls is Var or cls is Const:
         return t
-    if room <= 0:
-        return _erase_deep(t)
-    room -= 1
-    return rebuild(t, [_erase(kid, room) for kid in kids])
-
-
-def _erase_deep(t: Term) -> Term:
-    """`_erase` from an explicit stack: each node is rebuilt once its
-    children are done."""
-    done: list[Term] = []
-    # a term to walk, or [node] for a node to rebuild from its children's
-    # results, the last in `done`
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is list:
-            (node,) = t
-            k = len(done) - len(children(node))
-            kids = done[k:]
-            del done[k:]
-            done.append(rebuild(node, kids))
-            continue
-        while type(t) is Ann:
-            t = t.term
-        kids = children(t)
-        if kids:
-            todo.append([t])
-            todo.extend(reversed(kids))
-        else:
-            done.append(t)
-    return done[0]
+    if cls is Ann:
+        t = strip(t)
+        return [t, *children(t)]
+    return None
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

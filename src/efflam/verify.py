@@ -538,8 +538,9 @@ def monad_laws(max_size: int = 5) -> SuiteReport:
     # right identity: m >>= eta is m
     for m, _ in computations:
         laws["rightIdentity"] += 1
-        if not _both_none_or_eq(_nf(bind(m, eta_identity())), _nf(m)):
-            failures.append(f"right identity fails on {print_term(m)}")
+        why = _disagreement(_nf(bind(m, eta_identity())), _nf(m))
+        if why:
+            failures.append(f"right identity {why} on {print_term(m)}")
 
     # left identity: eta v >>= k is k v
     pairs = 0
@@ -550,9 +551,10 @@ def monad_laws(max_size: int = 5) -> SuiteReport:
         if pairs > _MAX_CASES:
             break
         laws["leftIdentity"] += 1
-        if not _both_none_or_eq(_nf(bind(Eta(v), k)), _nf(App(k, v))):
+        why = _disagreement(_nf(bind(Eta(v), k)), _nf(App(k, v)))
+        if why:
             failures.append(
-                f"left identity fails on value {print_term(v)}, arrow {print_term(k)}"
+                f"left identity {why} on value {print_term(v)}, arrow {print_term(k)}"
             )
 
     # associativity: (m >>= k) >>= h is m >>= (x. k x >>= h)
@@ -569,9 +571,10 @@ def monad_laws(max_size: int = 5) -> SuiteReport:
             laws["associativity"] += 1
             lhs = bind(bind(m, k), h)
             rhs = bind(m, Abs("x", bind(App(k, Var("x")), h)))
-            if not _both_none_or_eq(_nf(lhs), _nf(rhs)):
+            why = _disagreement(_nf(lhs), _nf(rhs))
+            if why:
                 failures.append(
-                    f"associativity fails on {print_term(m)}, {print_term(k)}, {print_term(h)}"
+                    f"associativity {why} on {print_term(m)}, {print_term(k)}, {print_term(h)}"
                 )
         if triples > _MAX_CASES:
             break
@@ -579,10 +582,13 @@ def monad_laws(max_size: int = 5) -> SuiteReport:
     return SuiteReport("monadLaws", sum(laws.values()), tuple(failures[:20]), coverage)
 
 
-def _both_none_or_eq(left: Term | None, right: Term | None) -> bool:
+def _disagreement(left: Term | None, right: Term | None) -> str | None:
+    """How a law fails on its two sides' normal forms, or None when they
+    are alpha-equivalent.  A side that ran out of fuel (None) fails the
+    law, even when the other did too: two divergent sides show nothing."""
     if left is None or right is None:
-        return left is None and right is None
-    return alpha_eq(left, right)
+        return "runs out of fuel"
+    return None if alpha_eq(left, right) else "fails"
 
 
 def run_suite(name: str, size: int | None = None, seed: int | None = None) -> SuiteReport:

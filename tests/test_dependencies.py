@@ -363,6 +363,11 @@ _EXACT_DISPATCH = {
     ("typecheck.py", "_handler_rule"),
     ("syntax.py", "canonical_key"),
     ("syntax.py", "_free_vars"),
+    ("syntax.py", "_substituting.enter"),
+    ("syntax.py", "_unascribed"),
+    ("surface.py", "_enter_print"),
+    ("surface.py", "_leave_print"),
+    ("surface.py", "_is_eta_identity"),
     ("reduce.py", "_rule_at"),
     ("reduce.py", "_blocked"),
     ("verify.py", "_sample"),

@@ -33,6 +33,7 @@ from efflam.syntax import (
     canonical_key,
     children,
     erase,
+    fold,
     free_vars,
     fresh_name,
     handler,
@@ -42,8 +43,8 @@ from efflam.syntax import (
     subst,
 )
 from efflam import syntax
-from efflam.syntax import _erase, _subst
-from efflam.surface import parse_type, print_term, print_type
+from efflam.syntax import _substituting, _unascribed
+from efflam.surface import _enter_print, _leave_print, parse_type, print_term, print_type
 from efflam.typecheck import TypeCheckError, synthesize
 from . import oracle
 from .conftest import NAMES, OP_TABLE, fresh_copy, redex_terms, terms, types
@@ -281,7 +282,7 @@ def test_subst_with_a_memo_agrees_with_the_plain_walk(t, x, r, filled):
 def test_subst_from_the_explicit_stack_agrees_with_the_recursion(t, x, r, room):
     # below `room` levels the walk goes on from an explicit stack; where
     # it switches must change nothing, fresh names and sharing included
-    got = _subst(t, x, r, free_vars(r), room)
+    got = fold(t, _substituting(x, r), rebuild, room)
     assert got == subst(t, x, r)
     assert (got is t) == (x not in free_vars(t))
 
@@ -531,10 +532,74 @@ def test_erase_from_the_explicit_stack_agrees_with_the_recursion(t, room):
     # below `room` levels the walk goes on from an explicit stack; where
     # it switches must change nothing, and a term without ascriptions
     # comes back itself
-    got = _erase(t, room)
+    got = fold(t, _unascribed, rebuild, room)
     assert got == erase(t)
     assert all(type(node) is not Ann for node in nodes([got]))
     assert (got is t) == all(type(node) is not Ann for node in nodes([t]))
+
+
+def _print_from(t, room):
+    return fold(t, _enter_print, _leave_print, room)[1]
+
+
+@settings(max_examples=300)
+@given(terms | redex_terms, st.integers(0, 4))
+def test_print_term_from_the_explicit_stack_agrees_with_the_recursion(t, room):
+    assert _print_from(t, room) == print_term(t)
+
+
+def test_print_term_from_the_explicit_stack_agrees_on_the_goldens():
+    from efflam.fragment import GOLDENS
+
+    for entry in GOLDENS:
+        for t in (entry.term(Const("s")), entry.expected):
+            assert _print_from(t, 0) == print_term(t)
+
+
+# --- any depth: the walkers built on the fold ----------------------------------
+
+_DEEP = 10_000
+
+
+def _nest(wrap, inner, depth=_DEEP):
+    for _ in range(depth):
+        inner = wrap(inner)
+    return inner
+
+
+_NESTS = {
+    "Eta": Eta,
+    "Abs": lambda t: Abs("y", t),
+    "App": lambda t: App(t, Const("j")),
+    "Op": lambda t: Op("op1", Const("j"), "y", t),
+    "Handler": lambda t: handler({}, Abs("b", Eta(Var("b"))), t),
+    "Ann": lambda t: Ann(t, A),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTS))
+def test_print_erase_and_subst_reach_any_depth(kind):
+    x, j = Var("x"), Const("j")
+    deep, want = _nest(_NESTS[kind], x), _nest(_NESTS[kind], j)
+    got = subst(deep, "x", j)
+    assert canonical_key(got) == canonical_key(want)
+    assert print_term(got) == print_term(want)
+    assert erase(deep) is (x if kind == "Ann" else deep)
+    assert erase(want) is (j if kind == "Ann" else want)
+
+
+def test_the_eta_nest_prints_at_any_depth():
+    # an `eta` under an `eta` is parenthesized, at every level
+    want = "eta (" * (_DEEP - 1) + "eta j" + ")" * (_DEEP - 1)
+    assert print_term(_nest(Eta, Const("j"))) == want
+
+
+def test_the_d256_ladder_prints():
+    from .test_reduce import _ladder
+
+    text = print_term(_ladder(256))
+    assert text.count("eta (say x p)") == 256
+    assert text == _print_from(_ladder(256), 0)
 
 
 # --- term shape: children and rebuild ----------------------------------------

@@ -342,6 +342,14 @@ def test_monad_laws_suite_passes():
     assert report.checked > 50
 
 
+def test_monad_laws_fail_where_both_sides_run_out_of_fuel(monkeypatch):
+    # two sides without a normal form show nothing, so the law fails
+    monkeypatch.setattr("efflam.verify._nf", lambda term: None)
+    report = monad_laws(max_size=5)
+    assert not report.ok
+    assert report.failures and all("runs out of fuel on" in f for f in report.failures)
+
+
 def test_suites_are_deterministic():
     first = termination(samples=100, depth=5, seed=9)
     second = termination(samples=100, depth=5, seed=9)
