@@ -22,17 +22,17 @@ depth or size of the whole term.  The normalizer holds the term as a
 zipper: a focus plus one frame per ancestor (Huet, "The Zipper", JFP
 1997).  It contracts the focus, rebuilds only the ancestors whose redex
 test the step can have changed, right before re-testing them, and plugs
-any other frame back into its parent only when the search leaves it, so
-it never rebuilds the path to the root per step.  The focus is held
-without its ascriptions: they form a run of its own, a contractum's new
-ascriptions join the run on the inside, and the run is wrapped around
-the focus again only when the focus goes back into its parent, or the
-term is recorded or returned.  So the ascriptions that a long chain of
-betas on ascribed functions piles up are wrapped once, not once per
-step.  The search resumes where the last step was made.  Everything to
-the left of the contracted position is unchanged by the step and was
-already found free of redexes, so only three places can hold the next
-redex:
+any other frame back into its parent only when the zipper leaves it, so
+it never rebuilds the path to the root per step, and it plugs each frame
+at most once per step.  The focus is held without its ascriptions: they
+form a run of its own, a contractum's new ascriptions join the run on
+the inside, and the run is wrapped around the focus again only when the
+focus goes back into its parent, or the term is recorded or returned.
+So the ascriptions that a long chain of betas on ascribed functions
+piles up are wrapped once, not once per step.  The leftmost-outermost
+search resumes where the last step was made.  Everything to the left of
+the contracted position is unchanged by the step and was already found
+free of redexes, so only three places can hold the next redex:
 
 - an ancestor that the step made a redex.  A rule reads at most a
   node's grandchildren, and mostly one child: an application its
@@ -64,22 +64,26 @@ the paths to its occurrences, and a subterm that later steps pass on
 unchanged, such as the rest of a long chain of handled operations, is
 walked once, not once per step.
 
-A random-strategy step also costs work in the depth of its redex, not
-in the size of the term.  It draws one of the term's redexes uniformly,
-numbered in `candidates` order, but it never lists them: like free
-variables, the number of redexes in a node's subtree is counted once
-and kept on the node (`_redexes`), so the counts live exactly as long
-as the term does.  The drawn redex is found by walking down from the
-root, passing over whole children by their counts (`_find`); a node is
-itself a redex exactly when it counts more redexes than its children.
-`contract_at` shares every subterm that a step leaves unchanged, so
-only the rebuilt path and the contractum's new nodes are counted after
-a step.  Like the zipper's focus, the root is held without its
-ascriptions, so the run that steps at the root pile up is wrapped only
-for a recorded step and the returned term.  The draw is
-`rng.choice(range(n))` for `n` redexes, which consumes the generator
-exactly as `rng.choice` over the list of the `n` candidates does, so a
-seed gives the same steps whether the candidates are listed or counted.
+The random strategy draws one of the term's redexes uniformly, numbered
+in `candidates` order, but it never lists them: like free variables, the
+number of redexes in a node's subtree is counted once and kept on the
+node (`_redexes`), so the counts live exactly as long as the term does.
+It steps on the same zipper, whose frames then also hold three counts:
+whether the frame's node is a redex, and the redexes in its children
+left and right of the path.  In `candidates` order the frames' own
+redexes and left children come first, root first, then the focus, then
+the frames' right children, deepest first, so the frames place the
+drawn redex without a walk from the root (`_draw`).  A redex outside the
+focus is reached by popping up to the frame that holds it, and each node
+rebuilt on the way gets its count from its frame's and the focus's.
+Then the zipper walks down by the counts: a node is itself a redex
+exactly when it counts more redexes than its children.  After a step,
+only the contractum's new nodes are counted, and only the frames that
+leftmost-outermost would re-test have their own count re-tested (see
+above).  The draw is `rng.choice(range(n))` for `n` redexes, which
+consumes the generator exactly as `rng.choice` over the list of the `n`
+candidates does, so a seed gives the same steps whether the candidates
+are listed or counted.
 """
 
 from __future__ import annotations
@@ -466,9 +470,10 @@ def normalize(
     before each step and takes number `rng.choice(range(n))` from a
     `random.Random(seed)`.  That is the draw `rng.choice` makes from a
     list of `n` candidates, so a seed fixes the same reduction sequence
-    as a strategy that lists them; the redexes are counted per subterm
-    instead (see the module docstring), so a step costs work in the
-    redex's depth, not in the term's size.
+    as a strategy that lists them.  Both strategies step on one zipper
+    (see the module docstring); the random one counts the redexes per
+    subterm and per frame instead of listing them, so a step costs work
+    in the depth of the last redex and the next, not in the term's size.
     """
     if fuel < 0:
         raise ValueError(f"fuel must not be negative, got {fuel}")
@@ -483,7 +488,7 @@ def normalize(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "leftmostOutermost":
         return _zipper(t, fuel, record_steps)
-    return _random_seeded(t, fuel, seed, record_steps)
+    return _zipper(t, fuel, record_steps, random.Random(seed))
 
 
 def _discarded_vars(s: Term, rule: Rule) -> frozenset[str]:
@@ -520,31 +525,48 @@ _READS = {App: -2, Abs: -1, Handler: -1, Cherry: -1, Exchange: -1}
 _READS_GRANDCHILDREN = {(Abs, App), (Exchange, Abs)}
 
 
-def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
-    """Leftmost-outermost normalization on a zipper (see the module
-    docstring for why each step re-tests only a few ancestors).
+def _zipper(
+    t: Term, fuel: int, record_steps: bool, rng: random.Random | None = None
+) -> ReductionTrace:
+    """Normalization on a zipper: leftmost-outermost, or with `rng` the
+    random strategy (see the module docstring for why each step re-tests
+    only a few ancestors).
 
     The term is held as a focus plus one frame per ascription-free
-    ancestor, root first: [ascriptions, node, children, child index].
-    The focus is held without its ascriptions, which form its own run
-    (outermost first), and a contractum's ascriptions join the run on
-    the inside.  The child at a frame's index and the frame's node are
-    stale while the focus is below it.  A frame is rebuilt, with the
-    focus wrapped in its run and plugged back in, only right before it
-    is re-tested after a step, when the search leaves it, and when the
-    whole term is recorded or returned.
+    ancestor, root first: [ascriptions, node, children, child index],
+    and under the random strategy three redex counts: the node's own (1
+    when it is a redex, else 0), its children's left of the index, and
+    right of it.  The focus is held without its ascriptions, which form
+    its own run (outermost first), and a contractum's ascriptions join
+    the run on the inside.  The frames from `fresh` down are up to date:
+    the child at each one's index is the node below under its run.  A
+    step makes them all stale; a stale frame is rebuilt, with the node
+    below wrapped in its run and plugged back in, only right before it
+    is re-tested after a step, when the zipper leaves it, and when the
+    whole term is recorded or returned, and then it is up to date until
+    the next step.
     """
     frames: list[list] = []
     run, focus = _peel(t)
     steps: list[Step] = []
-    count = 0
-    hit = _search([(focus, ())], _rule_at)
-    while hit is not None:
-        rule, path = hit
-        run, focus = _descend(frames, run, focus, path)
+    count = fresh = 0
+    if rng is None:
+        hit = _search([(focus, ())], _rule_at)
+    else:
+        # the running number of redexes in the whole term
+        total = _redexes(focus)
+    while (hit is not None) if rng is None else total:
         if count == fuel:
-            whole = _rewrap(*_whole(frames, focus, run))
+            whole = _rewrap(*_whole(frames, focus, run, 0, fresh))
             return ReductionTrace(t, steps, FuelExhausted(), whole, count)
+        if rng is None:
+            rule, path = hit
+            if path:
+                run, focus = _descend(frames, run, focus, path)
+        else:
+            # draws from the RNG exactly as `rng.choice(candidates(term))`
+            rule, run, focus, fresh = _draw(frames, run, focus, fresh, rng.choice(range(total)))
+            total -= focus._nredex
         # the outermost frame whose redex test the step can change: a
         # binder further up whose variable the step drops, ...
         n = top = len(frames)
@@ -568,13 +590,25 @@ def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
         if type(focus) is Ann:
             run, focus = _into_run(run, focus)
         count += 1
+        fresh = n
         if record_steps:
             path = tuple(frame[3] for frame in frames)
             steps.append(Step(rule, path, _rewrap(*_whole(frames, focus, run))))
+            fresh = 0
         # bring frames[top:] up to date, then re-test them outermost first
+        if top < fresh:
+            _whole(frames, focus, run, top, fresh)
+            fresh = top
+        if rng is not None:
+            total += _redexes(focus)
+            for k in range(top, n):
+                frame = frames[k]
+                own = 0 if _rule_at(frame[1]) is None else 1
+                total += own - frame[4]
+                frame[4] = own
+            continue
         hit = None
         if top < n:
-            _whole(frames, focus, run, top)
             for k in range(top, n):
                 rule = _rule_at(frames[k][1])
                 if rule is not None:
@@ -593,16 +627,82 @@ def _zipper(t: Term, fuel: int, record_steps: bool) -> ReductionTrace:
             if i + 1 < len(kids):
                 hit = _search([(kids[j], (j,)) for j in range(len(kids) - 1, i, -1)], _rule_at)
                 if hit is not None:
-                    kids[i] = _rewrap(run, focus)
+                    if len(frames) <= fresh:
+                        kids[i] = _rewrap(run, focus)
                     rule, (j, *path) = hit
                     frame[3] = j
                     run, focus = _peel(kids[j])
                     hit = (rule, path)
                     break
             tys, s, kids, i = frames.pop()
-            kids[i] = _rewrap(run, focus)
-            run, focus = tys, rebuild(s, kids)
+            if len(frames) < fresh:
+                kids[i] = _rewrap(run, focus)
+                s = rebuild(s, kids)
+                fresh = len(frames)
+            run, focus = tys, s
+    if frames:
+        run, focus = _whole(frames, focus, run, 0, fresh)
     return _ended(t, steps, _rewrap(run, focus), count)
+
+
+def _draw(frames: list[list], run: Sequence, focus: Term, fresh: int, k: int) -> tuple:
+    """Move the random strategy's zipper to redex number `k` (from 0) in
+    `candidates` order: its rule, the new focus's run and node, and the
+    new `fresh`.
+
+    In pre-order, the frames' own redexes and left children come first,
+    root first, then the focus, then the frames' right children, deepest
+    first.  A redex outside the focus is reached by popping up to the
+    frame that holds it, whose node becomes the focus; each node passed
+    on the way gets its count from its frame's and the focus's.  Then
+    the zipper walks down by the counts: a node is itself a redex exactly
+    when it counts more redexes than its children do together."""
+    # the frame whose node's subtree holds the drawn redex, and `k`
+    # counted in that subtree
+    inner = below = _redexes(focus)
+    top = len(frames)
+    for j, frame in enumerate(frames):
+        if k < frame[4] + frame[5]:
+            top = j
+            break
+        k -= frame[4] + frame[5]
+    else:
+        if k >= inner:
+            k -= inner
+            for top in range(len(frames) - 1, -1, -1):
+                frame = frames[top]
+                if k < frame[6]:
+                    k += frame[4] + frame[5] + below
+                    break
+                k -= frame[6]
+                below += frame[4] + frame[5] + frame[6]
+    while len(frames) > top:
+        frame = frames.pop()
+        node = frame[1]
+        if len(frames) < fresh:
+            kids = frame[2]
+            kids[frame[3]] = _rewrap(run, focus)
+            node = rebuild(node, kids)
+            fresh = len(frames)
+        inner += frame[4] + frame[5] + frame[6]
+        if node._nredex is None:
+            _cache(node, "_nredex", inner)
+        run, focus = frame[0], node
+    while True:
+        kids = children(focus)
+        counts = [_redexes(kid) for kid in kids]
+        own = focus._nredex - sum(counts)
+        if k < own:
+            return _rule_at(focus), run, focus, fresh
+        k -= own
+        left = 0
+        for i, n in enumerate(counts):
+            if k < n:
+                break
+            k -= n
+            left += n
+        frames.append([run, focus, list(kids), i, own, left, focus._nredex - own - left - n])
+        run, focus = _peel(kids[i])
 
 
 def _into_run(run: list, t: Term) -> tuple[list, Term]:
@@ -628,38 +728,23 @@ def _descend(frames: list[list], run: Sequence, focus: Term, path: Path) -> tupl
     return run, focus
 
 
-def _whole(frames: list[list], focus: Term, run: Sequence, top: int = 0) -> tuple:
+def _whole(
+    frames: list[list], focus: Term, run: Sequence, top: int = 0, fresh: int | None = None
+) -> tuple:
     """The subterm at frames[top], with `focus` under its run `run`
-    plugged in, as its own run and node; the frames from `top` down are
-    brought up to date on the way."""
-    for k in range(len(frames) - 1, top - 1, -1):
+    plugged in, as its own run and node.  The frames from `fresh` down
+    (all of them by default) are already up to date; the others from
+    `top` down are brought up to date on the way."""
+    k = len(frames) if fresh is None else top if top > fresh else fresh
+    if k < len(frames):
+        run, focus = frames[k][0], frames[k][1]
+    for k in range(k - 1, top - 1, -1):
         frame = frames[k]
-        tys, s, kids, i = frame
-        kids[i] = _rewrap(run, focus)
-        frame[1] = focus = rebuild(s, kids)
-        run = tys
+        kids = frame[2]
+        kids[frame[3]] = _rewrap(run, focus)
+        frame[1] = focus = rebuild(frame[1], kids)
+        run = frame[0]
     return run, focus
-
-
-def _random_seeded(t: Term, fuel: int, seed: int, record_steps: bool) -> ReductionTrace:
-    rng = random.Random(seed)
-    steps: list[Step] = []
-    # the root is held without its ascriptions, as the zipper holds its focus
-    run, current = _peel(t)
-    # one count more than there are steps: after the last step the term
-    # may already be normal
-    for spent in range(fuel + 1):
-        n = _redexes(current)
-        if not n:
-            return _ended(t, steps, _rewrap(run, current), spent)
-        if spent == fuel:
-            break
-        # draws from the RNG exactly as `rng.choice(candidates(current))`
-        rule, path = _find(current, rng.choice(range(n)))
-        run, current = _into_run(run, contract_at(current, path, rule))
-        if record_steps:
-            steps.append(Step(rule, path, _rewrap(run, current)))
-    return ReductionTrace(t, steps, FuelExhausted(), _rewrap(run, current), fuel)
 
 
 def _redexes(t: Term, room: int = 100) -> int:
@@ -692,27 +777,3 @@ def _redexes(t: Term, room: int = 100) -> int:
         n += _redexes(kid, room)
     _cache(t, "_nredex", n)
     return n
-
-
-def _find(t: Term, k: int) -> tuple[Rule, Path]:
-    """The `k`-th redex of the counted term `t` (from 0) in `candidates`
-    order: pre-order, children left to right.  A node is a redex exactly
-    when it counts more redexes than its children do together, so only
-    the drawn node's rule is looked up."""
-    path = []
-    while True:
-        while type(t) is Ann:
-            t = t.term
-        kids = children(t)
-        counts = [_redexes(kid) for kid in kids]
-        if t._nredex > sum(counts):
-            if not k:
-                return _rule_at(t), tuple(path)
-            k -= 1
-        # k < the count of t's subtree, so some child holds the redex
-        for i, n in enumerate(counts):
-            if k < n:
-                break
-            k -= n
-        path.append(i)
-        t = kids[i]

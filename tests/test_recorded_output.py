@@ -43,7 +43,7 @@ from efflam.cli import main
 from efflam.fragment import GOLDENS, shipped_source
 from efflam.reduce import normalize
 from efflam.surface import print_path, print_term
-from efflam.syntax import Const, erase
+from efflam.syntax import App, Const, erase
 
 from .test_reduce import _handled_chain, _ladder
 from .test_typecheck import ladder_source, two_round_nest
@@ -75,13 +75,19 @@ _PRINT_AT_MOST = 400
 
 def ascribed_steps() -> str:
     """One line per step, ascriptions not erased, of the handled chain
-    with an ascribed clause at n = 3 and the d8 ladder under both
-    strategies (seed 7), and of each golden entry under the default one:
+    with an ascribed clause at n = 3, alone and one level below the root,
+    and the d8 ladder under both strategies (seed 7), and of each golden
+    entry under the default one:
     run, strategy, step number, rule, position, and the printed term, or
     the first 16 hex digits of the print's SHA-256 where it is longer
     than 400 characters."""
     both = ("leftmostOutermost", "randomSeeded")
-    runs = [("chain3", _handled_chain(3, ascribed=True), both), ("ladder8", _ladder(8), both)]
+    chain = _handled_chain(3, ascribed=True)
+    runs = [
+        ("chain3", chain, both),
+        ("fchain3", App(Const("f"), chain), both),
+        ("ladder8", _ladder(8), both),
+    ]
     runs += [
         (f"golden{entry.number}", entry.term(Const("s")), both[:1]) for entry in GOLDENS
     ]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -59,6 +63,8 @@ from efflam.syntax import (
 from efflam.typecheck import check_against, clause_type, synthesize
 from efflam.verify import _ROWS, OPERATIONS, _sample_type, sample_typed
 from .conftest import fresh_copy, redex_terms, terms
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DECLS = """
 atom iota. atom o.
@@ -320,8 +326,9 @@ def test_a_long_handled_chain_normalizes(strategy, monkeypatch):
     # substitutes into the whole rest of the chain: substitution must
     # enter only the paths to the variable, not recurse down the chain.
     # With the clause ascribed, the run of ascriptions around the rest of
-    # the chain grows by one per call: a step must not wrap it again, so
-    # the ascriptions built are counted, not timed
+    # the chain grows by one per call: a step must not wrap it again,
+    # whether the chain is the whole term or one level below its root,
+    # so the ascriptions built are counted, not timed
     built = 0
     init = Ann.__init__
 
@@ -330,24 +337,50 @@ def test_a_long_handled_chain_normalizes(strategy, monkeypatch):
         built += 1
         init(self, *args)
 
-    for ascribed in (False, True):
-        term = _handled_chain(2000, ascribed)
+    chain, ascribed = _handled_chain(2000), _handled_chain(2000, ascribed=True)
+    for term in (chain, ascribed, App(Const("f"), ascribed)):
         built = 0
         monkeypatch.setattr(Ann, "__init__", counted)
         trace = normalize(term, strategy, record_steps=False)
         monkeypatch.undo()
         assert isinstance(trace.outcome, NormalForm)
-        assert strip(trace.final) == Eta(Const("a0"))
+        final = trace.final
+        if type(term) is App:
+            assert final.fn == Const("f")
+            final = final.arg
+        assert strip(final) == Eta(Const("a0"))
         assert trace.step_count == 4 * 2000 + 2
-        if not ascribed:
+        if term is chain:
             assert built == 0
         elif strategy == "leftmostOutermost":
             # three per call, and one per call in the final term's run
             assert built <= trace.step_count + 1
         else:
-            # the random strategy wraps the runs on the path to each
-            # redex below the root again; they stay short on this chain
+            # a redex drawn outside the focus pops the frames in between,
+            # and the runs below them are wrapped again; they stay short
+            # on this chain
             assert built <= 2 * trace.step_count
+
+
+@pytest.mark.parametrize("record_steps, most", [(False, 282), (True, 918)])
+def test_the_zipper_wraps_a_frame_once_per_step_on_the_goldens(record_steps, most, monkeypatch):
+    # a frame brought up to date to be re-tested after a step, or to
+    # record it, is not wrapped and rebuilt again when the search leaves
+    # it: wrapping it twice built 283 and 1,081 ascriptions here
+    built = 0
+    init = Ann.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    terms = [entry.term(Const("s")) for entry in GOLDENS]
+    monkeypatch.setattr(Ann, "__init__", counted)
+    for term in terms:
+        normalize(term, record_steps=record_steps)
+    monkeypatch.undo()
+    assert built <= most
 
 
 # ---------------------------------------------------------------------------
@@ -810,9 +843,32 @@ def test_random_strategy_on_the_golden_corpus(entry):
         assert isinstance(trace.outcome, NormalForm)
 
 
+def _benchmark_golden_requests(workload_seed):
+    """The golden requests of the benchmark's random_terms workload,
+    which compares only their final forms: (term, seed) pairs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    modules = ("syntax", "verify", "fragment", "prelude", "reduce")
+    ef = SimpleNamespace(**{name: importlib.import_module(f"efflam.{name}") for name in modules})
+    (items,) = workloads._generate_random_terms(ef, workload_seed)
+    return [data[:2] for kind, data in items if kind == "agrees"]
+
+
+@pytest.mark.parametrize("workload_seed", range(5))
+def test_random_strategy_on_the_benchmark_golden_requests(workload_seed):
+    for term, seed in _benchmark_golden_requests(workload_seed):
+        for fuel in (0, 1, 5):
+            _assert_random_agrees_with_rescan(term, seed, fuel)
+        trace = _assert_random_agrees_with_rescan(term, seed)
+        assert isinstance(trace.outcome, NormalForm)
+
+
 @pytest.mark.parametrize("depth", [8, 16])
 def test_random_strategy_on_the_deep_ladder(depth):
-    for seed in range(2):
+    for seed in range(5):
+        for fuel in (0, 1, 5):
+            _assert_random_agrees_with_rescan(_ladder(depth), seed, fuel)
         trace = _assert_random_agrees_with_rescan(_ladder(depth), seed)
         assert isinstance(trace.outcome, NormalForm)
 
@@ -864,6 +920,38 @@ def test_redex_counts_agree_with_the_candidates_on_goldens_and_far_binders():
         _assert_counts_match_candidates(entry.term(Const("s")))
     for term in _far_binder_terms(random.Random(7), 300):
         _assert_counts_match_candidates(term)
+
+
+def _checked_counts(trace):
+    """How many nodes reachable from the trace's final term and recorded
+    steps carry a redex count, each checked against the candidates."""
+    checked = 0
+    for node in nodes([trace.final, *(step.term for step in trace.steps)]):
+        if node._nredex is not None:
+            assert node._nredex == len(candidates(node)), node
+            checked += 1
+    return checked
+
+
+def test_the_counts_the_random_strategy_leaves_agree_with_the_candidates():
+    # a node the zipper pops out of gets its count by adding up its
+    # frame's and the focus's: a wrong one would skew every later draw
+    # that passes the node, without any error
+    checked = 0
+    for entry in GOLDENS:
+        term = entry.term(Const("s"))
+        for seed in range(5):
+            for record in (True, False):
+                trace = normalize(fresh_copy(term), "randomSeeded", seed=seed, record_steps=record)
+                checked += _checked_counts(trace)
+    assert checked > 10_000
+    checked = 0
+    rng = random.Random(11)
+    for term in _far_binder_terms(rng, 300):
+        term = _under_runs(rng, term)
+        trace = normalize(term, "randomSeeded", fuel=rng.choice([1, 5, 40]), seed=rng.randrange(4))
+        checked += _checked_counts(trace)
+    assert checked > 2_000
 
 
 def test_a_second_normalization_counts_no_node_of_the_initial_term(monkeypatch):
