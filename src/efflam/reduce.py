@@ -56,18 +56,20 @@ free of redexes, so only three places can hold the next redex:
 - the right siblings of each ancestor, deepest first.
 
 Free variables come from `free_vars`, which computes them once per
-node and keeps them on the node, so they live exactly as long as the
-term does.  They answer the side conditions above, and tell whether a
-step drops a variable.  Substitution asks them too, and enters only the
-subterms that mention the substituted variable, so a step rebuilds only
-the paths to its occurrences, and a subterm that later steps pass on
-unchanged, such as the rest of a long chain of handled operations, is
-walked once, not once per step.
+node and keeps them on the node, in a slot that the node is built with
+(`syntax._Node`), so they live exactly as long as the term does and
+cost no memory beyond the set.  They answer the side conditions
+above, and tell whether a step drops a variable.  Substitution asks
+them too, and enters only the subterms that mention the substituted
+variable, so a step rebuilds only the paths to its occurrences, and a
+subterm that later steps pass on unchanged, such as the rest of a long
+chain of handled operations, is walked once, not once per step.
 
 The random strategy draws one of the term's redexes uniformly, numbered
 in `candidates` order, but it never lists them: like free variables, the
 number of redexes in a node's subtree is counted once and kept on the
-node (`_redexes`), so the counts live exactly as long as the term does.
+node, in its `_nredex` slot (`_redexes`), so the counts live exactly as
+long as the term does.
 It steps on the same zipper, whose frames then also hold three counts:
 whether the frame's node is a redex, and the redexes in its children
 left and right of the path.  In `candidates` order the frames' own
@@ -75,7 +77,9 @@ redexes and left children come first, root first, then the focus, then
 the frames' right children, deepest first, so the frames place the
 drawn redex without a walk from the root (`_draw`).  A redex outside the
 focus is reached by popping up to the frame that holds it, and each node
-rebuilt on the way gets its count from its frame's and the focus's.
+rebuilt on the way gets its count from its frame's and the focus's; a
+frame that holds it in a child other than the path's is not popped but
+re-aimed at that child.
 Then the zipper walks down by the counts: a node is itself a redex
 exactly when it counts more redexes than its children.  After a step,
 only the contractum's new nodes are counted, and only the frames that
@@ -653,8 +657,10 @@ def _draw(frames: list[list], run: Sequence, focus: Term, fresh: int, k: int) ->
     In pre-order, the frames' own redexes and left children come first,
     root first, then the focus, then the frames' right children, deepest
     first.  A redex outside the focus is reached by popping up to the
-    frame that holds it, whose node becomes the focus; each node passed
-    on the way gets its count from its frame's and the focus's.  Then
+    frame that holds it, whose node becomes the focus when it is the
+    redex; each node passed on the way gets its count from its frame's
+    and the focus's.  A frame that holds it in another child stays, its
+    index and its left and right counts re-aimed at that child.  Then
     the zipper walks down by the counts: a node is itself a redex exactly
     when it counts more redexes than its children do together."""
     # the frame whose node's subtree holds the drawn redex, and `k`
@@ -676,8 +682,15 @@ def _draw(frames: list[list], run: Sequence, focus: Term, fresh: int, k: int) ->
                     break
                 k -= frame[6]
                 below += frame[4] + frame[5] + frame[6]
+    # pop up to the frame that holds the drawn redex; one whose node's
+    # children hold it stays, aimed at the child that does
     while len(frames) > top:
-        frame = frames.pop()
+        frame = frames[-1]
+        if len(frames) == top + 1 and k >= frame[4]:
+            if top < fresh:
+                frame[2][frame[3]] = _rewrap(run, focus)
+            break
+        frames.pop()
         node = frame[1]
         if len(frames) < fresh:
             kids = frame[2]
@@ -688,21 +701,29 @@ def _draw(frames: list[list], run: Sequence, focus: Term, fresh: int, k: int) ->
         if node._nredex is None:
             _cache(node, "_nredex", inner)
         run, focus = frame[0], node
+    else:
+        frame = None
     while True:
-        kids = children(focus)
-        counts = [_redexes(kid) for kid in kids]
-        own = focus._nredex - sum(counts)
-        if k < own:
-            return _rule_at(focus), run, focus, fresh
-        k -= own
+        if frame is None:
+            kids = children(focus)
+            counts = [_redexes(kid) for kid in kids]
+            own = focus._nredex - sum(counts)
+            if k < own:
+                return _rule_at(focus), run, focus, fresh
+            frame = [run, focus, list(kids), 0, own, 0, 0]
+            frames.append(frame)
+        else:
+            counts = [_redexes(kid) for kid in frame[2]]
+        k -= frame[4]
         left = 0
         for i, n in enumerate(counts):
             if k < n:
                 break
             k -= n
             left += n
-        frames.append([run, focus, list(kids), i, own, left, focus._nredex - own - left - n])
-        run, focus = _peel(kids[i])
+        frame[3], frame[5], frame[6] = i, left, sum(counts) - left - n
+        run, focus = _peel(frame[2][i])
+        frame = None
 
 
 def _into_run(run: list, t: Term) -> tuple[list, Term]:

@@ -8,7 +8,11 @@ Since a term never changes, neither do its free variables: `free_vars`
 computes them once per node and keeps them on the node (after
 Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML 2006, which
 keeps per-node data on hash-consed terms), for substitution, the
-normalizer's side conditions and the checker's record alike.
+normalizer's side conditions and the checker's record alike.  Each term
+class holds its fields, and a compound one its three caches, in
+`__slots__`, so a term has no `__dict__`: on 64-bit CPython 3.11 a
+compound node takes 72 to 96 bytes, a leaf 48, whether or not its
+caches are written.
 
 Types, unlike terms, are hash-consed as in that paper: the
 constructors of `Atom`, `Fun`, `Signature` and `Comp` return the one
@@ -245,56 +249,123 @@ class Context:
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+class _Term:
+    """Base of the term classes.  Each is a frozen dataclass whose fields
+    live in slots (see `_term`), so a term has no `__dict__`."""
+
+    __slots__ = ("__weakref__",)
+
+    # `copy`, `deepcopy` and `pickle` rebuild through the constructor, as
+    # for types, so a copy's caches start empty; storing the slots one by
+    # one would meet the frozen `__setattr__`
+    __reduce__ = _Interned.__reduce__
+
+
+class _Node(_Term):
+    """Base of the compound term classes, which hold the per-node caches.
+
+    Each is written through `_cache` on the node itself: `free_vars`
+    keeps a node's free variables as `_fv`, the random strategy
+    (`reduce._redexes`) an ascription-free one's redex count as
+    `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
+    handler's typings in its last context as `_typed`.  The constructor
+    sets them to None.  They are slots, not fields: equality, hashing,
+    `repr` and `dataclasses.replace` never see them, and a copy starts
+    with none."""
+
+    __slots__ = ("_fv", "_nredex", "_typed")
+
+
+def _term(cls: type) -> type:
+    """`cls`, whose `__slots__` name its fields, as a frozen dataclass
+    with an `__init__` that stores each field, then sets each cache to
+    None.
+
+    Like the one `dataclass` writes, the `__init__` is made from source,
+    but it stores through each slot's own descriptor, bound once, which
+    costs half of `object.__setattr__`: a term is built as fast as a
+    frozen dataclass without slots, and a cache written later never
+    gives the node a `__dict__`.  A class with `__post_init__` calls it
+    last, as `dataclass` does."""
+    init = cls.__init__ = _storing(cls, hasattr(cls, "__post_init__"))
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return dataclass(frozen=True, init=False)(cls)
+
+
+def _storing(cls: type, check: bool = False):
+    """A function of a new `cls` object and its field values that stores
+    them and empties the caches, then, if `check`, calls the object's
+    `__post_init__`; annotated as `dataclass` annotates an `__init__`,
+    which gives the class its signature."""
+    fields = cls.__slots__
+    slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
+    lines = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
+    if check:
+        lines.append("    self.__post_init__()")
+    setters = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
+    exec(f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(lines), setters)
+    init = setters["__init__"]
+    init.__annotations__ = {name: cls.__annotations__[name] for name in fields} | {"return": None}
+    return init
+
+
+@_term
+class Var(_Term):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_term
+class Const(_Term):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Abs:
+@_term
+class Abs(_Node):
+    __slots__ = ("binder", "body")
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+@_term
+class App(_Node):
+    __slots__ = ("fn", "arg")
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Eta:
+@_term
+class Eta(_Node):
     """Injection of a value as a trivial computation."""
 
+    __slots__ = ("value",)
     value: "Term"
 
 
-@dataclass(frozen=True)
-class Op:
+@_term
+class Op(_Node):
     """Operation call: parameter, then a continuation with one binder.
 
     The binder scopes over the continuation only, never the parameter.
     """
 
+    __slots__ = ("op", "param", "binder", "cont")
     op: str
     param: "Term"
     binder: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Handler:
+@_term
+class Handler(_Node):
     """Handler applied to a scrutinee computation.
 
     `clauses` maps handled operation names to clause terms and is kept
     sorted by name; the eta clause interprets injected values.
     """
 
+    __slots__ = ("clauses", "eta_clause", "scrutinee")
     clauses: tuple[tuple[str, "Term"], ...]
     eta_clause: "Term"
     scrutinee: "Term"
@@ -318,50 +389,43 @@ def handler(clauses: dict[str, "Term"], eta_clause: "Term", scrutinee: "Term") -
     return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)
 
 
+_store_handler = _storing(Handler)
+
+
 def _handler_unchecked(clauses, eta_clause, scrutinee) -> Handler:
     """A Handler built without `__post_init__`'s clause-order check, for
     clause names copied from a handler that has passed it."""
     h = object.__new__(Handler)
-    object.__setattr__(h, "clauses", clauses)
-    object.__setattr__(h, "eta_clause", eta_clause)
-    object.__setattr__(h, "scrutinee", scrutinee)
+    _store_handler(h, clauses, eta_clause, scrutinee)
     return h
 
 
-@dataclass(frozen=True)
-class Cherry:
+@_term
+class Cherry(_Node):
     """Extraction of the value of an effect-free computation."""
 
+    __slots__ = ("comp",)
     comp: "Term"
 
 
-@dataclass(frozen=True)
-class Exchange:
+@_term
+class Exchange(_Node):
     """Commutes a function with the computation it returns."""
 
+    __slots__ = ("fn",)
     fn: "Term"
 
 
-@dataclass(frozen=True)
-class Ann:
+@_term
+class Ann(_Node):
     """Type ascription.  Guides the checker; erased before reduction."""
 
+    __slots__ = ("term", "ty")
     term: "Term"
     ty: Type
 
 
 Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
-
-# Every per-node cache, written through `_cache` on the node itself:
-# `free_vars` keeps a compound node's free variables as `_fv`, the random
-# strategy (`reduce._redexes`) an ascription-free one's redex count as
-# `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
-# handler's typings in its last context as `_typed`
-for _compound in (Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann):
-    _compound._fv = None
-    _compound._nredex = None
-    _compound._typed = None
-del _compound
 
 # a position in a term: child indices, in `children` order, from the root
 Path = tuple[int, ...]
@@ -528,8 +592,8 @@ def free_vars(t: Term) -> frozenset[str]:
 
     Terms are immutable, so each compound node keeps its set on itself,
     as `_fv`, once asked; variables and constants are never cached.
-    `_fv` is not a field: equality, hashing, `repr` and
-    `dataclasses.replace` never see it.
+    `_fv` is a slot, not a field (see `_Node`): equality, hashing,
+    `repr` and `dataclasses.replace` never see it.
     """
     return _free_vars(t)
 

@@ -4,7 +4,7 @@ promises, no function in it leaves a reference cycle behind per
 call, no function imports one of its modules unless listed with a
 reason, every private module-level name in it is used, the typing
 errors it raises are of the documented kinds, and every per-node cache
-it writes is declared in `syntax`'s one list."""
+it writes is declared once, in a `__slots__` of `syntax`."""
 
 from __future__ import annotations
 
@@ -448,35 +448,40 @@ def _cache_writes(source):
 
 
 def _declared_caches(source):
-    """The attribute names that a module-level `for` loop sets to None on
-    each class it goes through, as `syntax` declares the per-node caches."""
-    return {
-        target.attr
-        for loop in ast.parse(source).body
-        if isinstance(loop, ast.For)
-        for statement in loop.body
+    """The private names, not dunders, in each class's `__slots__`, in
+    declaration order, as `syntax` declares the per-node caches; a name
+    declared twice is listed twice."""
+    return [
+        name.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
         if isinstance(statement, ast.Assign)
-        and isinstance(statement.value, ast.Constant)
-        and statement.value.value is None
-        for target in statement.targets
-        if isinstance(target, ast.Attribute)
-    }
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in statement.targets)
+        for name in statement.value.elts
+        if name.value.startswith("_") and not name.value.startswith("__")
+    ]
 
 
 def test_every_per_node_cache_is_declared_once_and_written():
     # a name written but not declared would raise on a frozen node's
-    # first read; one declared but never written is dead
+    # first write; one declared but never written is dead
     written = set().union(*(_cache_writes(path.read_text()) for path in SOURCES))
     syntax = next(path for path in SOURCES if path.name == "syntax.py")
-    assert written == _declared_caches(syntax.read_text()) == {"_fv", "_nredex", "_typed"}
+    declared = _declared_caches(syntax.read_text())
+    assert len(declared) == len(set(declared))
+    assert written == set(declared) == {"_fv", "_nredex", "_typed"}
 
 
 def test_the_cache_scans_see_writes_and_declarations():
     source = """
-for _c in (A, B):
-    _c._a = None
-    _c._b = None
-    _c.other = 0
+class A:
+    __slots__ = ("__weakref__", "_a")
+
+
+class B(A):
+    __slots__ = ("other", "_b", "_a")
+    _c = None
 
 
 def f(t):
@@ -486,4 +491,4 @@ def f(t):
     object.__setattr__(t, "_d", 2)
 """
     assert _cache_writes(source) == {"_a", "_c"}
-    assert _declared_caches(source) == {"_a", "_b"}
+    assert _declared_caches(source) == ["_a", "_b", "_a"]

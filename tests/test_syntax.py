@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
 import pickle
+import tracemalloc
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -43,8 +46,18 @@ from efflam.syntax import (
     subst,
 )
 from efflam import syntax
+from efflam import verify
+from efflam.fragment import GOLDENS, shipped_source
+from efflam.reduce import _redexes, normalize
 from efflam.syntax import _substituting, _unascribed
-from efflam.surface import _enter_print, _leave_print, parse_type, print_term, print_type
+from efflam.surface import (
+    _enter_print,
+    _leave_print,
+    parse_file,
+    parse_type,
+    print_term,
+    print_type,
+)
 from efflam.typecheck import TypeCheckError, synthesize
 from . import oracle
 from .conftest import NAMES, OP_TABLE, fresh_copy, redex_terms, terms, types
@@ -353,6 +366,15 @@ def _free_vars_by_recursion(t):
     return frozenset().union(*map(_free_vars_by_recursion, children(t)))
 
 
+def _slot_values(t):
+    """Each slot of `t` but its weak-reference slot, by name, with the
+    value it holds: a term keeps everything in slots, having no
+    `__dict__`."""
+    assert not hasattr(t, "__dict__")
+    names = [name for cls in type(t).__mro__ for name in cls.__dict__.get("__slots__", ())]
+    return {name: getattr(t, name) for name in names if name != "__weakref__"}
+
+
 def _cached_nodes(t):
     """The compound nodes of `t` whose free variables are cached."""
     return [node for node in nodes([t]) if node._fv is not None]
@@ -393,7 +415,9 @@ def test_the_free_var_cache_is_invisible(t):
     assert print_term(t) == print_term(twin)
     # `replace` makes a new node, which starts uncached
     if children(t):
-        assert (t.__dict__.keys() - {"_fv", "_typed"}) == twin.__dict__.keys()
+        filled = {name for name, value in _slot_values(t).items() if value is not None}
+        empty = {name for name, value in _slot_values(twin).items() if value is not None}
+        assert filled - {"_fv", "_typed"} == empty == {f.name for f in dataclasses.fields(t)}
         copy = dataclasses.replace(t)
         assert copy == dataclasses.replace(twin) == t
         assert copy is not t and copy._fv is None and copy._typed is None
@@ -407,7 +431,7 @@ def test_free_var_memo_skips_leaves_and_shares_subterms(free_var_fills):
     # one fill per compound node; the shared subterm is filled once
     assert {id(node) for node in _cached_nodes(t)} == {id(t), id(t.fn), id(shared)}
     assert free_var_fills() == 3
-    assert vars(shared.fn) == {"name": "x"} and vars(shared.arg) == {"name": "c"}
+    assert _slot_values(shared.fn) == {"name": "x"} and _slot_values(shared.arg) == {"name": "c"}
     # a node keeps a child's set when it is equal, and every closed node
     # the one empty set: a new set per node raised the benchmark's peak
     # memory by 10%
@@ -435,6 +459,111 @@ def test_free_var_memo_walks_a_shared_dag_once_per_node(free_var_fills):
     assert free_vars(dag) == {"x", "y"}
     assert free_var_fills() == k + 1
     assert len(_cached_nodes(dag)) == k + 1
+
+
+# one term of each class, the compound ones over shared leaves and
+# subterms, and the caches that each class is given: every compound
+# node its free variables, an ascription-free one its redex count, an
+# ascription and a handler their typings
+_X, _C = Var("x"), Const("c0")
+_CLAUSES = (("opa", _X),)
+_ONE_OF_EACH = {
+    Var: lambda: Var("x"),
+    Const: lambda: Const("c0"),
+    Abs: lambda: Abs("x", _X),
+    App: lambda: App(_X, _C),
+    Eta: lambda: Eta(_C),
+    Op: lambda: Op("opa", _C, "y", _X),
+    Handler: lambda: Handler(_CLAUSES, _X, _C),
+    Cherry: lambda: Cherry(_C),
+    Exchange: lambda: Exchange(_X),
+    Ann: lambda: Ann(_C, A),
+}
+_CACHES_USED = {cls: ("_fv", "_nredex") for cls in (Abs, App, Eta, Op, Cherry, Exchange)}
+_CACHES_USED[Handler] = ("_fv", "_nredex", "_typed")
+_CACHES_USED[Ann] = ("_fv", "_typed")
+
+
+@pytest.mark.parametrize("cls", list(_CACHES_USED), ids=lambda cls: cls.__name__)
+def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
+    # a cache written into a node that had no room for it gave the node
+    # a `__dict__`: 327 B a node here; in slots, 72 to 96 B by the number
+    # of fields
+    build, n = _ONE_OF_EACH[cls], 10_000
+    kept: list = [None] * n
+    value = {"_fv": frozenset(), "_nredex": 1, "_typed": (object(), {})}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            kept[i] = build()
+        for node in kept:
+            for name in _CACHES_USED[cls]:
+                syntax._cache(node, name, value[name])
+        # less a few bytes that do not grow with `n`
+        per_node = (tracemalloc.get_traced_memory()[0] - before) // n
+    finally:
+        tracemalloc.stop()
+    assert per_node <= 96
+
+
+def test_no_term_has_a_dict_after_normalizing_checking_and_verifying():
+    s = Const("s")
+    kept: list = [
+        normalize(entry.term(s), strategy, seed=seed)
+        for entry in GOLDENS
+        for strategy, seed in (("leftmostOutermost", 0), ("randomSeeded", 7))
+    ]
+    decl = parse_file(shipped_source())
+    ctx = decl.context()
+    kept += [synthesize(ctx, t) for _, _, t in decl.defs]
+    assert verify.subject_reduction(6).ok
+    # every term alive now, the lexicon, the goldens and the traces held
+    # above among them
+    alive = [o for o in gc.get_objects() if type(o) in _ONE_OF_EACH]
+    assert len(alive) > 5_000
+    assert all(not hasattr(t, "__dict__") for t in alive)
+
+
+def _one_of_each_cached():
+    """One term of each class, and a handler made by `rebuild`, with
+    every cache its class uses filled."""
+    made = [build() for build in _ONE_OF_EACH.values()]
+    made.append(rebuild(_ONE_OF_EACH[Handler](), (Var("h"), Var("e"), Var("n"))))
+    for t in made:
+        free_vars(t)
+        _redexes(t)
+        with contextlib.suppress(TypeCheckError):
+            synthesize(_CHECKED_IN, t)
+    return made
+
+
+@pytest.mark.parametrize(
+    "how",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_term_is_equal_and_starts_uncached(how):
+    for t in _one_of_each_cached():
+        if children(t):
+            assert t._fv is not None
+            assert (t._typed is not None) == (type(t) in (Ann, Handler))
+        got = how(t)
+        assert got == t and got is not t and type(got) is type(t)
+        if children(t):
+            assert got._fv is None and got._nredex is None and got._typed is None
+        else:
+            assert not hasattr(got, "_fv")
+
+
+def test_a_term_stays_frozen():
+    for t in _one_of_each_cached():
+        field = dataclasses.fields(t)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, field, Var("y"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t._fv = frozenset()
+        weakref.ref(t)
 
 
 @given(terms, st.sampled_from(NAMES))
