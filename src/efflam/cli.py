@@ -20,7 +20,6 @@ the corpus signature (speaker, implicate, scope, ...) is available.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -68,16 +67,21 @@ class _Emitter:
 
     def __init__(self, fmt: str):
         self.records = fmt == "records"
+        if self.records:
+            # only records need `json`, whose import every start-up would pay
+            import json
+
+            self.dumps = json.dumps
 
     def line(self, text: str, **record):
         if self.records:
-            print(json.dumps(record, sort_keys=True))
+            print(self.dumps(record, sort_keys=True))
         else:
             print(text)
 
     def error(self, text: str, **record):
         if self.records:
-            print(json.dumps({"kind": "error", **record}, sort_keys=True))
+            print(self.dumps({"kind": "error", **record}, sort_keys=True))
         else:
             print(text, file=sys.stderr)
 

@@ -23,7 +23,7 @@ forms; `examples` rebuilds a wrapped entry for any chosen speaker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 from .prelude import bind, eta_identity
@@ -38,12 +38,14 @@ from .syntax import (
     Eta,
     Fun,
     Handler,
+    Record,
     Signature,
     Term,
     Type,
     Var,
     free_vars,
     fresh_name,
+    record,
 )
 from .typecheck import Context, TypeCheckError, check_against, clause_type, synthesize
 
@@ -146,13 +148,17 @@ def accommodate(m: Term) -> Term:
 # Categories and trees
 
 
-@dataclass(frozen=True)
-class Base:
+@record
+class Base(Record):
+    """A basic category."""
+
     name: str  # "NP", "S", or "N"
 
 
-@dataclass(frozen=True)
-class Into:
+@record
+class Into(Record):
+    """The category of a function from `arg` to `res`."""
+
     arg: "Cat"
     res: "Cat"
 
@@ -177,8 +183,10 @@ def category_type(cat: Cat) -> Type:
     raise ValueError(f"not a category: {cat!r}")
 
 
-@dataclass(frozen=True)
-class LexEntry:
+@record
+class LexEntry(Record):
+    """A word's category and denotation."""
+
     cat: Cat
     term: Term
 
@@ -211,13 +219,17 @@ def _lexicon(decl: DeclFile) -> dict[str, LexEntry]:
 LEXICON: dict[str, LexEntry] = _lexicon(FILE)
 
 
-@dataclass(frozen=True)
-class Word:
+@record
+class Word(Record):
+    """A leaf of a syntax tree: a word of the lexicon."""
+
     name: str
 
 
-@dataclass(frozen=True)
-class Branch:
+@record
+class Branch(Record):
+    """A syntax tree whose function daughter applies to its argument."""
+
     fn: "SynTree"
     arg: "SynTree"
 
@@ -263,8 +275,11 @@ _WRAPPERS: dict[str, Callable[[Term, Term], Term]] = {
 }
 
 
-@dataclass(frozen=True)
-class GoldenEntry:
+@record
+class GoldenEntry(Record):
+    """A sentence of the golden corpus: its tree, the wrapper its
+    denotation is put in, and the source of the expected normal form."""
+
     number: int
     phrase: str
     wrapper: str  # a key of `_WRAPPERS`: "" for a bare sentence denotation

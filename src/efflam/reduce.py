@@ -111,6 +111,7 @@ from .syntax import (
     Handler,
     Op,
     Path,
+    Record,
     Term,
     Var,
     _cache,
@@ -119,6 +120,7 @@ from .syntax import (
     free_vars,
     nodes,
     rebuild,
+    record,
     rename,
     strip,
     subst,
@@ -136,27 +138,33 @@ class Rule(str, Enum):
     cOp = "cOp"
 
 
-@dataclass(frozen=True)
-class Step:
+@record
+class Step(Record):
+    """One contraction: the rule, the position it rewrote, and the whole
+    term after it."""
+
     rule: Rule
     path: Path
     term: Term
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    pass
+@record
+class NormalForm(Record):
+    """Outcome: no redex is left."""
 
 
-@dataclass(frozen=True)
-class Stuck:
+@record
+class Stuck(Record):
+    """Outcome: no redex is left, but the extraction or commute at `path`
+    is blocked, for `reason`."""
+
     path: Path
     reason: str
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
-    pass
+@record
+class FuelExhausted(Record):
+    """Outcome: the fuel ran out before a normal form was reached."""
 
 
 Outcome = NormalForm | Stuck | FuelExhausted

@@ -207,13 +207,13 @@ class _Parser:
     follows from its text, and an error finds its position from the index
     of the token it blames.
 
-    The productions that run once per token (`term`, `app_term`, `unit`,
-    `lambda_`, `type_` and `type_atom`) read `toks[pos]` into a local
-    and advance `pos` themselves, testing the most frequent case first.
-    The helper methods (`peek`, `next`, `at_sym`, `expect_sym`,
-    `expect_ident`, `starts_unit`) serve the rarer constructs, the error
-    paths, which call them to raise the error a helper would, and the
-    reference parser of `tests/chain_parser.py`."""
+    The productions of terms and types (`term`, `app_term`, `unit`,
+    `lambda_`, `op_call`, `handler`, `type_` and `type_atom`) read
+    `toks[pos]` into a local and advance `pos` themselves, testing the
+    most frequent case first.  The helper methods (`peek`, `next`,
+    `at_sym`, `expect_sym`, `expect_ident`) serve the declarations, the
+    error paths, which call them to raise the error a helper would, and
+    the reference parser of `tests/chain_parser.py`."""
 
     def __init__(self, src: str, ctx: Context):
         self.src = src
@@ -359,9 +359,6 @@ class _Parser:
             else:
                 return term
 
-    def starts_unit(self) -> bool:
-        return self.toks[self.pos] not in _NO_UNIT
-
     def lambda_(self) -> Term:
         """`\\x. body`, at the backslash, which the caller has seen."""
         toks = self.toks
@@ -426,46 +423,62 @@ class _Parser:
         self.fail(f"expected a term, found {tok!r}")
 
     def op_call(self) -> Term:
-        self.next()  # do
-        op = self.expect_ident("an operation name")
-        self.expect_sym("(")
+        """`do op(param, \\x. cont)`, at the `do`, which the caller has seen."""
+        toks = self.toks
+        pos = self.pos + 1
+        op = toks[pos]
+        if op in _NON_IDENTS or toks[pos + 1] != "(":
+            self.pos = pos
+            self.expect_ident("an operation name")
+            self.expect_sym("(")
+        self.pos = pos + 2
         param = self.term()
-        self.expect_sym(",")
-        if not self.at_sym("\\"):
+        pos = self.pos
+        if toks[pos] != "," or toks[pos + 1] != "\\":
+            self.expect_sym(",")
             self.fail("the operation continuation must be a lambda")
+        self.pos = pos + 1
         cont = self.lambda_()
-        self.expect_sym(")")
-        assert isinstance(cont, Abs)
+        if toks[self.pos] != ")":
+            self.expect_sym(")")
+        self.pos += 1
         return Op(op, param, cont.binder, cont.body)
 
     def handler(self) -> Term:
-        self.next()  # handle
-        self.expect_sym("{")
+        """`handle {clauses} unit`, at the `handle`, which the caller has
+        seen."""
+        toks = self.toks
+        pos = self.pos + 1
+        if toks[pos] != "{":
+            self.pos = pos
+            self.expect_sym("{")
+        pos += 1
         clauses: dict[str, Term] = {}
         eta_clause: Term | None = None
-        while not self.at_sym("}"):
-            at = self.pos
-            head = self.next()
+        while (head := toks[pos]) != "}":
+            if head in _NON_IDENTS and head != "eta":
+                self.fail_at(pos, "expected an operation name or 'eta'")
+            if toks[pos + 1] != "->":
+                self.pos = pos + 1
+                self.expect_sym("->")
+            self.pos = pos + 2
             if head == "eta":
-                self.expect_sym("->")
                 if eta_clause is not None:
-                    self.fail_at(at, "duplicate eta clause")
+                    self.fail_at(pos, "duplicate eta clause")
                 eta_clause = self.term()
-            elif head not in _NON_IDENTS:
-                self.expect_sym("->")
-                if head in clauses:
-                    self.fail_at(at, f"duplicate clause for operation {head}")
-                clauses[head] = self.term()
             else:
-                self.fail_at(at, "expected an operation name or 'eta'")
-            if self.at_sym(","):
-                self.next()
-            elif not self.at_sym("}"):
+                if head in clauses:
+                    self.fail_at(pos, f"duplicate clause for operation {head}")
+                clauses[head] = self.term()
+            pos = self.pos
+            if toks[pos] == ",":
+                pos += 1
+            elif toks[pos] != "}":
                 self.fail("expected ',' or '}' after a handler clause")
-        self.next()  # }
+        self.pos = pos + 1
         if eta_clause is None:
             eta_clause = eta_identity()
-        if not self.starts_unit():
+        if toks[pos + 1] in _NO_UNIT:
             self.fail("a handler must be applied to a computation")
         scrutinee = self.unit()
         return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)

@@ -29,6 +29,15 @@ while 100 levels are left, the fast way for the usual shallow term, and
 goes on from an explicit stack below that, so a term of any depth is
 folded without raising the interpreter's recursion limit.
 
+Every frozen class of the package, the terms and types here and the
+records of `reduce` and `fragment`, is built by `record`, from one block
+of generated source per class, where `dataclass(frozen=True)` runs one
+`exec` per method: importing the package runs about 40 such blocks, not
+about 150, which is most of what its classes cost a process to start.
+The methods have the bodies `dataclass` would give them, so a record is
+made, compared, hashed and printed as fast, and `dataclasses.fields`,
+`replace` and class patterns read it as before.
+
 The walkers on the hot paths of checking, reduction, sampling and
 printing dispatch on the exact class, `cls = type(t); if cls is App:
 ...`, not on class patterns (`match t: case App(fn, arg): ...`), which
@@ -40,8 +49,145 @@ the command line and the parser, matches patterns.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterator, Sequence
+
+
+# ---------------------------------------------------------------------------
+# Records: the frozen classes of the package, and the one builder for them
+
+
+class Record:
+    """Base of every frozen class that `record` builds: the terms, the
+    types, and the records of `reduce` and `fragment`.  Any write to an
+    instance raises `FrozenInstanceError`, as on a frozen dataclass; the
+    builders of an instance, and `_cache`, write past it with the
+    descriptors or `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Interned(Record):
+    """Base of the four type classes, whose constructors return the one
+    object in `_TYPES` for their fields."""
+
+    def __reduce__(self):
+        # `copy`, `deepcopy` and `pickle` rebuild through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class _Term(Record):
+    """Base of the term classes, whose fields live in slots, so a term
+    has no `__dict__`."""
+
+    __slots__ = ("__weakref__",)
+
+    # `copy`, `deepcopy` and `pickle` rebuild through the constructor, as
+    # for types, so a copy's caches start empty; storing the slots one by
+    # one would meet the frozen `__setattr__`
+    __reduce__ = _Interned.__reduce__
+
+
+class _Node(_Term):
+    """Base of the compound term classes, which hold the per-node caches.
+
+    Each is written through `_cache` on the node itself: `free_vars`
+    keeps a node's free variables as `_fv`, the random strategy
+    (`reduce._redexes`) an ascription-free one's redex count as
+    `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
+    handler's typings in its last context as `_typed`.  The constructor
+    sets them to None.  They are slots, not fields: equality, hashing,
+    `repr` and `dataclasses.replace` never see them, and a copy starts
+    with none."""
+
+    __slots__ = ("_fv", "_nredex", "_typed")
+
+
+def record(cls: type) -> type:
+    """`cls`, a `Record` whose own annotations name its fields, as a
+    frozen dataclass.
+
+    One block of generated source writes the methods that
+    `dataclass(frozen=True)` would write, with the same bodies, where
+    `dataclass` runs one `exec` per method:
+
+    - `__init__`, which stores each field in order, then, if the class
+      has one, calls `__post_init__`.  A term's stores each field, then
+      `None` in each cache, through the slot descriptors' `__set__`,
+      bound once, which costs half of `object.__setattr__`; any other
+      stores through `object.__setattr__`.  A type has none: its
+      `__new__` returns the one object for its fields;
+    - `__repr__`, `ClassName(field=value, ...)`.  It has no guard against
+      an object that holds itself, since a record cannot;
+    - `__eq__` and `__hash__`, on the tuple of the fields, where the
+      class is not a type, whose equality is identity.
+
+    `Record` makes the instances frozen.  `dataclass(init=False,
+    repr=False, eq=False)` then only keeps the books that `fields`,
+    `replace` and `__match_args__` read.  Each class has a docstring of
+    its own, or `dataclass` would write one from `inspect.signature`.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    if issubclass(cls, _Interned):
+        lines: list[str] = []
+        env: dict = {}
+    else:
+        lines, env = _init_source(cls, fields, hasattr(cls, "__post_init__"))
+        own = "".join(f"self.{name}," for name in fields)
+        other = "".join(f"other.{name}," for name in fields)
+        lines += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({own}) == ({other})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({own}))",
+        ]
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
+    lines += ["def __repr__(self):", f'    return f"{cls.__qualname__}({shown})"']
+    exec("\n".join(lines), env)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        if name in env:
+            method = env[name]
+            method.__module__, method.__qualname__ = cls.__module__, f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+    if "__init__" in env:
+        # as `dataclass` annotates an `__init__`, which gives the class its
+        # signature
+        cls.__init__.__annotations__ = {name: cls.__annotations__[name] for name in fields} | {
+            "return": None
+        }
+    return dataclass(init=False, repr=False, eq=False)(cls)
+
+
+def _init_source(cls: type, fields: tuple[str, ...], check: bool) -> tuple[list[str], dict]:
+    """The source lines of `cls`'s `__init__`, storing `fields` and, if
+    `check`, calling `__post_init__` last, with the names it reads."""
+    if issubclass(cls, _Term):
+        slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
+        env = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
+        stores = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
+    else:
+        env = {"_store": object.__setattr__}
+        stores = [f"    _store(self, {name!r}, {name})" for name in fields] or ["    pass"]
+    if check:
+        stores.append("    self.__post_init__()")
+    return [f"def __init__(self, {', '.join(fields)}):", *stores], env
+
+
+def _storing(cls: type):
+    """A function of a new term of `cls` and its field values that
+    stores them and empties the caches, without `__post_init__`."""
+    fields = tuple(cls.__annotations__)
+    lines, env = _init_source(cls, fields, False)
+    exec("\n".join(lines), env)
+    return env["__init__"]
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +209,7 @@ def _intern(cls: type, *values: object) -> "Type | Signature":
     return _TYPES.setdefault((cls, *values), t)
 
 
-class _Interned:
-    """Base of the four type classes, whose constructors return the one
-    object in `_TYPES` for their fields."""
-
-    def __reduce__(self):
-        # `copy`, `deepcopy` and `pickle` rebuild through the constructor
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Atom(_Interned):
     """Atomic type, named by a declared atom (the unit type is Atom("1"))."""
 
@@ -85,7 +222,7 @@ class Atom(_Interned):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Fun(_Interned):
     """Function type dom -> cod."""
 
@@ -105,7 +242,7 @@ class RowError(Exception):
     """A signature union was asked to merge colliding operation names."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Signature(_Interned):
     """Finite map from operation names to (input, output) type pairs.
 
@@ -175,7 +312,7 @@ class Signature(_Interned):
 EMPTY_ROW = Signature()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record
 class Comp(_Interned):
     """Computation type: a value type under an effect row."""
 
@@ -191,7 +328,7 @@ class Comp(_Interned):
         return print_type(self)
 
 
-Type = Union[Atom, Fun, Comp]
+Type = Atom | Fun | Comp
 
 UNIT = Atom("1")
 
@@ -249,93 +386,41 @@ class Context:
 # Terms
 
 
-class _Term:
-    """Base of the term classes.  Each is a frozen dataclass whose fields
-    live in slots (see `_term`), so a term has no `__dict__`."""
-
-    __slots__ = ("__weakref__",)
-
-    # `copy`, `deepcopy` and `pickle` rebuild through the constructor, as
-    # for types, so a copy's caches start empty; storing the slots one by
-    # one would meet the frozen `__setattr__`
-    __reduce__ = _Interned.__reduce__
-
-
-class _Node(_Term):
-    """Base of the compound term classes, which hold the per-node caches.
-
-    Each is written through `_cache` on the node itself: `free_vars`
-    keeps a node's free variables as `_fv`, the random strategy
-    (`reduce._redexes`) an ascription-free one's redex count as
-    `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
-    handler's typings in its last context as `_typed`.  The constructor
-    sets them to None.  They are slots, not fields: equality, hashing,
-    `repr` and `dataclasses.replace` never see them, and a copy starts
-    with none."""
-
-    __slots__ = ("_fv", "_nredex", "_typed")
-
-
-def _term(cls: type) -> type:
-    """`cls`, whose `__slots__` name its fields, as a frozen dataclass
-    with an `__init__` that stores each field, then sets each cache to
-    None.
-
-    Like the one `dataclass` writes, the `__init__` is made from source,
-    but it stores through each slot's own descriptor, bound once, which
-    costs half of `object.__setattr__`: a term is built as fast as a
-    frozen dataclass without slots, and a cache written later never
-    gives the node a `__dict__`.  A class with `__post_init__` calls it
-    last, as `dataclass` does."""
-    init = cls.__init__ = _storing(cls, hasattr(cls, "__post_init__"))
-    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    return dataclass(frozen=True, init=False)(cls)
-
-
-def _storing(cls: type, check: bool = False):
-    """A function of a new `cls` object and its field values that stores
-    them and empties the caches, then, if `check`, calls the object's
-    `__post_init__`; annotated as `dataclass` annotates an `__init__`,
-    which gives the class its signature."""
-    fields = cls.__slots__
-    slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
-    lines = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
-    if check:
-        lines.append("    self.__post_init__()")
-    setters = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
-    exec(f"def __init__(self, {', '.join(fields)}):\n" + "\n".join(lines), setters)
-    init = setters["__init__"]
-    init.__annotations__ = {name: cls.__annotations__[name] for name in fields} | {"return": None}
-    return init
-
-
-@_term
+@record
 class Var(_Term):
+    """A variable, bound by an enclosing `Abs` or `Op` or free."""
+
     __slots__ = ("name",)
     name: str
 
 
-@_term
+@record
 class Const(_Term):
+    """A declared constant, such as `*`, the unit value."""
+
     __slots__ = ("name",)
     name: str
 
 
-@_term
+@record
 class Abs(_Node):
+    """Abstraction: a binder scoping over a body."""
+
     __slots__ = ("binder", "body")
     binder: str
     body: "Term"
 
 
-@_term
+@record
 class App(_Node):
+    """Application of a function to an argument."""
+
     __slots__ = ("fn", "arg")
     fn: "Term"
     arg: "Term"
 
 
-@_term
+@record
 class Eta(_Node):
     """Injection of a value as a trivial computation."""
 
@@ -343,7 +428,7 @@ class Eta(_Node):
     value: "Term"
 
 
-@_term
+@record
 class Op(_Node):
     """Operation call: parameter, then a continuation with one binder.
 
@@ -357,7 +442,7 @@ class Op(_Node):
     cont: "Term"
 
 
-@_term
+@record
 class Handler(_Node):
     """Handler applied to a scrutinee computation.
 
@@ -400,7 +485,7 @@ def _handler_unchecked(clauses, eta_clause, scrutinee) -> Handler:
     return h
 
 
-@_term
+@record
 class Cherry(_Node):
     """Extraction of the value of an effect-free computation."""
 
@@ -408,7 +493,7 @@ class Cherry(_Node):
     comp: "Term"
 
 
-@_term
+@record
 class Exchange(_Node):
     """Commutes a function with the computation it returns."""
 
@@ -416,7 +501,7 @@ class Exchange(_Node):
     fn: "Term"
 
 
-@_term
+@record
 class Ann(_Node):
     """Type ascription.  Guides the checker; erased before reduction."""
 
@@ -425,7 +510,7 @@ class Ann(_Node):
     ty: Type
 
 
-Term = Union[Var, Const, Abs, App, Eta, Op, Handler, Cherry, Exchange, Ann]
+Term = Var | Const | Abs | App | Eta | Op | Handler | Cherry | Exchange | Ann
 
 # a position in a term: child indices, in `children` order, from the root
 Path = tuple[int, ...]
