@@ -374,9 +374,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
     except RecursionError:
         # the parser recurses a few frames per nested parenthesis,
-        # lambda or operation call, and the checker and `fragment.denote`
-        # one frame per level of the term, so the interpreter's stack
-        # bounds the input's depth
+        # lambda or operation call, and the checker one frame per level
+        # of the term, so the interpreter's stack bounds the input's depth
         message = "input too deeply nested to process"
         out.error(f"efflam: error: {message}", error="tooDeep", message=message)
         return STATUS_BAD_TERM

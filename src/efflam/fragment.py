@@ -6,11 +6,13 @@ three operations (consulting the utterance context for the speaker,
 emitting a side commitment, and taking quantifier scope), and each of
 its definitions is one lexical item, a closed, type-ascribed term.
 `LEXICON` is loaded from that file: the word is the definition's name
-without its trailing prime, and the category is read back from the
-definition's type.  Phrases denote applications of the function word to
-its arguments.  Sentence meanings are computations whose pending
-operations record what the sentence still needs from, or contributes
-to, its context.
+without its trailing prime, and its entry is the definition's ascribed
+term, so a word's category is its def's type, one type per category as
+in Montague's category-to-type map.  Phrases denote applications of the
+function word to its arguments; `category` and `denote` are each a
+`syntax.fold` over the tree, so they walk a tree of any depth.  Sentence
+meanings are computations whose pending operations record what the
+sentence still needs from, or contributes to, its context.
 
 Three handler builders close off those operations.  Each one inspects
 the term it will handle and ascribes its clauses at the concrete result
@@ -27,7 +29,7 @@ from dataclasses import replace
 from typing import Callable
 
 from .prelude import bind, eta_identity
-from .surface import DeclFile, parse_file, parse_term
+from .surface import DeclFile, parse_file, parse_term, print_type
 from .syntax import (
     Abs,
     Ann,
@@ -44,6 +46,7 @@ from .syntax import (
     Type,
     Var,
     free_vars,
+    fold,
     fresh_name,
     record,
 )
@@ -74,8 +77,6 @@ O = Atom("o")
 FULL_ROW: Signature = FILE.operations
 CONTEXT_ROW: Signature = FULL_ROW.without({"scope"})
 
-NOUN = Comp(CONTEXT_ROW, Fun(IOTA, O))
-NOMINAL = Comp(FULL_ROW, IOTA)
 SENTENCE = Comp(FULL_ROW, O)
 
 SENTENCE_FINAL = Comp(CONTEXT_ROW, O)
@@ -145,78 +146,22 @@ def accommodate(m: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Categories and trees
+# The lexicon and trees
 
 
-@record
-class Base(Record):
-    """A basic category."""
-
-    name: str  # "NP", "S", or "N"
-
-
-@record
-class Into(Record):
-    """The category of a function from `arg` to `res`."""
-
-    arg: "Cat"
-    res: "Cat"
-
-
-Cat = Base | Into
-
-NP = Base("NP")
-S = Base("S")
-N = Base("N")
-
-
-def category_type(cat: Cat) -> Type:
-    match cat:
-        case Base("NP"):
-            return NOMINAL
-        case Base("S"):
-            return SENTENCE
-        case Base("N"):
-            return NOUN
-        case Into(arg, res):
-            return Fun(category_type(arg), category_type(res))
-    raise ValueError(f"not a category: {cat!r}")
-
-
-@record
-class LexEntry(Record):
-    """A word's category and denotation."""
-
-    cat: Cat
-    term: Term
-
-
-def _category(ty: Type) -> Cat:
-    """The category whose type is `ty`: `category_type` inverted."""
-    if isinstance(ty, Fun):
-        return Into(_category(ty.dom), _category(ty.cod))
-    for cat in (NP, S, N):
-        if category_type(cat) == ty:
-            return cat
-    raise ValueError(f"no category has type {ty}")
-
-
-def _lexicon(decl: DeclFile) -> dict[str, LexEntry]:
-    """One entry per definition of `decl`, all of which must be typed.
-
-    A definition's term is stored without the outer ascription that
-    `def name : type` adds, since the entry's category already carries
-    that type; ascriptions written inside the term are kept.
-    """
+def _lexicon(decl: DeclFile) -> dict[str, Ann]:
+    """One entry per definition of `decl`, all of which must be typed:
+    the `Ann` node that `def name : type := term` parses to, whose type
+    is the word's category and whose term is its denotation."""
     lexicon = {}
     for name, ty, term in decl.defs:
         if ty is None:
             raise ValueError(f"lexical item {name} has no type")
-        lexicon[name.removesuffix("'")] = LexEntry(_category(ty), term.term)
+        lexicon[name.removesuffix("'")] = term
     return lexicon
 
 
-LEXICON: dict[str, LexEntry] = _lexicon(FILE)
+LEXICON: dict[str, Ann] = _lexicon(FILE)
 
 
 @record
@@ -237,28 +182,45 @@ class Branch(Record):
 SynTree = Word | Branch
 
 
-def category(tree: SynTree) -> Cat:
-    match tree:
-        case Word(name):
-            if name not in LEXICON:
-                raise ValueError(f"unknown word {name!r}")
-            return LEXICON[name].cat
-        case Branch(fn, arg):
-            fn_cat = category(fn)
-            arg_cat = category(arg)
-            if not isinstance(fn_cat, Into) or fn_cat.arg != arg_cat:
-                raise ValueError(f"cannot apply {fn_cat} to {arg_cat}")
-            return fn_cat.res
+def _enter_tree(tree: SynTree) -> list:
+    """`fold`'s pre-visit for both walks of a tree: a word is left as
+    its lexicon entry, with no kids; a branch with its two daughters."""
+    cls = type(tree)
+    if cls is Branch:
+        return [tree, tree.fn, tree.arg]
+    if cls is Word:
+        entry = LEXICON.get(tree.name)
+        if entry is None:
+            raise ValueError(f"unknown word {tree.name!r}")
+        return [entry]
     raise ValueError(f"not a tree: {tree!r}")
+
+
+def _leave_category(node, kids: list[Type]) -> Type:
+    if not kids:
+        return node.ty
+    fn, arg = kids
+    if type(fn) is not Fun or fn.dom != arg:
+        raise ValueError(f"cannot apply {print_type(fn)} to {print_type(arg)}")
+    return fn.cod
+
+
+def _leave_denote(node, kids: list[Term]) -> Term:
+    return App(kids[0], kids[1]) if kids else node.term
+
+
+def category(tree: SynTree) -> Type:
+    """`tree`'s category, a type: a word's is its def's type, and a
+    branch's the codomain of its function daughter's, whose domain must
+    be its argument daughter's."""
+    return fold(tree, _enter_tree, _leave_category)
 
 
 def denote(tree: SynTree) -> Term:
-    match tree:
-        case Word(name):
-            return LEXICON[name].term
-        case Branch(fn, arg):
-            return App(denote(fn), denote(arg))
-    raise ValueError(f"not a tree: {tree!r}")
+    """`tree`'s denotation: a word's is its def's term, and a branch's
+    the application of its function daughter's to its argument
+    daughter's."""
+    return fold(tree, _enter_tree, _leave_denote)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -170,8 +169,8 @@ class FuelExhausted(Record):
 Outcome = NormalForm | Stuck | FuelExhausted
 
 
-@dataclass
-class ReductionTrace:
+@record
+class ReductionTrace(Record):
     """The outcome of a normalization.  `steps` is empty unless steps
     were recorded; `step_count` counts them either way."""
 
@@ -412,8 +411,8 @@ def blocked_at(t: Term) -> tuple[Path, str] | None:
 # Reduction graphs
 
 
-@dataclass
-class ReductionGraph:
+@record
+class ReductionGraph(Record):
     """Every term reachable from `root`, one node per alpha-equivalence
     class (keyed by `canonical_key`), so `normal_forms` holds one term
     per distinct normal form."""

@@ -61,6 +61,7 @@ from .syntax import (
     UNIT,
     Var,
     fold,
+    handler,
     strip,
 )
 
@@ -481,7 +482,7 @@ class _Parser:
         if toks[pos + 1] in _NO_UNIT:
             self.fail("a handler must be applied to a computation")
         scrutinee = self.unit()
-        return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)
+        return handler(clauses, eta_clause, scrutinee)
 
 
 def parse_term(src: str, ctx: Context) -> Term:

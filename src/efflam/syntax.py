@@ -24,7 +24,8 @@ drops none: a process that reads input after input with ever new atom
 or operation names grows it with each.
 
 `fold` is the one walk that rebuilds a term bottom-up: substitution,
-`erase` and the printer are each a hook or two for it.  It recurses
+`erase` and the printer are each a hook or two for it, and the
+fragment's `category` and `denote` fold its syntax trees the same way.  It recurses
 while 100 levels are left, the fast way for the usual shallow term, and
 goes on from an explicit stack below that, so a term of any depth is
 folded without raising the interpreter's recursion limit.
@@ -32,7 +33,7 @@ folded without raising the interpreter's recursion limit.
 Every frozen class of the package, the terms and types here and the
 records of `reduce` and `fragment`, is built by `record`, from one block
 of generated source per class, where `dataclass(frozen=True)` runs one
-`exec` per method: importing the package runs about 40 such blocks, not
+`exec` per method: importing the package runs about 35 such blocks, not
 about 150, which is most of what its classes cost a process to start.
 The methods have the bodies `dataclass` would give them, so a record is
 made, compared, hashed and printed as fast, and `dataclasses.fields`,

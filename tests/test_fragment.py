@@ -11,25 +11,22 @@ from efflam.fragment import (
     CONTEXT,
     ENV,
     GOLDENS,
+    FILE,
     LEXICON,
-    N,
-    NP,
-    S,
     SENTENCE,
     SENTENCE_FINAL,
-    Into,
     Word,
+    _lexicon,
     accommodate,
     category,
-    category_type,
     denote,
     example,
     scope_island,
     with_speaker,
 )
 from efflam.reduce import NormalForm, normalize
-from efflam.surface import parse_term, print_term
-from efflam.syntax import Ann, Const, alpha_eq, erase
+from efflam.surface import parse_file, parse_term, parse_type, print_term
+from efflam.syntax import Ann, App, Const, Fun, alpha_eq, erase
 from efflam.typecheck import TypeCheckError, check_against, subtype, synthesize
 
 
@@ -156,7 +153,7 @@ def test_direct_report_keeps_its_commitments_inside_what_was_said():
 
 
 # ---------------------------------------------------------------------------
-# Categories map to types homomorphically
+# A category is its type, and categories map to types homomorphically
 
 
 def _small_trees():
@@ -191,7 +188,7 @@ def test_every_well_formed_tree_types_at_its_category():
     count = 0
     for tree in _small_trees():
         ty = synthesize(CONTEXT, denote(tree))
-        want = category_type(category(tree))
+        want = category(tree)
         assert subtype(ty, want), f"{tree} synthesized {ty}, category says {want}"
         count += 1
     assert count > 60
@@ -213,29 +210,103 @@ def test_corpus_terms_are_sentence_typed():
 # ---------------------------------------------------------------------------
 # the lexicon is loaded from the shipped declaration file
 
+_NP = "F{implicate, scope, speaker}(iota)"
+_S = "F{implicate, scope, speaker}(o)"
+_N = "F{implicate, speaker}(iota -> o)"
+
+# each word's category: the type of its def
 WORD_CATEGORIES = {
-    "john": NP,
-    "mary": NP,
-    "me": NP,
-    "best-friend": Into(NP, NP),
-    "everyone": NP,
-    "man": N,
-    "woman": N,
-    "loves": Into(NP, Into(NP, S)),
-    "said-is": Into(S, Into(NP, S)),
-    "said-ds": Into(S, Into(NP, S)),
-    "every": Into(N, NP),
-    "a": Into(N, NP),
-    "appos": Into(NP, Into(NP, NP)),
+    word: parse_type(src, ENV)
+    for word, src in {
+        "john": _NP,
+        "mary": _NP,
+        "me": _NP,
+        "best-friend": f"{_NP} -> {_NP}",
+        "everyone": _NP,
+        "man": _N,
+        "woman": _N,
+        "loves": f"{_NP} -> {_NP} -> {_S}",
+        "said-is": f"{_S} -> {_NP} -> {_S}",
+        "said-ds": f"{_S} -> {_NP} -> {_S}",
+        "every": f"{_N} -> {_NP}",
+        "a": f"{_N} -> {_NP}",
+        "appos": f"{_NP} -> {_NP} -> {_NP}",
+    }.items()
 }
 
 
 def test_lexicon_has_every_word_at_its_category():
-    assert {word: entry.cat for word, entry in LEXICON.items()} == WORD_CATEGORIES
+    assert {word: entry.ty for word, entry in LEXICON.items()} == WORD_CATEGORIES
     for word, entry in LEXICON.items():
-        want = category_type(entry.cat)
+        want = WORD_CATEGORIES[word]
         assert synthesize(CONTEXT, Ann(entry.term, want)) == want, word
         assert subtype(synthesize(CONTEXT, entry.term), want), word
+
+
+def test_each_entry_is_the_ascribed_term_of_its_def():
+    defs = {name.removesuffix("'"): term for name, _, term in FILE.defs}
+    assert set(defs) == set(LEXICON)
+    for word, entry in LEXICON.items():
+        assert entry is defs[word], word
+        assert type(entry) is Ann
+        assert denote(Word(word)) is entry.term
+        assert category(Word(word)) is entry.ty
+
+
+def _reference_category(tree):
+    """`category` recomputed from `WORD_CATEGORIES` alone."""
+    if isinstance(tree, Word):
+        return WORD_CATEGORIES[tree.name]
+    fn, arg = _reference_category(tree.fn), _reference_category(tree.arg)
+    assert isinstance(fn, Fun) and fn.dom == arg, tree
+    return fn.cod
+
+
+def test_category_of_every_small_tree_and_golden_follows_the_word_types():
+    trees = [*_small_trees(), *(entry.tree for entry in GOLDENS)]
+    assert len(trees) > 70
+    for tree in trees:
+        assert category(tree) == _reference_category(tree), tree
+    for entry in GOLDENS:
+        assert category(entry.tree) == SENTENCE
+
+
+@pytest.mark.parametrize("walk", [category, denote])
+def test_an_unknown_word_is_a_value_error(walk):
+    for tree in (Word("nonsense"), Branch(Word("every"), Word("nonsense"))):
+        with pytest.raises(ValueError, match="unknown word 'nonsense'"):
+            walk(tree)
+
+
+@pytest.mark.parametrize("walk", [category, denote])
+def test_a_non_tree_is_a_value_error(walk):
+    for tree in ("john", Const("j"), None, Branch(Word("every"), "man")):
+        with pytest.raises(ValueError, match="not a tree"):
+            walk(tree)
+
+
+def test_an_untyped_def_is_not_a_lexical_item():
+    decl = parse_file("atom e.\nconst c : e.\ndef word : e := c.\ndef bare := c.\n")
+    with pytest.raises(ValueError, match="lexical item bare has no type"):
+        _lexicon(decl)
+
+
+def test_both_walks_reach_any_depth():
+    # far past the interpreter's recursion limit, which stays as it is
+    depth = 4000
+    base = _tv("loves", Word("me"), Branch(Word("every"), Word("woman")))
+    reporters = [Word(("john", "mary")[i % 2]) for i in range(depth)]
+    tree = base
+    for reporter in reporters:
+        tree = Branch(Branch(Word("said-is"), tree), reporter)
+    assert category(tree) == SENTENCE
+    got = denote(tree)
+    for reporter in reversed(reporters):
+        assert type(got) is App and type(got.fn) is App
+        assert got.fn.fn is LEXICON["said-is"].term
+        assert got.arg is LEXICON[reporter.name].term
+        got = got.fn.arg
+    assert got == denote(base)
 
 
 # the signature the fragment is written against, kept apart from the
@@ -264,7 +335,6 @@ operation scope : (iota -> F{implicate, speaker}(o)) -> F{implicate, speaker}(o)
 
 def test_shipped_file_declares_the_same_signature():
     from efflam.fragment import shipped_source
-    from efflam.surface import parse_file
 
     want = parse_file(REFERENCE_SIGNATURE).context()
     for got in (parse_file(shipped_source()).context(), ENV):
@@ -280,21 +350,19 @@ def test_the_parser_and_the_checker_read_one_signature_without_the_defs():
 
 def test_shipped_file_defines_the_whole_lexicon():
     from efflam.fragment import shipped_source
-    from efflam.surface import parse_file
 
     decl = parse_file(shipped_source())
     defs = {name: term for name, _, term in decl.defs}
     renamed = {"man": "man'", "woman": "woman'", "best-friend": "best-friend'"}
     assert set(defs) == {renamed.get(word, word) for word in WORD_CATEGORIES}
-    for word, cat in WORD_CATEGORIES.items():
+    for word, ty in WORD_CATEGORIES.items():
         parsed = defs[renamed.get(word, word)]
         assert alpha_eq(erase(parsed), erase(LEXICON[word].term)), word
-        assert synthesize(CONTEXT, parsed) == category_type(cat), word
+        assert synthesize(CONTEXT, parsed) == ty, word
 
 
 def test_shipped_file_directives_normalize_to_corpus_forms():
     from efflam.fragment import shipped_source
-    from efflam.surface import parse_file
 
     decl = parse_file(shipped_source())
     to_run = [t for kind, t in decl.directives if kind == "normalize"]
