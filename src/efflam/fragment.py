@@ -14,10 +14,11 @@ function word to its arguments; `category` and `denote` are each a
 meanings are computations whose pending operations record what the
 sentence still needs from, or contributes to, its context.
 
-Three handler builders close off those operations.  Each one inspects
-the term it will handle and ascribes its clauses at the concrete result
-type, so every intermediate term of a reduction sequence stays
-checkable.
+Two handler builders close off the speaker and side-commitment
+operations; the verbs close quantifier scope themselves.  Each builder
+inspects the term it will handle and ascribes its clauses at the
+concrete result type, so every intermediate term of a reduction sequence
+stays checkable.
 
 The golden corpus lists eleven phrases with their expected normal
 forms; `examples` rebuilds a wrapped entry for any chosen speaker.
@@ -102,21 +103,6 @@ def _handle(m: Term, op: str, p: str, k: str, body: Term, result: Comp) -> Handl
     input and output types."""
     clause = Ann(Abs(p, Abs(k, body)), clause_type(CONTEXT.operations.get(op), result))
     return Handler(((op, clause),), eta_identity(), m)
-
-
-def scope_island(m: Term) -> Term:
-    """Close off quantifier scope: every pending scope-taker lands here.
-
-    The handled term must be a sentence-level computation; the result
-    carries exactly the context row, which is what a scope resumption
-    is allowed to produce.
-    """
-    ty = _computation_of(m, "a scope island")
-    if ty.value != O or not ty.effects.without({"scope"}).subset_of(CONTEXT_ROW):
-        raise TypeCheckError(
-            "mismatch", (), "a scope island needs a sentence computation, got %s", ty
-        )
-    return _handle(m, "scope", "c", "k", App(Var("c"), Var("k")), Comp(CONTEXT_ROW, O))
 
 
 def with_speaker(speaker: Term, m: Term) -> Term:

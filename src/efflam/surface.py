@@ -432,6 +432,8 @@ class _Parser:
             self.pos = pos
             self.expect_ident("an operation name")
             self.expect_sym("(")
+        if self.ctx.operations.get(op) is None:
+            self.fail_at(pos, f"unknown operation {op}")
         self.pos = pos + 2
         param = self.term()
         pos = self.pos
@@ -468,6 +470,8 @@ class _Parser:
                     self.fail_at(pos, "duplicate eta clause")
                 eta_clause = self.term()
             else:
+                if self.ctx.operations.get(head) is None:
+                    self.fail_at(pos, f"unknown operation {head}")
                 if head in clauses:
                     self.fail_at(pos, f"duplicate clause for operation {head}")
                 clauses[head] = self.term()

@@ -8,11 +8,11 @@ Since a term never changes, neither do its free variables: `free_vars`
 computes them once per node and keeps them on the node (after
 Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML 2006, which
 keeps per-node data on hash-consed terms), for substitution, the
-normalizer's side conditions and the checker's record alike.  Each term
-class holds its fields, and a compound one its three caches, in
-`__slots__`, so a term has no `__dict__`: on 64-bit CPython 3.11 a
-compound node takes 72 to 96 bytes, a leaf 48, whether or not its
-caches are written.
+normalizer's side conditions and the checker's record alike.  A
+compound term holds its three caches, as every record holds its fields,
+in `__slots__` (see below), so a term has no `__dict__`: on 64-bit
+CPython 3.11 a compound node takes 72 to 96 bytes, a leaf 48, whether or
+not its caches are written.
 
 Types, unlike terms, are hash-consed as in that paper: the
 constructors of `Atom`, `Fun`, `Signature` and `Comp` return the one
@@ -37,7 +37,11 @@ of generated source per class, where `dataclass(frozen=True)` runs one
 about 150, which is most of what its classes cost a process to start.
 The methods have the bodies `dataclass` would give them, so a record is
 made, compared, hashed and printed as fast, and `dataclasses.fields`,
-`replace` and class patterns read it as before.
+`replace` and class patterns read it as before.  A record declares its
+fields once, as annotations, and `record` makes them its `__slots__`:
+no record has a `__dict__`, each is built by storing its fields through
+the slot descriptors, and each is copied and pickled through its
+constructor.  A `Step` takes 56 bytes, an `Atom` 40.
 
 The walkers on the hot paths of checking, reduction, sampling and
 printing dispatch on the exact class, `cls = type(t); if cls is App:
@@ -60,9 +64,10 @@ from typing import Iterator, Sequence
 
 class Record:
     """Base of every frozen class that `record` builds: the terms, the
-    types, and the records of `reduce` and `fragment`.  Any write to an
+    types, and the records of `reduce` and `fragment`.  Each holds its
+    fields in slots, so an instance has no `__dict__`.  Any write to an
     instance raises `FrozenInstanceError`, as on a frozen dataclass; the
-    builders of an instance, and `_cache`, write past it with the
+    builders of an instance, and `_cache`, write past it with the slot
     descriptors or `object.__setattr__`."""
 
     __slots__ = ()
@@ -73,26 +78,26 @@ class Record:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # `copy`, `deepcopy` and `pickle` rebuild through the constructor,
+        # so a type's copy is the type itself and a term's starts with empty
+        # caches; storing the slots one by one would meet the frozen
+        # `__setattr__`
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
 
 class _Interned(Record):
     """Base of the four type classes, whose constructors return the one
     object in `_TYPES` for their fields."""
 
-    def __reduce__(self):
-        # `copy`, `deepcopy` and `pickle` rebuild through the constructor
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    __slots__ = ()
 
 
 class _Term(Record):
-    """Base of the term classes, whose fields live in slots, so a term
-    has no `__dict__`."""
+    """Base of the term classes, the only records a weak reference can
+    point to."""
 
     __slots__ = ("__weakref__",)
-
-    # `copy`, `deepcopy` and `pickle` rebuild through the constructor, as
-    # for types, so a copy's caches start empty; storing the slots one by
-    # one would meet the frozen `__setattr__`
-    __reduce__ = _Interned.__reduce__
 
 
 class _Node(_Term):
@@ -112,29 +117,35 @@ class _Node(_Term):
 
 def record(cls: type) -> type:
     """`cls`, a `Record` whose own annotations name its fields, as a
-    frozen dataclass.
+    frozen dataclass that holds each field in a slot.
 
+    `dataclass(init=False, repr=False, eq=False)` only keeps the books
+    that `fields`, `replace` and `__match_args__` read.  The class is then
+    made again with its fields as its `__slots__`, as
+    `dataclass(slots=True)` makes it, and without the first class's
+    `__dict__` and `__weakref__` descriptors, on every Python version.
     One block of generated source writes the methods that
     `dataclass(frozen=True)` would write, with the same bodies, where
     `dataclass` runs one `exec` per method:
 
-    - `__init__`, which stores each field in order, then, if the class
-      has one, calls `__post_init__`.  A term's stores each field, then
-      `None` in each cache, through the slot descriptors' `__set__`,
-      bound once, which costs half of `object.__setattr__`; any other
-      stores through `object.__setattr__`.  A type has none: its
+    - `__init__`, which stores each field in order, then `None` in each
+      cache of a compound term, through the slot descriptors' `__set__`,
+      bound once, which costs half of `object.__setattr__`; then, if the
+      class has one, it calls `__post_init__`.  A type has none: its
       `__new__` returns the one object for its fields;
     - `__repr__`, `ClassName(field=value, ...)`.  It has no guard against
       an object that holds itself, since a record cannot;
     - `__eq__` and `__hash__`, on the tuple of the fields, where the
       class is not a type, whose equality is identity.
 
-    `Record` makes the instances frozen.  `dataclass(init=False,
-    repr=False, eq=False)` then only keeps the books that `fields`,
-    `replace` and `__match_args__` read.  Each class has a docstring of
+    `Record` makes the instances frozen.  Each class has a docstring of
     its own, or `dataclass` would write one from `inspect.signature`.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    space = {k: v for k, v in vars(cls).items() if k not in {*fields, "__dict__", "__weakref__"}}
+    space |= {"__slots__": fields, "__qualname__": cls.__qualname__}
+    cls = type(cls)(cls.__name__, cls.__bases__, space)
     if issubclass(cls, _Interned):
         lines: list[str] = []
         env: dict = {}
@@ -164,22 +175,19 @@ def record(cls: type) -> type:
         cls.__init__.__annotations__ = {name: cls.__annotations__[name] for name in fields} | {
             "return": None
         }
-    return dataclass(init=False, repr=False, eq=False)(cls)
+    return cls
 
 
 def _init_source(cls: type, fields: tuple[str, ...], check: bool) -> tuple[list[str], dict]:
-    """The source lines of `cls`'s `__init__`, storing `fields` and, if
-    `check`, calling `__post_init__` last, with the names it reads."""
-    if issubclass(cls, _Term):
-        slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
-        env = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
-        stores = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
-    else:
-        env = {"_store": object.__setattr__}
-        stores = [f"    _store(self, {name!r}, {name})" for name in fields] or ["    pass"]
+    """The source lines of `cls`'s `__init__`, storing `fields`, and
+    None in each cache of a compound term, through the slot setters, and,
+    if `check`, calling `__post_init__` last, with the names it reads."""
+    slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
+    env = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
+    stores = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
     if check:
         stores.append("    self.__post_init__()")
-    return [f"def __init__(self, {', '.join(fields)}):", *stores], env
+    return [f"def __init__(self, {', '.join(fields)}):", *(stores or ["    pass"])], env
 
 
 def _storing(cls: type):
@@ -391,7 +399,6 @@ class Context:
 class Var(_Term):
     """A variable, bound by an enclosing `Abs` or `Op` or free."""
 
-    __slots__ = ("name",)
     name: str
 
 
@@ -399,7 +406,6 @@ class Var(_Term):
 class Const(_Term):
     """A declared constant, such as `*`, the unit value."""
 
-    __slots__ = ("name",)
     name: str
 
 
@@ -407,7 +413,6 @@ class Const(_Term):
 class Abs(_Node):
     """Abstraction: a binder scoping over a body."""
 
-    __slots__ = ("binder", "body")
     binder: str
     body: "Term"
 
@@ -416,7 +421,6 @@ class Abs(_Node):
 class App(_Node):
     """Application of a function to an argument."""
 
-    __slots__ = ("fn", "arg")
     fn: "Term"
     arg: "Term"
 
@@ -425,7 +429,6 @@ class App(_Node):
 class Eta(_Node):
     """Injection of a value as a trivial computation."""
 
-    __slots__ = ("value",)
     value: "Term"
 
 
@@ -436,7 +439,6 @@ class Op(_Node):
     The binder scopes over the continuation only, never the parameter.
     """
 
-    __slots__ = ("op", "param", "binder", "cont")
     op: str
     param: "Term"
     binder: str
@@ -451,7 +453,6 @@ class Handler(_Node):
     sorted by name; the eta clause interprets injected values.
     """
 
-    __slots__ = ("clauses", "eta_clause", "scrutinee")
     clauses: tuple[tuple[str, "Term"], ...]
     eta_clause: "Term"
     scrutinee: "Term"
@@ -490,7 +491,6 @@ def _handler_unchecked(clauses, eta_clause, scrutinee) -> Handler:
 class Cherry(_Node):
     """Extraction of the value of an effect-free computation."""
 
-    __slots__ = ("comp",)
     comp: "Term"
 
 
@@ -498,7 +498,6 @@ class Cherry(_Node):
 class Exchange(_Node):
     """Commutes a function with the computation it returns."""
 
-    __slots__ = ("fn",)
     fn: "Term"
 
 
@@ -506,7 +505,6 @@ class Exchange(_Node):
 class Ann(_Node):
     """Type ascription.  Guides the checker; erased before reduction."""
 
-    __slots__ = ("term", "ty")
     term: "Term"
     ty: Type
 

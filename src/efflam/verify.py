@@ -29,7 +29,6 @@ from .prelude import bind, eta_identity
 from .reduce import (
     FuelExhausted,
     NormalForm,
-    ReductionGraph,  # re-exported with reduction_graph, which live in reduce
     normalize,
     reduction_graph,
     reducts,

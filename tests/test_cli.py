@@ -49,6 +49,30 @@ def test_status_parse_error(capsys):
     assert "expected" in err
 
 
+@pytest.mark.parametrize(
+    "src, column",
+    [("do nosuch(*, \\x. eta x)", 4), ("handle { nosuch -> \\p. \\k. k p } (eta j)", 10)],
+    ids=["call", "clause"],
+)
+def test_an_undeclared_operation_is_a_parse_error_at_its_name(src, column, capsys):
+    assert main(["normalize", "-e", src]) == 1
+    assert capsys.readouterr().err == (
+        f"parse error at line 1, column {column}: unknown operation nosuch\n"
+    )
+
+
+def test_a_directive_calling_an_undeclared_operation_fails_to_parse(tmp_path, capsys):
+    # at parse time, before the checker could call it an unknown name
+    path = tmp_path / "undeclared.lam"
+    path.write_text("atom a.\nconst c : a.\ncheck do nosuch(c, \\x. eta x).\n")
+    assert main(["check", str(path), "--format", "records"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "parse",
+        "kind": "error",
+        "message": "parse error at line 3, column 10: unknown operation nosuch",
+    }
+
+
 def test_status_type_error(tmp_path, capsys):
     path = tmp_path / "bad.lam"
     path.write_text(BAD_TYPE_FILE)

@@ -3,8 +3,9 @@ its modules and tests are Python 3.10 syntax, as `pyproject.toml`
 promises, no function in it leaves a reference cycle behind per
 call, no function imports one of its modules unless listed with a
 reason, every private module-level name in it is used, the typing
-errors it raises are of the documented kinds, and every per-node cache
-it writes is declared once, in a `__slots__` of `syntax`."""
+errors it raises are of the documented kinds, every per-node cache
+it writes is declared once, in a `__slots__` of `syntax`, and no class
+names one of its annotated fields in a `__slots__` of its own."""
 
 from __future__ import annotations
 
@@ -447,19 +448,43 @@ def _cache_writes(source):
     }
 
 
+def _slots(node):
+    """The names in the `__slots__` of class `node`, in declaration order."""
+    return [
+        name.value
+        for statement in node.body
+        if isinstance(statement, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in statement.targets)
+        for name in ast.walk(statement.value)
+        if isinstance(name, ast.Constant)
+    ]
+
+
 def _declared_caches(source):
     """The private names, not dunders, in each class's `__slots__`, in
     declaration order, as `syntax` declares the per-node caches; a name
     declared twice is listed twice."""
     return [
-        name.value
+        name
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ClassDef)
-        for statement in node.body
-        if isinstance(statement, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in statement.targets)
-        for name in statement.value.elts
-        if name.value.startswith("_") and not name.value.startswith("__")
+        for name in _slots(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def _fields_in_slots(source):
+    """(class, field) for each annotated field of a class that the
+    class's own `__slots__` names too."""
+    return [
+        (node.name, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for name in _slots(node)
+        if any(
+            isinstance(statement, ast.AnnAssign) and ast.unparse(statement.target) == name
+            for statement in node.body
+        )
     ]
 
 
@@ -492,3 +517,30 @@ def f(t):
 """
     assert _cache_writes(source) == {"_a", "_c"}
     assert _declared_caches(source) == ["_a", "_b", "_a"]
+
+
+def test_every_field_is_declared_once():
+    # `record` makes a class's annotated fields its slots, so a field
+    # named in a hand-written `__slots__` too is spelt twice
+    assert [found for path in SOURCES for found in _fields_in_slots(path.read_text())] == []
+
+
+def test_the_field_scan_sees_a_field_in_slots():
+    source = """
+class A:
+    __slots__ = ("x", "_cache")
+    x: int
+    y: str
+
+
+class B(A):
+    __slots__ = "y"
+    y: str
+    z = 1
+
+
+class C:
+    __slots__ = ("__weakref__",)
+    w: int
+"""
+    assert _fields_in_slots(source) == [("A", "x"), ("B", "y")]

@@ -14,14 +14,12 @@ from efflam.fragment import (
     FILE,
     LEXICON,
     SENTENCE,
-    SENTENCE_FINAL,
     Word,
     _lexicon,
     accommodate,
     category,
     denote,
     example,
-    scope_island,
     with_speaker,
 )
 from efflam.reduce import NormalForm, normalize
@@ -77,19 +75,6 @@ def _me():
 def test_inner_speaker_wins():
     term = with_speaker(Const("j"), with_speaker(Const("m"), _me()))
     assert alpha_eq(nf(term), parse_term("eta m", ENV))
-
-
-def test_scope_island_requires_a_sentence_computation():
-    with pytest.raises(TypeCheckError):
-        scope_island(_me())  # individual-valued, not truth-valued
-    with pytest.raises(TypeCheckError):
-        scope_island(Const("j"))
-
-
-def test_scope_island_closes_off_scope():
-    term = scope_island(denote(Branch(Branch(Word("loves"), Word("everyone")), Word("john"))))
-    assert synthesize(CONTEXT, term) == SENTENCE_FINAL
-    assert alpha_eq(nf(with_speaker(Const("s"), term)), parse_term("eta (forall (love j))", ENV))
 
 
 def test_with_speaker_requires_an_individual():

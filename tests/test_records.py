@@ -1,7 +1,7 @@
 """The record builder (`syntax.record`): each class it builds behaves as
-the frozen dataclass it replaces, each dataclass of the package has a
-docstring, and a fresh process imports the package with few blocks of
-generated source and without `json`."""
+the frozen dataclass it replaces and holds its fields in slots, each
+dataclass of the package has a docstring, and a fresh process imports
+the package with few blocks of generated source and without `json`."""
 
 from __future__ import annotations
 
@@ -238,6 +238,13 @@ def test_a_record_behaves_as_its_stock_dataclass_twin(cls):
         got = pickle.loads(pickle.dumps(x))
         assert type(got) is cls and got == x and repr(got) == repr(x)
         assert (got is x) == (cls in _INTERNED)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
+def test_a_record_holds_its_fields_in_slots_of_its_own(cls):
+    assert cls.__dict__["__slots__"] == tuple(f.name for f in dataclasses.fields(cls))
+    for x in SAMPLES[cls]:
+        assert not hasattr(x, "__dict__")
 
 
 def test_a_record_has_the_signature_of_its_stock_twin():

@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import sys
 import tracemalloc
 import weakref
 
@@ -48,7 +49,7 @@ from efflam.syntax import (
 from efflam import syntax
 from efflam import verify
 from efflam.fragment import GOLDENS, shipped_source
-from efflam.reduce import _redexes, normalize
+from efflam.reduce import Rule, Step, _redexes, normalize
 from efflam.syntax import _substituting, _unascribed
 from efflam.surface import (
     _enter_print,
@@ -505,6 +506,25 @@ def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
     finally:
         tracemalloc.stop()
     assert per_node <= 96
+
+
+# a record that is not a term, and one of each type class
+_RECORDS = {
+    Step: lambda: Step(Rule.beta, (0,), _C),
+    Atom: lambda: A,
+    Fun: lambda: Fun(A, A),
+    Signature: lambda: Signature((("opa", A, A),)),
+    Comp: lambda: Comp(EMPTY_ROW, A),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_a_record_takes_a_header_and_a_word_per_field(cls):
+    # fields in slots and no `__dict__`: on 64-bit CPython, 32 B of
+    # headers and 8 B a field
+    x = _RECORDS[cls]()
+    assert type(x) is cls and not hasattr(x, "__dict__")
+    assert sys.getsizeof(x) <= 32 + 8 * len(dataclasses.fields(cls))
 
 
 def test_no_term_has_a_dict_after_normalizing_checking_and_verifying():
