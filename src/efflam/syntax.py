@@ -10,9 +10,10 @@ Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML 2006, which
 keeps per-node data on hash-consed terms), for substitution, the
 normalizer's side conditions and the checker's record alike.  A
 compound term holds its three caches, as every record holds its fields,
-in `__slots__` (see below), so a term has no `__dict__`: on 64-bit
-CPython 3.11 a compound node takes 72 to 96 bytes, a leaf 48, whether or
-not its caches are written.
+in `__slots__` (see below), so a term is its fields and its caches,
+with no `__dict__` and no weak-reference slot: on 64-bit CPython 3.11 a
+compound node takes 64 to 88 bytes, a leaf 40, whether or not its
+caches are written.
 
 Types, unlike terms, are hash-consed as in that paper: the
 constructors of `Atom`, `Fun`, `Signature` and `Comp` return the one
@@ -33,8 +34,9 @@ folded without raising the interpreter's recursion limit.
 Every frozen class of the package, the terms and types here and the
 records of `reduce` and `fragment`, is built by `record`, from one block
 of generated source per class, where `dataclass(frozen=True)` runs one
-`exec` per method: importing the package runs about 35 such blocks, not
-about 150, which is most of what its classes cost a process to start.
+`exec` per method: importing the package, `cli` and `verify` included,
+runs 33 such blocks of its own, 23 of them `record`'s, not about 150,
+which is most of what its classes cost a process to start.
 The methods have the bodies `dataclass` would give them, so a record is
 made, compared, hashed and printed as fast, and `dataclasses.fields`,
 `replace` and class patterns read it as before.  A record declares its
@@ -65,10 +67,14 @@ from typing import Iterator, Sequence
 class Record:
     """Base of every frozen class that `record` builds: the terms, the
     types, and the records of `reduce` and `fragment`.  Each holds its
-    fields in slots, so an instance has no `__dict__`.  Any write to an
-    instance raises `FrozenInstanceError`, as on a frozen dataclass; the
-    builders of an instance, and `_cache`, write past it with the slot
-    descriptors or `object.__setattr__`."""
+    fields in slots, and a compound term its caches too, so an instance
+    has no `__dict__` and no `__weakref__` slot: nothing takes a weak
+    reference to a record.  Any write to an instance raises
+    `FrozenInstanceError`, as on a frozen dataclass; the constructor
+    writes past it with the slot descriptors, and `_intern` and `_cache`
+    with `object.__setattr__`.  Every record is made by its class's
+    `__init__`, and so passes its `__post_init__` checks, but a type,
+    which `_intern` makes once for its fields."""
 
     __slots__ = ()
 
@@ -93,14 +99,7 @@ class _Interned(Record):
     __slots__ = ()
 
 
-class _Term(Record):
-    """Base of the term classes, the only records a weak reference can
-    point to."""
-
-    __slots__ = ("__weakref__",)
-
-
-class _Node(_Term):
+class _Node(Record):
     """Base of the compound term classes, which hold the per-node caches.
 
     Each is written through `_cache` on the node itself: `free_vars`
@@ -110,7 +109,8 @@ class _Node(_Term):
     handler's typings in its last context as `_typed`.  The constructor
     sets them to None.  They are slots, not fields: equality, hashing,
     `repr` and `dataclasses.replace` never see them, and a copy starts
-    with none."""
+    with none.  Three slots of 8 bytes each take a node with one field
+    to 64 bytes, and `Op`, with four, to 88."""
 
     __slots__ = ("_fv", "_nredex", "_typed")
 
@@ -123,7 +123,9 @@ def record(cls: type) -> type:
     that `fields`, `replace` and `__match_args__` read.  The class is then
     made again with its fields as its `__slots__`, as
     `dataclass(slots=True)` makes it, and without the first class's
-    `__dict__` and `__weakref__` descriptors, on every Python version.
+    `__dict__` and `__weakref__` descriptors, on every Python version:
+    an instance holds its fields, and a compound term's caches, and
+    nothing else.
     One block of generated source writes the methods that
     `dataclass(frozen=True)` would write, with the same bodies, where
     `dataclass` runs one `exec` per method:
@@ -150,7 +152,7 @@ def record(cls: type) -> type:
         lines: list[str] = []
         env: dict = {}
     else:
-        lines, env = _init_source(cls, fields, hasattr(cls, "__post_init__"))
+        lines, env = _init_source(cls, fields)
         own = "".join(f"self.{name}," for name in fields)
         other = "".join(f"other.{name}," for name in fields)
         lines += [
@@ -178,25 +180,16 @@ def record(cls: type) -> type:
     return cls
 
 
-def _init_source(cls: type, fields: tuple[str, ...], check: bool) -> tuple[list[str], dict]:
+def _init_source(cls: type, fields: tuple[str, ...]) -> tuple[list[str], dict]:
     """The source lines of `cls`'s `__init__`, storing `fields`, and
-    None in each cache of a compound term, through the slot setters, and,
-    if `check`, calling `__post_init__` last, with the names it reads."""
+    None in each cache of a compound term, through the slot setters, then
+    calling `__post_init__` if `cls` has one, with the names it reads."""
     slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
     env = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
     stores = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
-    if check:
+    if hasattr(cls, "__post_init__"):
         stores.append("    self.__post_init__()")
     return [f"def __init__(self, {', '.join(fields)}):", *(stores or ["    pass"])], env
-
-
-def _storing(cls: type):
-    """A function of a new term of `cls` and its field values that
-    stores them and empties the caches, without `__post_init__`."""
-    fields = tuple(cls.__annotations__)
-    lines, env = _init_source(cls, fields, False)
-    exec("\n".join(lines), env)
-    return env["__init__"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +389,14 @@ class Context:
 
 
 @record
-class Var(_Term):
+class Var(Record):
     """A variable, bound by an enclosing `Abs` or `Op` or free."""
 
     name: str
 
 
 @record
-class Const(_Term):
+class Const(Record):
     """A declared constant, such as `*`, the unit value."""
 
     name: str
@@ -450,7 +443,9 @@ class Handler(_Node):
     """Handler applied to a scrutinee computation.
 
     `clauses` maps handled operation names to clause terms and is kept
-    sorted by name; the eta clause interprets injected values.
+    sorted by name; the eta clause interprets injected values.  The
+    constructor raises ValueError when the names are out of order or
+    repeated; a handler of at most one clause skips that check.
     """
 
     clauses: tuple[tuple[str, "Term"], ...]
@@ -458,6 +453,8 @@ class Handler(_Node):
     scrutinee: "Term"
 
     def __post_init__(self) -> None:
+        if len(self.clauses) < 2:
+            return
         names = [name for name, _ in self.clauses]
         if names != sorted(names):
             raise ValueError("handler clauses must be sorted by operation name")
@@ -474,17 +471,6 @@ class Handler(_Node):
 def handler(clauses: dict[str, "Term"], eta_clause: "Term", scrutinee: "Term") -> Handler:
     """Build a Handler from an unsorted clause table."""
     return Handler(tuple(sorted(clauses.items())), eta_clause, scrutinee)
-
-
-_store_handler = _storing(Handler)
-
-
-def _handler_unchecked(clauses, eta_clause, scrutinee) -> Handler:
-    """A Handler built without `__post_init__`'s clause-order check, for
-    clause names copied from a handler that has passed it."""
-    h = object.__new__(Handler)
-    _store_handler(h, clauses, eta_clause, scrutinee)
-    return h
 
 
 @record
@@ -561,7 +547,9 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
     """`t` with its children, in `children` order, replaced by `kids`.
 
     Returns `t` itself when every new child is the old one, so walkers
-    built on the pair preserve identity wherever nothing changed.
+    built on the pair preserve identity wherever nothing changed.  A
+    handler is rebuilt through `Handler`, like every other node, with the
+    clause names of `t`, which pass its check again.
     """
     cls = type(t)
     if cls is App:
@@ -579,7 +567,7 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
         ):
             return t
         named = tuple((name, new) for (name, _), new in zip(t.clauses, clauses))
-        return _handler_unchecked(named, eta_clause, scrutinee)
+        return Handler(named, eta_clause, scrutinee)
     if cls is Eta:
         (value,) = kids
         return t if value is t.value else Eta(value)

@@ -4,8 +4,10 @@ promises, no function in it leaves a reference cycle behind per
 call, no function imports one of its modules unless listed with a
 reason, every private module-level name in it is used, the typing
 errors it raises are of the documented kinds, every per-node cache
-it writes is declared once, in a `__slots__` of `syntax`, and no class
-names one of its annotated fields in a `__slots__` of its own."""
+it writes is declared once, in a `__slots__` of `syntax`, no class
+names one of its annotated fields in a `__slots__` of its own, no
+`__slots__` names `__weakref__`, and only `syntax._intern` calls
+`object.__new__`."""
 
 from __future__ import annotations
 
@@ -544,3 +546,66 @@ class C:
     w: int
 """
     assert _fields_in_slots(source) == [("A", "x"), ("B", "y")]
+
+
+def _weak_slots_and_bare_news(source):
+    """("__weakref__", class) for each class whose `__slots__` names
+    `__weakref__`, and ("object.__new__", scope) for each call of
+    `object.__new__`, with `scope` the classes and functions around it,
+    named as `_functions_matching` names them ("" at module level)."""
+    found = []
+    todo = [(node, "") for node in ast.parse(source).body]
+    while todo:
+        node, scope = todo.pop()
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ClassDef) and "__weakref__" in _slots(node):
+            found.append(("__weakref__", scope))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
+            found.append(("object.__new__", scope))
+        todo.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_record_takes_a_weak_reference_slot_or_skips_its_constructor():
+    # nothing takes a weak reference to a record, so the slot would cost
+    # every term node 8 B for nothing; and a record made without its
+    # constructor skips its checks, but for a type, whose constructor
+    # returns the one object `_intern` made for its fields
+    found = [
+        (path.name, *item)
+        for path in SOURCES
+        for item in _weak_slots_and_bare_news(path.read_text())
+    ]
+    assert [item for item in found if item != ("syntax.py", "object.__new__", "_intern")] == []
+
+
+def test_the_layout_scan_sees_weak_slots_and_bare_news():
+    source = """
+class A:
+    __slots__ = ("__weakref__", "_a")
+
+
+class B(A):
+    __slots__ = "x"
+
+    def make(cls):
+        return object.__new__(cls)
+
+
+def _intern(cls):
+    def inner():
+        return object.__new__(cls)
+
+    return inner(), object.__new__(cls), object.__setattr__(cls, "x", 1)
+
+
+b = object.__new__(B)
+"""
+    assert sorted(_weak_slots_and_bare_news(source)) == [
+        ("__weakref__", "A"),
+        ("object.__new__", ""),
+        ("object.__new__", "B.make"),
+        ("object.__new__", "_intern"),
+        ("object.__new__", "_intern.inner"),
+    ]

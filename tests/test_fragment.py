@@ -87,6 +87,20 @@ def test_accommodate_requires_a_truth_valued_computation():
         accommodate(_me())
 
 
+@pytest.mark.parametrize(
+    "wrap, what",
+    [
+        (lambda m: with_speaker(Const("s"), m), "a speaker-closed term"),
+        (accommodate, "an accommodated term"),
+    ],
+)
+def test_a_wrapper_requires_a_computation(wrap, what):
+    with pytest.raises(TypeCheckError) as exc:
+        wrap(Const("j"))
+    assert (exc.value.kind, exc.value.path) == ("notAComputation", ())
+    assert str(exc.value) == f"notAComputation at root: {what} must be a computation"
+
+
 def test_builders_ascribe_their_clauses():
     handler = with_speaker(Const("s"), _me())
     ty = synthesize(CONTEXT, handler)

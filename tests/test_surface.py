@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from efflam import surface, syntax
+from efflam import fragment, surface, syntax
 from efflam.fragment import shipped_source
 from efflam.prelude import apply_both, apply_left, apply_right, bind, eta_identity, lift_binary
 from efflam.surface import (
@@ -49,6 +49,7 @@ from efflam.syntax import (
     free_vars,
 )
 from .chain_parser import parse_term_by_chain
+from .parse_digest import parse_digest
 from .conftest import NAMES, leaf_terms, terms, types
 from .test_typecheck import chained_defs
 
@@ -220,6 +221,30 @@ def test_error_position_after_a_comment():
 def test_multiline_error_positions():
     e = err("love j\n  ghost")
     assert (e.line, e.col) == (2, 3)
+
+
+# the message and column of each error of rows, operation calls and
+# handlers that no other test reaches, at line 1
+_PARSE_ERRORS = [
+    ("(j : F)", 7, "expected '{', found ')'"),
+    ("(j : F{1}(o))", 8, "expected an operation name, found '1'"),
+    ("(j : F{speaker, speaker}(o))", 17, "duplicate operation speaker in row"),
+    ("(j : F{speaker scope}(o))", 16, "expected ',' or '}' in effect row"),
+    ("(j : F{speaker} o)", 17, "expected '(', found 'o'"),
+    ("(j : F{}(o)", 12, "expected ')', found ''"),
+    ("do speaker *", 12, "expected '(', found '*'"),
+    ("do speaker(*, \\x. eta x", 24, "expected ')', found ''"),
+    ("handle { eta -> \\x. eta x, eta -> \\x. eta x } (eta j)", 28, "duplicate eta clause"),
+    ("handle { eta -> j ) } (eta j)", 19, "expected ',' or '}' after a handler clause"),
+    ("handle { } )", 12, "a handler must be applied to a computation"),
+]
+
+
+@pytest.mark.parametrize("src, col, message", _PARSE_ERRORS)
+def test_each_error_has_its_message_and_column(src, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term(src, fragment.CONTEXT)
+    assert (exc.value.line, exc.value.col, exc.value.args[0]) == (1, col, message)
 
 
 def test_infix_needs_its_constant_declared():
@@ -415,6 +440,14 @@ def test_parser_never_crashes(src):
         parse_term(src, GEN_ENV)
     except ParseError:
         pass
+
+
+def test_parsing_matches_the_recorded_digest():
+    # every seeded source and mutant parses to the same term, or fails
+    # with the same message at the same place, as when recorded; the
+    # command that re-records it is in `parse_digest`'s docstring
+    recorded = (Path(__file__).parent / "expected" / "parse-digest.txt").read_text()
+    assert parse_digest() == recorded
 
 
 # operands, all ten infix symbols, lambdas and parentheses, for the

@@ -9,7 +9,6 @@ import gc
 import pickle
 import sys
 import tracemalloc
-import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -368,12 +367,11 @@ def _free_vars_by_recursion(t):
 
 
 def _slot_values(t):
-    """Each slot of `t` but its weak-reference slot, by name, with the
-    value it holds: a term keeps everything in slots, having no
-    `__dict__`."""
+    """Each slot of `t`, by name, with the value it holds: a term keeps
+    everything in slots, having no `__dict__`."""
     assert not hasattr(t, "__dict__")
     names = [name for cls in type(t).__mro__ for name in cls.__dict__.get("__slots__", ())]
-    return {name: getattr(t, name) for name in names if name != "__weakref__"}
+    return {name: getattr(t, name) for name in names}
 
 
 def _cached_nodes(t):
@@ -485,11 +483,11 @@ _CACHES_USED[Handler] = ("_fv", "_nredex", "_typed")
 _CACHES_USED[Ann] = ("_fv", "_typed")
 
 
-@pytest.mark.parametrize("cls", list(_CACHES_USED), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(_ONE_OF_EACH), ids=lambda cls: cls.__name__)
 def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
     # a cache written into a node that had no room for it gave the node
-    # a `__dict__`: 327 B a node here; in slots, 72 to 96 B by the number
-    # of fields
+    # a `__dict__`: 327 B a node here; in slots, 64 to 88 B by the number
+    # of fields, and a leaf, which has no caches, 40
     build, n = _ONE_OF_EACH[cls], 10_000
     kept: list = [None] * n
     value = {"_fv": frozenset(), "_nredex": 1, "_typed": (object(), {})}
@@ -499,13 +497,13 @@ def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
         for i in range(n):
             kept[i] = build()
         for node in kept:
-            for name in _CACHES_USED[cls]:
+            for name in _CACHES_USED.get(cls, ()):
                 syntax._cache(node, name, value[name])
         # less a few bytes that do not grow with `n`
         per_node = (tracemalloc.get_traced_memory()[0] - before) // n
     finally:
         tracemalloc.stop()
-    assert per_node <= 96
+    assert per_node <= (88 if cls in _CACHES_USED else 40)
 
 
 # a record that is not a term, and one of each type class
@@ -583,7 +581,6 @@ def test_a_term_stays_frozen():
             setattr(t, field, Var("y"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             t._fv = frozenset()
-        weakref.ref(t)
 
 
 @given(terms, st.sampled_from(NAMES))
@@ -781,13 +778,9 @@ def test_rebuild_replaces_children_and_keeps_the_rest():
     assert rebuild(Ann(Var("x"), A), (Var("y"),)) == Ann(Var("y"), A)
 
 
-def test_rebuild_does_not_recheck_handler_clause_order(monkeypatch):
+def test_rebuild_keeps_a_handlers_clause_order():
     h = handler({"opa": Var("h"), "opb": Var("g")}, Var("e"), Var("n"))
-    checks = []
-    monkeypatch.setattr(Handler, "__post_init__", lambda self: checks.append(self))
     got = rebuild(h, (Var("h2"), Var("g2"), Var("e2"), Var("n2")))
-    assert checks == []
-    monkeypatch.undo()
     assert got == Handler(
         (("opa", Var("h2")), ("opb", Var("g2"))), Var("e2"), Var("n2")
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -185,6 +186,15 @@ def test_unknown_constant_name():
     with pytest.raises(TypeCheckError) as exc:
         synthesize(CTX, App(term("man"), Var("ghost")))
     assert exc.value.kind == "unknownName" and exc.value.path == (1,)
+
+
+def test_unknown_constant_is_blamed_where_it_stands():
+    # the parser rejects unknown names first: only a term built through
+    # the API reaches this check
+    with pytest.raises(TypeCheckError) as exc:
+        synthesize(fragment.CONTEXT, App(Const("nosuch"), Const("j")))
+    assert (exc.value.kind, exc.value.path) == ("unknownName", (0,))
+    assert str(exc.value) == "unknownName at 0: unknown constant nosuch"
 
 
 def test_extract_demands_an_empty_row():
@@ -868,19 +878,24 @@ def test_remembered_typings_and_failures_agree_with_a_checker_without_memo(monke
 # term and no context alive, and a node keeps those of its last context only
 
 
+def _refcounts(t: Term) -> list[int]:
+    """`sys.getrefcount` of each compound node of `t`, `t` first."""
+    return [sys.getrefcount(node) for node in list(nodes([t]))]
+
+
 def test_an_entry_goes_with_its_term():
-    # typings live on their nodes, so they keep no term alive
+    # typings live on their nodes, so they keep no term alive: checking
+    # leaves no new reference to the term or any node of it
     ctx = replace(verify.CONTEXT)
     t = _nested_handler(3, Ann(Eta(Const("a0")), Comp(EMPTY_ROW, verify.A)))
     gc.disable()
     try:
+        before = _refcounts(t)
         assert synthesize(ctx, t) == Comp(EMPTY_ROW, verify.A)
+        assert _refcounts(t) == before
         typed = _typed_nodes([t], ctx)
         # three handlers and the ascription
         assert sorted(type(node).__name__ for node in typed) == ["Ann", *["Handler"] * 3]
-        alive = weakref.ref(t)
-        del t, typed
-        assert alive() is None
     finally:
         gc.enable()
 
