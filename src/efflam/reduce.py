@@ -56,8 +56,9 @@ free of redexes, so only three places can hold the next redex:
 - the right siblings of each ancestor, deepest first.
 
 Free variables come from `free_vars`, which computes them once per
-node and keeps them on the node, in a slot that the node is built with
-(`syntax._Node`), so they live exactly as long as the term does and
+node and keeps them on the node, in a slot that every compound node is
+built with (`syntax._Node`, which declares it and the `_nredex` slot
+below), so they live exactly as long as the term does and
 cost no memory beyond the set.  They answer the side conditions
 above, and tell whether a step drops a variable.  Substitution asks
 them too, and enters only the subterms that mention the substituted

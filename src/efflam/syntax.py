@@ -9,11 +9,14 @@ computes them once per node and keeps them on the node (after
 Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", ML 2006, which
 keeps per-node data on hash-consed terms), for substitution, the
 normalizer's side conditions and the checker's record alike.  A
-compound term holds its three caches, as every record holds its fields,
-in `__slots__` (see below), so a term is its fields and its caches,
-with no `__dict__` and no weak-reference slot: on 64-bit CPython 3.11 a
-compound node takes 64 to 88 bytes, a leaf 40, whether or not its
-caches are written.
+compound term holds its caches, as every record holds its fields, in
+`__slots__` (see below), so a term is its fields and its caches, with
+no `__dict__` and no weak-reference slot.  Each compound node has a slot
+for its free variables and one for its redex count (`_Node`), and only
+an ascription or a handler a third, for the checker's typings
+(`_TypedNode`).  On 64-bit CPython 3.11, whether or not its caches are
+written, an `Eta`, `Cherry` or `Exchange` takes 56 bytes, an `Abs` or
+`App` 64, an `Ann` 72, an `Op` or `Handler` 80, and a leaf 40.
 
 Types, unlike terms, are hash-consed as in that paper: the
 constructors of `Atom`, `Fun`, `Signature` and `Comp` return the one
@@ -103,16 +106,26 @@ class _Node(Record):
     """Base of the compound term classes, which hold the per-node caches.
 
     Each is written through `_cache` on the node itself: `free_vars`
-    keeps a node's free variables as `_fv`, the random strategy
+    keeps a node's free variables as `_fv`, and the random strategy
     (`reduce._redexes`) an ascription-free one's redex count as
-    `_nredex`, and the checker (`typecheck._recall`) an ascription's or a
-    handler's typings in its last context as `_typed`.  The constructor
-    sets them to None.  They are slots, not fields: equality, hashing,
-    `repr` and `dataclasses.replace` never see them, and a copy starts
-    with none.  Three slots of 8 bytes each take a node with one field
-    to 64 bytes, and `Op`, with four, to 88."""
+    `_nredex`.  The constructor sets them to None.  They are slots, not
+    fields: equality, hashing, `repr` and `dataclasses.replace` never see
+    them, and a copy starts with none.  Two slots of 8 bytes each take a
+    node with one field to 56 bytes, one with two to 64, and `Op`, with
+    four, to 80."""
 
-    __slots__ = ("_fv", "_nredex", "_typed")
+    __slots__ = ("_fv", "_nredex")
+
+
+class _TypedNode(_Node):
+    """Base of the two term classes that the checker types once per
+    context, `Ann` and `Handler`: it keeps (`typecheck._recall`) their
+    typings in their last context as `_typed`, one slot more, which no
+    other node has.  An ascription keeps the `_nredex` slot it inherits
+    empty, since `_redexes` counts through it, and takes 72 bytes; a
+    handler, with three fields, 80."""
+
+    __slots__ = ("_typed",)
 
 
 def record(cls: type) -> type:
@@ -131,7 +144,8 @@ def record(cls: type) -> type:
     `dataclass` runs one `exec` per method:
 
     - `__init__`, which stores each field in order, then `None` in each
-      cache of a compound term, through the slot descriptors' `__set__`,
+      cache that the class's bases declare (see `_Node` and
+      `_TypedNode`), through the slot descriptors' `__set__`,
       bound once, which costs half of `object.__setattr__`; then, if the
       class has one, it calls `__post_init__`.  A type has none: its
       `__new__` returns the one object for its fields;
@@ -182,9 +196,12 @@ def record(cls: type) -> type:
 
 def _init_source(cls: type, fields: tuple[str, ...]) -> tuple[list[str], dict]:
     """The source lines of `cls`'s `__init__`, storing `fields`, and
-    None in each cache of a compound term, through the slot setters, then
-    calling `__post_init__` if `cls` has one, with the names it reads."""
-    slots = fields + _Node.__slots__ if issubclass(cls, _Node) else fields
+    None in each cache that the slots of `cls`'s bases declare (a
+    compound term's: `_fv` and `_nredex`, and `_typed` on an ascription
+    or a handler), through the slot setters, then calling `__post_init__`
+    if `cls` has one, with the names it reads."""
+    bases = reversed(cls.__mro__[1:])
+    slots = fields + tuple(slot for base in bases for slot in vars(base).get("__slots__", ()))
     env = {f"set_{slot}": getattr(cls, slot).__set__ for slot in slots}
     stores = [f"    set_{slot}(self, {slot if slot in fields else None})" for slot in slots]
     if hasattr(cls, "__post_init__"):
@@ -439,7 +456,7 @@ class Op(_Node):
 
 
 @record
-class Handler(_Node):
+class Handler(_TypedNode):
     """Handler applied to a scrutinee computation.
 
     `clauses` maps handled operation names to clause terms and is kept
@@ -488,7 +505,7 @@ class Exchange(_Node):
 
 
 @record
-class Ann(_Node):
+class Ann(_TypedNode):
     """Type ascription.  Guides the checker; erased before reduction."""
 
     term: "Term"

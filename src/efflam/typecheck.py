@@ -25,7 +25,8 @@ handlers whose rows settle in one round are typed once per level.
 Each ascription and each handler is typed once per context, across
 every `synthesize` and `check_against` call against it.  The checker
 keeps on the node itself (`_typed`, a per-node cache like `free_vars`'
-`_fv`, in a slot) every ascription that held and every handler type it
+`_fv`, in a slot that ascriptions and handlers have and no other node:
+`syntax._TypedNode`) every ascription that held and every handler type it
 synthesized, with the context's token (`Context.typings`) and the types
 the context gave the node's free variables, and reuses the result where
 the same node is reached again in the same context and those types are

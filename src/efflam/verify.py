@@ -6,7 +6,8 @@ enumerated exhaustively by size, directed by the typing rules: only
 terms the checker accepts are built, with no untyped shapes filtered
 out (binders get canonical names, so enumeration never produces
 alpha-duplicates).  A seeded sampler builds well-typed terms directly
-for the statistical suites.
+for the statistical suites, sharing their names, leaves, inhabitants and
+small subterms across samples.
 
 Suites:
   subjectReduction  every one-step reduct of a typed term keeps its type
@@ -72,8 +73,22 @@ _CONSTS = ("a0", "f0", "*")
 _OPS = ("op1", "op2")
 
 
-def _binder(depth: int) -> str:
-    return f"b{depth}"
+# The binder names by prefix, at each depth, and their variables: the
+# enumerator binds `b0`, `b1`, ... and the sampler `v0`, `v1`, ...  Each
+# name is made once, as one string and one `Var`, however many terms bind
+# or use it, and a table grows as deeper binders are asked for.
+_NAMES: dict[str, list[str]] = {"b": [], "v": []}
+_VARS: dict[str, Var] = {}
+
+
+def _name(prefix: str, depth: int) -> str:
+    """The name that `prefix`'s binders take at `depth`, such as "v3"."""
+    names = _NAMES[prefix]
+    while len(names) <= depth:
+        name = f"{prefix}{len(names)}"
+        names.append(name)
+        _VARS[name] = Var(name)
+    return names[depth]
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +160,10 @@ class _Enumeration:
 
     def _synth(self, n, scope):
         if n == 1:
-            yield from ((Var(_binder(i)), ty) for i, ty in enumerate(scope))
+            yield from ((_VARS[_name("b", i)], ty) for i, ty in enumerate(scope))
             yield from self.consts
             return
-        binder = _binder(len(scope))
+        binder = _name("b", len(scope))
         for v, ty in self.synth(n - 1, scope):
             yield Eta(v), Comp(EMPTY_ROW, ty)
             if isinstance(ty, Comp) and ty.effects.is_empty():
@@ -178,7 +193,7 @@ class _Enumeration:
         """(clause, delta, row) for each eta clause typed at `gamma`."""
         for body, ty in self.synth(n - 1, scope + (gamma,)):
             if isinstance(ty, Comp):
-                yield Abs(_binder(len(scope)), body), ty.value, ty.effects
+                yield Abs(_name("b", len(scope)), body), ty.value, ty.effects
         for f, ty in self.synth(n, scope):
             if isinstance(ty, Fun) and isinstance(ty.cod, Comp) and subtype(gamma, ty.dom):
                 yield f, ty.cod.value, ty.cod.effects
@@ -196,7 +211,7 @@ class _Enumeration:
                         yield clause_set, sizes, eta_size, scrutinee, scrut_ty, residual
 
     def _synth_handlers(self, n, scope):
-        ctx = replace(self.ctx, vars={_binder(i): ty for i, ty in enumerate(scope)})
+        ctx = replace(self.ctx, vars={_name("b", i): ty for i, ty in enumerate(scope)})
         for clause_set, sizes, eta_size, scrutinee, scrut_ty, residual in self._handler_parts(
             n, scope
         ):
@@ -225,7 +240,7 @@ class _Enumeration:
                             yield t, ty
 
     def _check(self, n, scope, want):
-        binder = _binder(len(scope))
+        binder = _name("b", len(scope))
         if isinstance(want, Fun):
             for body in self.check(n - 1, scope + (want.dom,), want.cod):
                 yield Abs(binder, body)
@@ -307,42 +322,74 @@ def _sample_type(rng: random.Random, depth: int) -> Type:
 
 # The sampler's leaves, shared by every term it builds: terms are
 # immutable and leaves keep no per-node cache, so sharing changes no
-# value, and it spares the collector one object per leaf sampled.
+# value, and it spares the collector one object per leaf sampled.  Its
+# variables are shared the same way, from `_VARS`.
 _A0, _F0, _STAR = Const("a0"), Const("f0"), Const("*")
+
+# One closed inhabitant per type, made the first time the type is asked
+# for and shared by every term that needs it, as the leaves are; types
+# are interned, so the type itself is the key.  It holds one entry per
+# type asked for, each also kept in the module's type table.
+_INHABITANTS: dict[Type, Term] = {A: _A0, B: App(_F0, _A0), UNIT: _STAR}
 
 
 def _inhabit(ty: Type) -> Term:
-    """A canonical closed inhabitant of any verify-signature type."""
-    cls = type(ty)
-    if cls is Atom:
-        if ty.name == "A":
-            return _A0
-        if ty.name == "B":
-            return App(_F0, _A0)
-        if ty.name == "1":
-            return _STAR
-    elif cls is Fun:
-        return Abs("w", _inhabit(ty.cod))
-    elif cls is Comp:
-        return Eta(_inhabit(ty.value))
-    raise ValueError(f"uninhabited {ty!r}")
+    """The canonical closed inhabitant of a verify-signature type, the
+    one object `_INHABITANTS` keeps for it; ValueError, and nothing kept,
+    for a type whose result is an atom outside the signature."""
+    found = _INHABITANTS.get(ty)
+    if found is None:
+        cls = type(ty)
+        if cls is Fun:
+            found = Abs("w", _inhabit(ty.cod))
+        elif cls is Comp:
+            found = Eta(_inhabit(ty.value))
+        else:
+            raise ValueError(f"uninhabited {ty!r}")
+        _INHABITANTS[ty] = found
+    return found
+
+
+# The sampler's subterms drawn at depth 1 or 2, one object per value.
+# So close above the inhabitants most of them recur: the termination
+# suite's 10,000 samples draw 39,041 compound ones, 2,272 of them
+# distinct, and 60,000 samples 236,106 and 4,625.  Deeper ones rarely
+# recur, and keeping them would grow the table with every sample.
+_SMALL: dict[Term, Term] = {}
+_SMALL_DEPTH = 2
 
 
 def sample_typed(rng: random.Random, ty: Type, depth: int) -> Term:
-    """A well-typed term of type `ty`, built by rule-directed descent."""
+    """A well-typed term of type `ty`, built by rule-directed descent.
+
+    The term shares with other samples its leaves, `_VARS`' variables,
+    `_inhabit`'s inhabitants, which stand wherever the descent bottoms
+    out, and `_SMALL`'s subterms just above them.  Terms are immutable,
+    and what a node caches depends on its value, so sharing changes no
+    value and no result.  Its binders at depth n are named `v<n>`, each
+    name one string."""
     return _sample(rng, ty, {}, depth)
 
 
 def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) -> Term:
-    """`sample_typed` under the variable types `scope`."""
+    """`sample_typed` under the variable types `scope`: the term `_draw`
+    makes, or at a small depth the one object `_SMALL` keeps for it."""
+    t = _draw(rng, ty, scope, depth)
+    if 0 < depth <= _SMALL_DEPTH:
+        return _SMALL.setdefault(t, t)
+    return t
+
+
+def _draw(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) -> Term:
+    """One node of `sample_typed` under `scope`, over subterms from `_sample`."""
     if depth <= 0:
         return _inhabit(ty)
     usable = [n for n, t in scope.items() if subtype(t, ty)]
     if usable and rng.random() < 0.3:
-        return Var(rng.choice(usable))
+        return _VARS[rng.choice(usable)]
     cls = type(ty)
     if cls is Fun:
-        name = f"v{len(scope)}"
+        name = _name("v", len(scope))
         return Abs(name, _sample(rng, ty.cod, {**scope, name: ty.dom}, depth - 1))
     if cls is Comp:
         effects, value = ty.effects, ty.value
@@ -351,7 +398,7 @@ def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) ->
         if available and roll < 0.35:
             op = rng.choice(available)
             inp, out = effects.get(op)
-            name = f"v{len(scope)}"
+            name = _name("v", len(scope))
             return Op(
                 op,
                 _sample(rng, inp, scope, depth - 1),
@@ -360,7 +407,7 @@ def _sample(rng: random.Random, ty: Type, scope: dict[str, Type], depth: int) ->
             )
         if roll < 0.55:
             inner_value = rng.choice((A, B, UNIT))
-            name = f"v{len(scope)}"
+            name = _name("v", len(scope))
             scrutinee = _sample(rng, Comp(effects, inner_value), scope, depth - 1)
             eta_clause = Abs(name, _sample(rng, ty, {**scope, name: inner_value}, depth - 1))
             return Handler((), eta_clause, scrutinee)

@@ -28,14 +28,10 @@ from efflam.syntax import (
     size,
 )
 from efflam.typecheck import TypeCheckError, synthesize
-from efflam.verify import CONTEXT
+from efflam.verify import CONTEXT, _name
 
 _CONSTS = (Const("a0"), Const("f0"), Const("*"))
 _OPS = ("op1", "op2")
-
-
-def _binder(depth: int) -> str:
-    return f"b{depth}"
 
 
 @lru_cache(maxsize=None)
@@ -45,11 +41,11 @@ def _shapes(size: int, depth: int) -> tuple[Term, ...]:
         return ()
     out: list[Term] = []
     if size == 1:
-        out.extend(Var(_binder(i)) for i in range(depth))
+        out.extend(Var(_name("b", i)) for i in range(depth))
         out.extend(_CONSTS)
         return tuple(out)
     for body in _shapes(size - 1, depth + 1):
-        out.append(Abs(_binder(depth), body))
+        out.append(Abs(_name("b", depth), body))
     for child in _shapes(size - 1, depth):
         out.append(Eta(child))
         out.append(Cherry(child))
@@ -62,7 +58,7 @@ def _shapes(size: int, depth: int) -> tuple[Term, ...]:
         for param in _shapes(left_size, depth):
             for cont in _shapes(right_size, depth + 1):
                 for op in _OPS:
-                    out.append(Op(op, param, _binder(depth), cont))
+                    out.append(Op(op, param, _name("b", depth), cont))
     # handlers: optional clauses, an eta clause, and a scrutinee
     for names in ((), ("op1",), ("op2",), ("op1", "op2")):
         remaining = size - 1

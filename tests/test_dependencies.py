@@ -373,7 +373,7 @@ _EXACT_DISPATCH = {
     ("surface.py", "_is_eta_identity"),
     ("reduce.py", "_rule_at"),
     ("reduce.py", "_blocked"),
-    ("verify.py", "_sample"),
+    ("verify.py", "_draw"),
     ("verify.py", "_inhabit"),
 }
 

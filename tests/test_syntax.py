@@ -374,6 +374,16 @@ def _slot_values(t):
     return {name: getattr(t, name) for name in names}
 
 
+def _caches(t):
+    """Each cache slot of `t`, by name, with the value it holds."""
+    return {name: value for name, value in _slot_values(t).items() if name.startswith("_")}
+
+
+def _uncached(t) -> bool:
+    """True when `t` has exactly its class's cache slots, all empty."""
+    return _caches(t) == dict.fromkeys(_CACHE_SLOTS[type(t)])
+
+
 def _cached_nodes(t):
     """The compound nodes of `t` whose free variables are cached."""
     return [node for node in nodes([t]) if node._fv is not None]
@@ -406,7 +416,7 @@ def test_the_free_var_cache_is_invisible(t):
         synthesize(_CHECKED_IN, t)
     if type(t) is Ann or type(t) is Handler:
         assert t._typed is not None  # reached first, typed or not
-    assert all(node._fv is None and node._typed is None for node in nodes([twin]))
+    assert all(_uncached(node) for node in nodes([twin]))
     assert t == twin and twin == t
     assert hash(t) == hash(twin)
     assert repr(t) == repr(twin)
@@ -419,7 +429,7 @@ def test_the_free_var_cache_is_invisible(t):
         assert filled - {"_fv", "_typed"} == empty == {f.name for f in dataclasses.fields(t)}
         copy = dataclasses.replace(t)
         assert copy == dataclasses.replace(twin) == t
-        assert copy is not t and copy._fv is None and copy._typed is None
+        assert copy is not t and _uncached(copy)
         assert repr(copy) == repr(twin)
 
 
@@ -481,13 +491,45 @@ _ONE_OF_EACH = {
 _CACHES_USED = {cls: ("_fv", "_nredex") for cls in (Abs, App, Eta, Op, Cherry, Exchange)}
 _CACHES_USED[Handler] = ("_fv", "_nredex", "_typed")
 _CACHES_USED[Ann] = ("_fv", "_typed")
+# the cache slots each class has: those it fills, and on an ascription
+# the redex count too, which it inherits with the free variables, since a
+# cache is declared once, on one base, and `_typed` on one base of `Ann`
+# and `Handler` only; `_redexes` reads it there, and it stays empty
+_CACHE_SLOTS = {**_CACHES_USED, Ann: ("_fv", "_nredex", "_typed"), Var: (), Const: ()}
+# on 64-bit CPython, 32 B of headers and 8 B a field or cache
+_SIZES = {
+    Var: 40, Const: 40, Eta: 56, Cherry: 56, Exchange: 56,
+    Abs: 64, App: 64, Ann: 72, Op: 80, Handler: 80,
+}
+
+
+@pytest.mark.parametrize("cls", list(_ONE_OF_EACH), ids=lambda cls: cls.__name__)
+def test_a_node_has_a_slot_for_each_cache_it_fills_and_no_more(cls):
+    t = _ONE_OF_EACH[cls]()
+    fields = tuple(f.name for f in dataclasses.fields(cls))
+    own = [name for name in _slot_values(t) if name not in fields]
+    assert sorted(own) == sorted(_CACHE_SLOTS[cls])
+    assert set(own) - set(_CACHES_USED.get(cls, ())) == ({"_nredex"} if cls is Ann else set())
+    assert sys.getsizeof(t) == _SIZES[cls]
+
+
+def test_an_ascription_keeps_its_redex_count_slot_empty():
+    inner = App(Abs("x", _X), _C)
+    t = App(Ann(inner, A), Ann(Ann(inner, A), A))
+    assert _redexes(t) == 2
+    assert [type(node) for node in nodes([t]) if node._nredex is None] == [Ann, Ann, Ann]
+    deep = Ann(inner, A)
+    for _ in range(300):
+        deep = Ann(Eta(deep), Comp(EMPTY_ROW, A))
+    assert _redexes(deep) == 1
+    assert all((node._nredex is None) == (type(node) is Ann) for node in nodes([deep]))
 
 
 @pytest.mark.parametrize("cls", list(_ONE_OF_EACH), ids=lambda cls: cls.__name__)
 def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
     # a cache written into a node that had no room for it gave the node
-    # a `__dict__`: 327 B a node here; in slots, 64 to 88 B by the number
-    # of fields, and a leaf, which has no caches, 40
+    # a `__dict__`: 327 B a node here; in slots, 56 to 80 B by the number
+    # of fields and caches, and a leaf, which has no caches, 40
     build, n = _ONE_OF_EACH[cls], 10_000
     kept: list = [None] * n
     value = {"_fv": frozenset(), "_nredex": 1, "_typed": (object(), {})}
@@ -503,7 +545,7 @@ def test_a_node_keeps_its_size_when_its_caches_are_written(cls):
         per_node = (tracemalloc.get_traced_memory()[0] - before) // n
     finally:
         tracemalloc.stop()
-    assert per_node <= (88 if cls in _CACHES_USED else 40)
+    assert per_node <= _SIZES[cls]
 
 
 # a record that is not a term, and one of each type class
@@ -565,11 +607,14 @@ def test_a_copied_term_is_equal_and_starts_uncached(how):
     for t in _one_of_each_cached():
         if children(t):
             assert t._fv is not None
-            assert (t._typed is not None) == (type(t) in (Ann, Handler))
+            if "_typed" in _CACHE_SLOTS[type(t)]:
+                assert t._typed is not None
+            else:
+                assert not hasattr(t, "_typed")
         got = how(t)
         assert got == t and got is not t and type(got) is type(t)
         if children(t):
-            assert got._fv is None and got._nredex is None and got._typed is None
+            assert _uncached(got)
         else:
             assert not hasattr(got, "_fv")
 

@@ -829,7 +829,11 @@ def _typed_nodes(roots, ctx: Context) -> list[Term]:
 
 def _entries(node: Term, ctx: Context) -> dict | None:
     """{wanted type or None: entry} that `node` keeps for `ctx`'s
-    context, or None."""
+    context, or None; only an ascription or a handler has a slot to
+    keep typings in."""
+    if type(node) is not Ann and type(node) is not Handler:
+        assert not hasattr(node, "_typed")
+        return None
     typed = node._typed
     return typed[1] if typed is not None and typed[0] is ctx.typings else None
 
@@ -934,7 +938,8 @@ def test_a_term_checked_in_many_contexts_keeps_one_set_of_typings():
         assert synthesize(ctx, t) == want
         check_against(ctx, t, want)
     assert {id(node): len(_entries(node, ctx)) for node in _typed_nodes([t], ctx)} == counts
-    assert all(node._typed[0] is ctx.typings for node in nodes([t]) if node._typed is not None)
+    typed = [node._typed for node in nodes([t]) if type(node) in (Ann, Handler)]
+    assert typed and all(kept is None or kept[0] is ctx.typings for kept in typed)
 
 
 def test_a_replaced_context_starts_an_empty_record(monkeypatch):

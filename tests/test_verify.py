@@ -1,12 +1,14 @@
 """Enumeration, oracle agreement, reduction graphs, and the suite drivers."""
 
 import contextlib
+import hashlib
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from efflam import verify
 from efflam.reduce import Rule
 from efflam.surface import print_term
 from efflam.syntax import (
@@ -19,11 +21,14 @@ from efflam.syntax import (
     Eta,
     Fun,
     Handler,
+    Op,
     Signature,
     Var,
     alpha_eq,
     canonical_key,
+    children,
     free_vars,
+    nodes,
     size,
 )
 from efflam.typecheck import TypeCheckError, check_against, synthesize
@@ -237,6 +242,95 @@ def test_sampling_is_reproducible():
     one = sample_typed(random.Random(42), ty, depth=6)
     two = sample_typed(random.Random(42), ty, depth=6)
     assert one == two
+
+
+def sampled_digest(samples: int = 10_000, seed: int = 0) -> str:
+    """The number of samples and one SHA-256 of their `repr`s, a line
+    each, drawn as the termination suite draws them at its defaults.
+    After an intended change of the sampler, re-record from the
+    repository root:
+
+        PYTHONPATH=src python -c "from tests.test_verify import sampled_digest; \\
+            print(sampled_digest())" > tests/expected/sampled-terms.txt
+    """
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(samples):
+        ty = Comp(rng.choice(verify._ROWS), verify._sample_type(rng, 2))
+        digest.update(f"{sample_typed(rng, ty, 7)!r}\n".encode())
+    return f"{samples} {digest.hexdigest()}"
+
+
+def test_samples_are_the_recorded_ones():
+    recorded = (Path(__file__).parent / "expected" / "sampled-terms.txt").read_text()
+    assert sampled_digest() == recorded.strip()
+
+
+def _binders(t):
+    """The binders of the `Abs` and `Op` nodes of `t`, parents first."""
+    return [node.binder for node in nodes([t]) if type(node) in (Abs, Op)]
+
+
+def test_samples_share_their_binder_names_and_variables():
+    ty = Comp(Signature.of({"op1": (A, A)}), Fun(A, A))
+    one, two = (sample_typed(random.Random(seed), ty, depth=6) for seed in (1, 2))
+    names = [name for t in (one, two) for name in _binders(t) if name == "v0"]
+    assert len(names) > 1 and all(name is verify._name("v", 0) for name in names)
+    leaves = [
+        kid for t in (one, two) for node in nodes([t]) for kid in children(node) if type(kid) is Var
+    ]
+    assert leaves and all(leaf is verify._VARS[leaf.name] for leaf in leaves)
+
+
+def test_small_subterms_are_one_object_per_value():
+    ty = Comp(OPERATIONS, Fun(A, B))
+    lambdas = [sample_typed(random.Random(seed), Fun(A, ty), 3) for seed in range(200)]
+    # a draw at depth 3 is not kept, so the table does not grow with
+    # every sample
+    assert all(verify._SMALL.get(t) is not t for t in lambdas)
+    # drawn at depth 2, and as the body of a lambda drawn at depth 3
+    for drawn in (
+        [sample_typed(random.Random(seed), ty, 2) for seed in range(200)],
+        [t.body for t in lambdas],
+    ):
+        objects: dict = {}
+        for t in drawn:
+            objects.setdefault(t, set()).add(id(t))
+        assert len(objects) < len(drawn) // 2
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert all(verify._SMALL[t] is t for t in drawn)
+
+
+def test_a_sample_deeper_than_the_name_table_gets_fresh_names():
+    depth = len(verify._NAMES["v"]) + 5
+    ty = Comp(EMPTY_ROW, A)
+    for _ in range(depth):
+        ty = Fun(B, ty)
+    t = sample_typed(random.Random(3), ty, depth + 2)
+    assert len(verify._NAMES["v"]) >= depth
+    for i in range(depth):
+        assert type(t) is Abs and t.binder == f"v{i}" and t.binder is verify._name("v", i)
+        t = t.body
+    check_against(CONTEXT, sample_typed(random.Random(3), ty, depth + 2), ty)
+
+
+def test_each_type_has_one_inhabitant():
+    for ty in (A, B, Comp(EMPTY_ROW, Fun(A, B)), Fun(B, Comp(OPERATIONS, Fun(A, A)))):
+        first = verify._inhabit(ty)
+        assert verify._inhabit(ty) is first and verify._INHABITANTS[ty] is first
+        check_against(CONTEXT, first, ty)
+    ty = Comp(OPERATIONS, Fun(A, B))
+    assert sample_typed(random.Random(0), ty, 0) is verify._inhabit(ty)
+
+
+def test_an_uninhabited_type_raises_every_time_and_is_not_kept():
+    c = Atom("C")
+    for ty in (c, Fun(A, c), Comp(EMPTY_ROW, Fun(A, Comp(EMPTY_ROW, c)))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="uninhabited"):
+                verify._inhabit(ty)
+        assert ty not in verify._INHABITANTS
+    assert Fun(A, c) not in verify._INHABITANTS and c not in verify._INHABITANTS
 
 
 # ---------------------------------------------------------------------------
